@@ -91,11 +91,13 @@ def gradients(
     x = np.asarray(x, dtype=float)
     target = np.asarray(target, dtype=float)
     a1, a2, a3 = _forward_all(model, x)
-    loss = 0.5 * float(np.sum((a3 - target) ** 2))
-    d3 = (a3 - target) * a3 * (1.0 - a3)
+    e = a3 - target
+    loss = 0.5 * float(np.add.reduce(e * e))
+    d3 = e * a3 * (1.0 - a3)
     d2 = (model.weights[2] @ d3) * a2 * (1.0 - a2)
     d1 = (model.weights[1] @ d2) * a1 * (1.0 - a1)
-    grad_w = [np.outer(x, d1), np.outer(a1, d2), np.outer(a2, d3)]
+    outer = np.multiply.outer
+    grad_w = [outer(x, d1), outer(a1, d2), outer(a2, d3)]
     grad_b = [d1, d2, d3]
     return grad_w, grad_b, a3, loss
 
@@ -139,6 +141,8 @@ def train_mlp_on_samples(
     if len(xs) == 0:
         raise ValueError("sample set is empty")
     hp = model.config.hyperparams
+    mu = hp.mu
+    params = model.weights + model.biases
     backward = 0
     mse = float("inf")
     epoch = 0
@@ -146,10 +150,13 @@ def train_mlp_on_samples(
         squared = 0.0
         for x, t in zip(xs, ts):
             grad_w, grad_b, y, _ = gradients(model, x, t)
-            squared += float(np.mean((t - y) ** 2))
-            for i in range(3):
-                model.weights[i] -= hp.mu * grad_w[i]
-                model.biases[i] -= hp.mu * grad_b[i]
+            r = t - y
+            squared += float(np.add.reduce(r * r)) / r.size
+            # the gradients are fresh arrays: scale them in place, then subtract,
+            # which rounds exactly like W -= mu * g
+            for p, g in zip(params, grad_w + grad_b):
+                g *= mu
+                p -= g
             backward += 1
         mse = squared / len(xs)
         if mse < hp.epsilon:
@@ -235,7 +242,7 @@ def mlp_from_dict(payload: Mapping) -> MlpModel:
 
 def save_mlp(model: MlpModel, path: str | Path) -> None:
     Path(path).write_text(
-        json.dumps(mlp_to_dict(model), indent=2, sort_keys=True) + "\n",
+        json.dumps(mlp_to_dict(model), indent=2, sort_keys=True, allow_nan=False) + "\n",
         encoding="utf-8",
     )
 

@@ -36,17 +36,20 @@ class ModelFormatError(ValueError):
 
 
 def sigmoid(x):
-    """Logistic function 1 / (1 + exp(-x)), kept strictly inside (0, 1)."""
+    """Logistic function 1 / (1 + exp(-x)), kept strictly inside (0, 1).
+
+    Branch-free form of the two stable branches: with e = exp(-|x|) it is
+    1 / (1 + e) for x >= 0 and e / (1 + e) below, so exp never overflows.
+    """
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    a = np.abs(arr)
+    # the max of |x| is NaN or inf exactly when some input is not finite
+    if a.size and not np.maximum.reduce(a, None) < np.inf:
         raise ValueError("sigmoid requires finite input")
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ez = np.exp(arr[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    out = np.clip(out, _SIG_LO, _SIG_HI)
-    return float(out) if np.ndim(x) == 0 else out
+    e = np.exp(-a)
+    out = np.where(arr >= 0.0, 1.0, e) / (1.0 + e)
+    out = np.minimum(np.maximum(out, _SIG_LO), _SIG_HI)
+    return float(out) if arr.ndim == 0 else out
 
 
 def sigmoid_prime_from_output(s: float) -> float:
@@ -412,7 +415,7 @@ def model_from_dict(payload: Mapping) -> TnnModel:
 
 def save_model(model: TnnModel, path: str | Path) -> None:
     Path(path).write_text(
-        json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n",
+        json.dumps(model_to_dict(model), indent=2, sort_keys=True, allow_nan=False) + "\n",
         encoding="utf-8",
     )
 

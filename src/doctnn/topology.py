@@ -10,7 +10,9 @@ class can also learn counter-evidence (a totals line argues against
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Mapping
 
@@ -86,6 +88,10 @@ class Topology:
         return frozenset(seen & set(self.elements))
 
 
+def _finite(value: object) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     """Online training settings: correction step, stability threshold, epoch cap."""
@@ -93,6 +99,18 @@ class Hyperparams:
     mu: float = 0.5
     epsilon: float = 0.01
     max_epochs: int = 1000
+
+    def __post_init__(self) -> None:
+        if not (_finite(self.mu) and self.mu > 0):
+            raise TopologyError(f"mu must be a finite number > 0, got {self.mu!r}")
+        if not (_finite(self.epsilon) and self.epsilon >= 0):
+            raise TopologyError(f"epsilon must be a finite number >= 0, got {self.epsilon!r}")
+        if (
+            not isinstance(self.max_epochs, Integral)
+            or isinstance(self.max_epochs, bool)
+            or self.max_epochs < 1
+        ):
+            raise TopologyError(f"max_epochs must be an integer >= 1, got {self.max_epochs!r}")
 
 
 @dataclass(frozen=True)
@@ -239,11 +257,13 @@ def config_from_dict(payload: Mapping) -> NetworkConfig:
         for name, entry in payload.get("extractors", {}).items()
     }
     hp = payload.get("hyperparams", {})
-    hyperparams = Hyperparams(
-        mu=float(hp.get("mu", 0.5)),
-        epsilon=float(hp.get("epsilon", 0.01)),
-        max_epochs=int(hp.get("max_epochs", 1000)),
-    )
+    try:
+        mu = float(hp.get("mu", 0.5))
+        epsilon = float(hp.get("epsilon", 0.01))
+        max_epochs = int(hp.get("max_epochs", 1000))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise TopologyError(f"config hyperparams: {exc}") from exc
+    hyperparams = Hyperparams(mu=mu, epsilon=epsilon, max_epochs=max_epochs)
     return NetworkConfig(topology=topology, extractors=extractors, hyperparams=hyperparams)
 
 

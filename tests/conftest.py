@@ -58,6 +58,20 @@ def dense_config(sizes, hyperparams=None):
     )
 
 
+def two_branch_sigmoid(x):
+    """Masked two-branch logistic, the reference the library's sigmoid must match bit for bit."""
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("sigmoid requires finite input")
+    out = np.empty_like(arr)
+    pos = arr >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+    ez = np.exp(arr[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    out = np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    return float(out) if np.ndim(x) == 0 else out
+
+
 @pytest.fixture(scope="session")
 def desk_corpora():
     train = generate(GenSpec(seed=DESK_TRAIN_SEED, counts=DESK_TRAIN_COUNTS, noise=DESK_NOISE))

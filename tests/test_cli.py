@@ -3,6 +3,7 @@ import json
 import pytest
 
 from doctnn.cli import main
+from doctnn.topology import default_config, save_config
 
 
 def run(capsys, *argv):
@@ -63,6 +64,60 @@ def test_train_reports_stats_line(workspace, capsys, tmp_path):
     )
     assert code == 0
     assert "update passes=" in out
+
+
+@pytest.mark.parametrize(
+    "network, flags, message",
+    [
+        ("mlp", ("--max-epochs", "0"), "max_epochs"),
+        ("tnn", ("--max-epochs", "0"), "max_epochs"),
+        ("mlp", ("--epsilon", "inf"), "epsilon"),
+        ("tnn", ("--epsilon", "inf"), "epsilon"),
+        ("tnn", ("--epsilon", "-0.1"), "epsilon"),
+        ("mlp", ("--mu", "-1"), "mu"),
+        ("tnn", ("--mu", "-1"), "mu"),
+        ("mlp", ("--mu", "0"), "mu"),
+        ("mlp", ("--mu", "nan"), "mu"),
+    ],
+)
+def test_train_rejects_bad_hyperparams(workspace, tmp_path, capsys, network, flags, message):
+    out = tmp_path / "model.json"
+    code, stdout, err = run(
+        capsys, "train", network, "--corpus", str(workspace / "train.json"), *flags,
+        "--out", str(out),
+    )
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "hyperparams, message",
+    [
+        ('{"max_epochs": 0}', "max_epochs"),
+        ('{"max_epochs": Infinity}', "hyperparams"),
+        ('{"epsilon": Infinity}', "epsilon"),
+        ('{"mu": -1}', "mu"),
+        ('{"mu": null}', "hyperparams"),
+    ],
+)
+def test_train_rejects_bad_hyperparams_in_config(workspace, tmp_path, capsys,
+                                                 hyperparams, message):
+    config = tmp_path / "config.json"
+    save_config(default_config(), config)
+    payload = json.loads(config.read_text())
+    payload["hyperparams"] = json.loads(hyperparams)
+    config.write_text(json.dumps(payload))
+    out = tmp_path / "model.json"
+    code, _, err = run(
+        capsys, "train", "mlp", "--corpus", str(workspace / "train.json"),
+        "--config", str(config), "--out", str(out),
+    )
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
 
 
 def test_retraining_is_byte_identical(workspace, tmp_path, capsys):

@@ -16,7 +16,7 @@ from doctnn import (
     train_mlp_on_samples,
 )
 from doctnn.evaluation import evaluate_mlp
-from conftest import dense_config, max_gradient_error
+from conftest import dense_config, max_gradient_error, two_branch_sigmoid
 
 
 def make_model(sizes=(4, 3, 3, 2), seed=0, hyperparams=None):
@@ -98,6 +98,71 @@ def test_xor_shaped_task_converges():
     assert stats.epochs <= 10_000
 
 
+def seed_train_mlp_on_samples(model, xs, ts):
+    """The plain backprop loop train_mlp_on_samples must match bit for bit.
+
+    np.sum / np.outer gradients through the two-branch sigmoid, np.mean for
+    the epoch error and W -= mu * g for the update.
+    """
+    hp = model.config.hyperparams
+    w, b = model.weights, model.biases
+    backward = 0
+    mse = float("inf")
+    epoch = 0
+    for epoch in range(1, hp.max_epochs + 1):
+        squared = 0.0
+        for x, t in zip(xs, ts):
+            a1 = two_branch_sigmoid(x @ w[0] + b[0])
+            a2 = two_branch_sigmoid(a1 @ w[1] + b[1])
+            y = two_branch_sigmoid(a2 @ w[2] + b[2])
+            d3 = (y - t) * y * (1.0 - y)
+            d2 = (w[2] @ d3) * a2 * (1.0 - a2)
+            d1 = (w[1] @ d2) * a1 * (1.0 - a1)
+            grad_w = [np.outer(x, d1), np.outer(a1, d2), np.outer(a2, d3)]
+            grad_b = [d1, d2, d3]
+            squared += float(np.mean((t - y) ** 2))
+            for i in range(3):
+                w[i] -= hp.mu * grad_w[i]
+                b[i] -= hp.mu * grad_b[i]
+            backward += 1
+        mse = squared / len(xs)
+        if mse < hp.epsilon:
+            break
+    return epoch, backward, mse
+
+
+@pytest.mark.parametrize(
+    "hyper, stops_early",
+    [
+        (Hyperparams(mu=0.5, epsilon=0.0, max_epochs=40), False),
+        (Hyperparams(mu=2.0, epsilon=0.2, max_epochs=1000), True),
+    ],
+)
+def test_training_is_bit_identical_to_seed_loop(hyper, stops_early):
+    rng = np.random.default_rng(3)
+    xs = rng.uniform(0.0, 1.0, size=(6, 4))
+    ts = np.eye(2)[rng.integers(0, 2, size=6)]
+    model = make_model(seed=2, hyperparams=hyper)
+    reference = make_model(seed=2, hyperparams=hyper)
+    stats = train_mlp_on_samples(model, xs, ts)
+    epochs, backward, mse = seed_train_mlp_on_samples(reference, xs, ts)
+    assert (stats.epochs < hyper.max_epochs) is stops_early
+    assert (stats.epochs, stats.backward_passes, stats.final_mse) == (epochs, backward, mse)
+    for got, want in zip(model.weights + model.biases, reference.weights + reference.biases):
+        assert np.array_equal(got, want)
+
+
+def test_runaway_step_still_trips_the_sigmoid_finiteness_check():
+    hyper = Hyperparams(mu=1e300, epsilon=0.0, max_epochs=20)
+    model = make_model(seed=2, hyperparams=hyper)
+    rng = np.random.default_rng(3)
+    xs = rng.uniform(0.0, 1.0, size=(6, 4))
+    ts = np.eye(2)[rng.integers(0, 2, size=6)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="sigmoid requires finite input"):
+            train_mlp_on_samples(model, xs, ts)
+
+
 def test_training_is_deterministic(tmp_path):
     corpus = generate(GenSpec(seed=12, counts={"invoice": 3, "form": 3, "letter": 3}))
     from doctnn import default_config
@@ -153,3 +218,12 @@ def test_mlp_round_trip(tmp_path):
     path = tmp_path / "mlp.json"
     save_mlp(model, path)
     assert load_mlp(path) == model
+
+
+def test_save_refuses_non_finite_values(tmp_path):
+    model = make_model()
+    model.biases[2][0] = np.inf
+    path = tmp_path / "mlp.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_mlp(model, path)
+    assert not path.exists()

@@ -22,6 +22,7 @@ from doctnn import (
     train_nn1,
     train_tnn,
 )
+from conftest import two_branch_sigmoid
 
 
 def single_link_net(weight=0.1, threshold=0.1):
@@ -57,6 +58,35 @@ def test_sigmoid_rejects_non_finite():
         sigmoid(float("nan"))
     with pytest.raises(ValueError):
         sigmoid(float("inf"))
+    for bad in ([0.5, -np.inf], [[1.0, 2.0], [np.nan, 0.0]]):
+        with pytest.raises(ValueError, match="finite"):
+            sigmoid(np.array(bad))
+
+
+# signed zeros, subnormals, where 1 + exp(-x) rounds to 1 (36.7), where exp
+# overflows or underflows (709, 745), and far beyond
+SIGMOID_EDGES = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+    36.7, -36.7, 709.0, -709.0, 745.0, -745.0, 1e300, -1e300,
+)
+
+
+def test_sigmoid_is_bit_identical_to_two_branch_reference():
+    edges = np.array(SIGMOID_EDGES)
+    noise = np.random.default_rng(0).normal(0.0, 40.0, size=(50, 20))
+    for arr in (edges, edges.reshape(2, 7), noise, np.empty(0)):
+        got = sigmoid(arr)
+        assert isinstance(got, np.ndarray) and got.shape == arr.shape
+        assert np.array_equal(got, two_branch_sigmoid(arr))
+    for x in SIGMOID_EDGES:
+        got = sigmoid(x)
+        assert type(got) is float
+        assert got == two_branch_sigmoid(x)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_sigmoid_matches_reference_on_any_finite_scalar(x):
+    assert sigmoid(x) == two_branch_sigmoid(x)
 
 
 # --- derivative through the output ---------------------------------------------
@@ -307,6 +337,15 @@ def test_model_shape_mismatch(tmp_path, clean_tnn):
     path.write_text(json.dumps(payload))
     with pytest.raises(ModelFormatError, match="shape"):
         load_model(path)
+
+
+def test_save_refuses_non_finite_values(tmp_path):
+    model = TnnModel.create(default_config(), seed=0)
+    model.nets[1].thresholds[0] = np.nan
+    path = tmp_path / "tnn.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_model(model, path)
+    assert not path.exists()
 
 
 def test_model_corrupt_file(tmp_path):
