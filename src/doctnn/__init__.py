@@ -56,7 +56,6 @@ from .network import (
     TnnModel,
     TnnTrainingSummary,
     TrainingStats,
-    forward_layer,
     forward_tnn,
     load_model,
     neuron_activation,

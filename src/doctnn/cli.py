@@ -7,12 +7,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .documents import CorpusError, DocumentInstance, load_corpus, save_corpus
+from .documents import CorpusError, DocumentInstance, load_corpus, save_corpus, write_json
 from .evaluation import build_report, render_report, report_to_dict
 from .generator import GenSpec, Noise, generate
-from .mlp import MlpModel, load_mlp, train_mlp
-from .network import ModelFormatError, TnnModel, train_tnn
-from .recognizer import RecognizerParams, recognize
+from .mlp import MlpModel, load_mlp, save_mlp, train_mlp
+from .network import ModelFormatError, TnnModel, load_model, save_model, train_tnn
+from .recognizer import RecognitionResult, RecognizerParams, recognize
 from .topology import NetworkConfig, TopologyError, default_config, load_config
 
 ERROR_PREFIX = "error:"
@@ -67,6 +67,14 @@ def _pick_document(docs: list[DocumentInstance], doc_id: str | None) -> Document
     raise CorpusError(f"corpus holds {len(docs)} documents; pass --id to pick one")
 
 
+def _recognize_picked(args: argparse.Namespace) -> tuple[DocumentInstance, RecognitionResult]:
+    """Load the model and corpus, pick one document and recognize it."""
+    params = _recognizer_params(args)
+    model = load_model(args.model)
+    doc = _pick_document(load_corpus(args.doc, model.topology), args.id)
+    return doc, recognize(model, doc, params)
+
+
 def cmd_gen_corpus(args: argparse.Namespace) -> int:
     noise = Noise(jitter=args.jitter, drop_rate=args.drop, distort_rate=args.distort)
     out_dir = Path(args.out)
@@ -104,7 +112,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.network == "tnn":
         model = TnnModel.create(config, seed=args.seed)
         summary = train_tnn(model, docs)
-        model.save(args.out)
+        save_model(model, args.out)
         stats = " ".join(
             f"nn1[{i}]: epochs={s.epochs} mse={s.final_mse:.5f}"
             for i, s in enumerate(summary.stats)
@@ -116,7 +124,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         model = MlpModel.create(config, seed=args.seed)
         stats = train_mlp(model, docs)
-        model.save(args.out)
+        save_mlp(model, args.out)
         print(
             f"trained mlp on {len(docs)} documents; epochs={stats.epochs} "
             f"mse={stats.final_mse:.5f} backward passes={stats.backward_passes}; "
@@ -126,16 +134,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_recognize(args: argparse.Namespace) -> int:
-    model = TnnModel.load(args.model)
-    docs = load_corpus(args.doc, model.topology)
-    doc = _pick_document(docs, args.id)
-    result = recognize(model, doc, _recognizer_params(args))
+    _, result = _recognize_picked(args)
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    tnn_model = TnnModel.load(args.tnn)
+    params = _recognizer_params(args)
+    tnn_model = load_model(args.tnn)
     mlp_model = load_mlp(args.mlp) if args.mlp else None
     test_docs = load_corpus(args.test, tnn_model.topology)
     mlp_test_docs = list(test_docs)
@@ -150,28 +156,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = build_report(
         tnn_model,
         test_docs,
-        _recognizer_params(args),
+        params,
         mlp_model=mlp_model,
         mlp_test_docs=mlp_test_docs if mlp_model else None,
     )
     print(render_report(report), end="")
     if args.json_out:
-        Path(args.json_out).write_text(
-            json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_json(report_to_dict(report), args.json_out)
         print(f"wrote {args.json_out}")
     return 0
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    model = TnnModel.load(args.model)
-    docs = load_corpus(args.doc, model.topology)
-    doc = _pick_document(docs, args.id)
-    result = recognize(model, doc, _recognizer_params(args))
-    if args.json:
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-        return 0
+    doc, result = _recognize_picked(args)
     print(f"document: {doc.id}")
     for number, record in enumerate(result.passes, start=1):
         print(f"pass {number}:")
@@ -254,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--doc", required=True)
     p.add_argument("--id", default=None)
-    p.add_argument("--json", action="store_true")
     _add_recognizer_flags(p)
     p.set_defaults(func=cmd_inspect)
 

@@ -1,4 +1,5 @@
-"""Token-layout document model and the labeled-corpus file format.
+"""Token-layout document model, the labeled-corpus file format, and the JSON
+encoding that every doctnn file (corpus, config, model, eval report) shares.
 
 A document is a flat list of text tokens with normalized bounding boxes
 (page fractions, top-left origin). Ground-truth labels, when present, name
@@ -23,6 +24,31 @@ _DECIMAL_SEPARATORS = frozenset(".,")
 
 class CorpusError(ValueError):
     """Raised for malformed corpus files or invariant violations."""
+
+
+def write_json(payload: object, path: str | Path) -> None:
+    """Write a doctnn file: sorted keys, 2-space indent, trailing newline, UTF-8.
+
+    NaN and infinities raise ValueError before anything is written, so no
+    file that strict JSON readers reject is ever produced.
+    """
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
+
+
+def read_json(path: str | Path, error: type[Exception]) -> dict:
+    """Parse a doctnn file, raising ``error`` unless it holds a JSON object."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"parse error in {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise error(f"parse error in {path}: expected a JSON object")
+    return payload
 
 
 class TokenKind(str, Enum):
@@ -165,11 +191,8 @@ def _parse_document(raw: object, topology: "Topology") -> DocumentInstance:
 
 def load_corpus(path: str | Path, topology: "Topology") -> list[DocumentInstance]:
     """Load and validate a corpus file against the active topology."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"parse error in {path}: {exc}") from exc
-    if not isinstance(payload, dict) or "documents" not in payload:
+    payload = read_json(path, CorpusError)
+    if "documents" not in payload:
         raise CorpusError(f"parse error in {path}: top-level 'documents' key missing")
     docs = [_parse_document(raw, topology) for raw in payload["documents"]]
     seen: set[str] = set()
@@ -202,7 +225,4 @@ def corpus_to_dict(docs: Iterable[DocumentInstance]) -> dict:
 
 def save_corpus(docs: Iterable[DocumentInstance], path: str | Path) -> None:
     """Write the corpus file format; loading it back yields an equal corpus."""
-    Path(path).write_text(
-        json.dumps(corpus_to_dict(docs), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(corpus_to_dict(docs), path)

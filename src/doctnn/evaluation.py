@@ -102,13 +102,6 @@ def _require_labels(docs: Sequence[DocumentInstance]) -> None:
             raise ValueError(f"document '{doc.id}' has no labels; cannot evaluate")
 
 
-def _trained_counts(training: TnnTrainingSummary | MlpTrainingStats | None,
-                    classes: Sequence[str]) -> dict[str, int]:
-    if isinstance(training, TnnTrainingSummary):
-        return {name: int(training.class_counts.get(name, 0)) for name in classes}
-    return {name: 0 for name in classes}
-
-
 def evaluate_tnn(
     model: TnnModel,
     docs: Sequence[DocumentInstance],
@@ -141,9 +134,10 @@ def evaluate_tnn(
             struct_tested[name] += 1
             if name in extracted:
                 struct_correct[name] += 1
-    trained = _trained_counts(model.training, topo.documents)
+    counts = model.training.class_counts if model.training is not None else {}
     class_rows = tuple(
-        ClassRow(name=n, trained=trained[n], tested=tested[n], recognized=correct[n])
+        ClassRow(name=n, trained=int(counts.get(n, 0)), tested=tested[n],
+                 recognized=correct[n])
         for n in topo.documents
     )
     struct_rows = tuple(

@@ -287,7 +287,8 @@ def _horizontal_levels(params: Mapping) -> tuple[LevelFn, ...]:
                 continue
             gaps = [b.x - a.x for a, b in zip(row, row[1:])]
             mean = sum(gaps) / len(gaps)
-            if mean <= 0.0:
+            # the square, not only the mean, can be 0: it underflows for gaps near 1e-170
+            if mean * mean <= 0.0:
                 scores.append(0.0)
                 continue
             var = sum((g - mean) ** 2 for g in gaps) / len(gaps)
@@ -487,16 +488,11 @@ class ExtractorSpec:
 @dataclass(frozen=True)
 class ElementExtractor:
     name: str
-    levels: tuple[LevelFn, ...]
-    cost_rank: tuple[int, ...]
+    levels: tuple[LevelFn, ...]  # ordered by cost, cheapest first
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.levels) <= 3:
             raise ValueError(f"extractor '{self.name}': 1 to 3 levels required")
-        if len(self.cost_rank) != len(self.levels):
-            raise ValueError(f"extractor '{self.name}': one cost rank per level")
-        if any(b <= a for a, b in zip(self.cost_rank, self.cost_rank[1:])):
-            raise ValueError(f"extractor '{self.name}': cost ranks must increase with level")
 
     @property
     def max_level(self) -> int:
@@ -521,7 +517,7 @@ def build_extractor(name: str, spec: ExtractorSpec) -> ElementExtractor:
     if spec.kind not in EXTRACTOR_KINDS:
         raise ValueError(f"unknown extractor kind '{spec.kind}' for element '{name}'")
     levels = EXTRACTOR_KINDS[spec.kind](spec.params)
-    return ElementExtractor(name=name, levels=levels, cost_rank=tuple(range(1, len(levels) + 1)))
+    return ElementExtractor(name=name, levels=levels)
 
 
 def build_extractors(specs: Mapping[str, ExtractorSpec]) -> dict[str, ElementExtractor]:

@@ -9,6 +9,7 @@ cheap level-1 evidence points two ways until the expensive gates settle it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Iterable, Mapping
@@ -62,8 +63,8 @@ class Noise:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.jitter < 0.0:
-            raise ValueError(f"jitter must be non-negative, got {self.jitter}")
+        if not 0.0 <= self.jitter < math.inf:
+            raise ValueError(f"jitter must be a finite number >= 0, got {self.jitter}")
 
 
 @dataclass(frozen=True)

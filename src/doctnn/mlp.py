@@ -8,17 +8,22 @@ output and no refinement hook.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .documents import DocumentInstance
+from .documents import DocumentInstance, read_json, write_json
 from .features import ElementVector, build_extractors, extract_all
-from .network import MODEL_FORMAT_VERSION, ModelFormatError, _element_array, sigmoid
-from .topology import NetworkConfig, config_from_dict, config_to_dict
+from .network import (
+    MODEL_FORMAT_VERSION,
+    ModelFormatError,
+    _element_array,
+    model_config,
+    sigmoid,
+)
+from .topology import NetworkConfig, config_to_dict
 
 
 @dataclass(frozen=True)
@@ -62,13 +67,6 @@ class MlpModel:
         if not isinstance(other, MlpModel):
             return NotImplemented
         return mlp_to_dict(self) == mlp_to_dict(other)
-
-    def save(self, path: str | Path) -> None:
-        save_mlp(self, path)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "MlpModel":
-        return load_mlp(path)
 
 
 def _forward_all(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -196,13 +194,7 @@ def mlp_to_dict(model: MlpModel) -> dict:
 
 
 def mlp_from_dict(payload: Mapping) -> MlpModel:
-    if payload.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(
-            f"unsupported model format_version {payload.get('format_version')!r}"
-        )
-    if payload.get("kind") != "mlp":
-        raise ModelFormatError(f"expected kind 'mlp', found {payload.get('kind')!r}")
-    config = config_from_dict(payload["config"])
+    config = model_config(payload, "mlp")
     sizes = [len(names) for names in config.topology.layers()]
     raw_layers = payload.get("layers", [])
     if len(raw_layers) != 3:
@@ -241,15 +233,8 @@ def mlp_from_dict(payload: Mapping) -> MlpModel:
 
 
 def save_mlp(model: MlpModel, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(mlp_to_dict(model), indent=2, sort_keys=True, allow_nan=False) + "\n",
-        encoding="utf-8",
-    )
+    write_json(mlp_to_dict(model), path)
 
 
 def load_mlp(path: str | Path) -> MlpModel:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
-    return mlp_from_dict(payload)
+    return mlp_from_dict(read_json(path, ModelFormatError))

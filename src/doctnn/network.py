@@ -14,14 +14,13 @@ never updated, which is what keeps every neuron's meaning intact.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .documents import DocumentInstance
+from .documents import DocumentInstance, read_json, write_json
 from .features import ElementVector, build_extractors, extract_all
 from .topology import NetworkConfig, Topology, config_from_dict, config_to_dict
 
@@ -109,11 +108,6 @@ class LayerNetwork:
                 f"dimension mismatch: got {inputs.shape}, expected ({len(self.input_names)},)"
             )
         return sigmoid(inputs @ self.weights - self.thresholds)
-
-
-def forward_layer(net: LayerNetwork, inputs) -> np.ndarray:
-    """Apply one monolayer network to an input vector."""
-    return net.forward(np.asarray(inputs, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -235,16 +229,6 @@ class TnnModel:
             return NotImplemented
         return model_to_dict(self) == model_to_dict(other)
 
-    def save(self, path: str | Path) -> None:
-        save_model(self, path)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "TnnModel":
-        model = load_model(path)
-        if not isinstance(model, cls):
-            raise ModelFormatError(f"{path} does not hold a tnn model")
-        return model
-
 
 def _element_array(topology: Topology, vector: ElementVector | Mapping[str, float]) -> np.ndarray:
     values = vector.values if isinstance(vector, ElementVector) else vector
@@ -260,9 +244,9 @@ def _element_array(topology: Topology, vector: ElementVector | Mapping[str, floa
 def forward_tnn(model: TnnModel, elements: ElementVector | Mapping[str, float]) -> ActivationTrace:
     """Propagate element activations up through the three networks."""
     x = _element_array(model.topology, elements)
-    sub = forward_layer(model.nets[0], x)
-    struct = forward_layer(model.nets[1], sub)
-    doc = forward_layer(model.nets[2], struct)
+    sub = model.nets[0].forward(x)
+    struct = model.nets[1].forward(sub)
+    doc = model.nets[2].forward(struct)
     topo = model.topology
     return ActivationTrace(
         elements=dict(zip(topo.elements, x.tolist())),
@@ -367,14 +351,19 @@ def model_to_dict(model: TnnModel) -> dict:
     return payload
 
 
-def model_from_dict(payload: Mapping) -> TnnModel:
+def model_config(payload: Mapping, kind: str) -> NetworkConfig:
+    """Check a model file's format_version and kind, then read its config."""
     if payload.get("format_version") != MODEL_FORMAT_VERSION:
         raise ModelFormatError(
             f"unsupported model format_version {payload.get('format_version')!r}"
         )
-    if payload.get("kind") != "tnn":
-        raise ModelFormatError(f"expected kind 'tnn', found {payload.get('kind')!r}")
-    config = config_from_dict(payload["config"])
+    if payload.get("kind") != kind:
+        raise ModelFormatError(f"expected kind {kind!r}, found {payload.get('kind')!r}")
+    return config_from_dict(payload["config"])
+
+
+def model_from_dict(payload: Mapping) -> TnnModel:
+    config = model_config(payload, "tnn")
     raw_nets = payload.get("layer_networks", [])
     pairs = config.topology.layer_pairs()
     if len(raw_nets) != len(pairs):
@@ -414,15 +403,8 @@ def model_from_dict(payload: Mapping) -> TnnModel:
 
 
 def save_model(model: TnnModel, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(model_to_dict(model), indent=2, sort_keys=True, allow_nan=False) + "\n",
-        encoding="utf-8",
-    )
+    write_json(model_to_dict(model), path)
 
 
 def load_model(path: str | Path) -> TnnModel:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
-    return model_from_dict(payload)
+    return model_from_dict(read_json(path, ModelFormatError))

@@ -10,6 +10,7 @@ document itself is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from .documents import DocumentInstance
 from .features import ElementExtractor, extract_all
 from .network import ActivationTrace, TnnModel, forward_tnn
+from .topology import _finite
 
 
 @dataclass(frozen=True)
@@ -26,6 +28,17 @@ class RecognizerParams:
     tau_struct: float = 0.5
     max_passes: int = 3
     blame_budget: int = 3
+
+    def __post_init__(self) -> None:
+        # thresholds are not bounded to [0, 1]: a threshold above 1 rejects everything
+        for name in ("tau_accept", "tau_margin", "tau_struct"):
+            value = getattr(self, name)
+            if not _finite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for name, least in (("max_passes", 1), ("blame_budget", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -180,9 +193,6 @@ def recognize(
     # whatever resting activations the trained thresholds produce
     has_evidence = bool(doc.tokens)
     passes: list[PassRecord] = []
-    trace = None
-    accepted = False
-    top1 = top2 = None
     for pass_no in range(1, params.max_passes + 1):
         overrides = {name: lvl for name, lvl in levels.items() if lvl > 1}
         vector = extract_all(ex, doc, overrides)
@@ -206,8 +216,6 @@ def recognize(
             break
         for name in blamed:
             levels[name] += 1
-    confidence = trace.documents[top1]
-    margin = confidence - trace.documents[top2] if top1 != top2 else confidence
     winner = top1 if accepted else None
     structures = extract_structures(trace, model, winner, params.tau_struct)
     return RecognitionResult(

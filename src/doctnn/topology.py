@@ -9,13 +9,13 @@ class can also learn counter-evidence (a totals line argues against
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 from pathlib import Path
 from typing import Mapping
 
+from .documents import read_json, write_json
 from .features import EXTRACTOR_KINDS, ExtractorSpec
 
 CONFIG_FORMAT_VERSION = 1
@@ -268,15 +268,8 @@ def config_from_dict(payload: Mapping) -> NetworkConfig:
 
 
 def load_config(path: str | Path) -> NetworkConfig:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise TopologyError(f"parse error in {path}: {exc}") from exc
-    return config_from_dict(payload)
+    return config_from_dict(read_json(path, TopologyError))
 
 
 def save_config(config: NetworkConfig, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(config_to_dict(config), path)

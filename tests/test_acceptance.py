@@ -13,7 +13,6 @@ from doctnn import (
     TnnModel,
     build_extractors,
     default_config,
-    forward_layer,
     forward_tnn,
     generate_ambiguous,
     load_corpus,
@@ -79,7 +78,7 @@ def test_criterion_3_cascade_equivalence():
         for net, layer in zip(
             model.nets, ("substructures", "structures", "documents")
         ):
-            x = forward_layer(net, x)
+            x = net.forward(x)
             if list(trace.layer(layer).values()) != x.tolist():
                 mismatches += 1
     assert mismatches == 0
@@ -179,7 +178,7 @@ def test_criterion_9_property_suites(tmp_path, desk_corpora):
     net = LayerNetwork.create(("a", "b"), ("x",), [("a", "x")], np.random.default_rng(2))
     train_nn1(net, [((0.2, 0.9), (1.0,)), ((0.9, 0.2), (0.0,))], max_epochs=100)
     assert net.weights[1, 0] == 0.0
-    assert np.array_equal(forward_layer(net, (0.5, 0.0)), forward_layer(net, (0.5, 0.9)))
+    assert np.array_equal(net.forward((0.5, 0.0)), net.forward((0.5, 0.9)))
 
     # refinement monotonicity of the gated extractors
     for document in train[:40]:

@@ -16,6 +16,7 @@ def run(capsys, *argv):
 def workspace(tmp_path_factory):
     """A small end-to-end working directory: corpora plus trained models."""
     root = tmp_path_factory.mktemp("cli")
+    (root / "list.json").write_text("[]")
     assert main([
         "gen-corpus", "--seed", "7", "--train", "6,6,6", "--test", "8,8,8",
         "--out", str(root),
@@ -229,11 +230,47 @@ def test_inspect_shows_passes(workspace, capsys):
     assert "class votes:" in out
 
 
-def test_inspect_json_mode(workspace, capsys):
-    code, out, _ = run(
-        capsys, "inspect", "--model", str(workspace / "tnn.model"),
-        "--doc", str(workspace / "test.json"), "--id", "form-0010", "--json",
+RECOGNIZE = ("--model", "{ws}/tnn.model", "--doc", "{ws}/test.json", "--id", "invoice-0000")
+EVAL = ("--tnn", "{ws}/tnn.model", "--test", "{ws}/test.json")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("recognize", *RECOGNIZE, "--max-passes", "0"), "max_passes"),
+        (("recognize", *RECOGNIZE, "--tau-accept", "nan"), "tau_accept"),
+        (("recognize", *RECOGNIZE, "--tau-struct=-inf"), "tau_struct"),
+        (("recognize", "--model", "{ws}/mlp.model", "--doc", "{ws}/test.json"), "kind 'tnn'"),
+        (("eval", *EVAL, "--max-passes", "-1"), "max_passes"),
+        (("eval", *EVAL, "--tau-margin", "inf"), "tau_margin"),
+        (("eval", "--tnn", "{ws}/mlp.model", "--test", "{ws}/test.json"), "kind 'tnn'"),
+        (("eval", *EVAL, "--mlp", "{ws}/tnn.model"), "kind 'mlp'"),
+        (("inspect", *RECOGNIZE, "--max-passes", "0"), "max_passes"),
+        (("inspect", *RECOGNIZE, "--tau-accept", "nan"), "tau_accept"),
+        (("gen-corpus", "--jitter", "nan", "--out", "{tmp}/corpus"), "jitter"),
+        (("gen-corpus", "--jitter", "inf", "--out", "{tmp}/corpus"), "jitter"),
+        (("train", "tnn", "--corpus", "{ws}/train.json", "--config", "{tmp}/absent.json",
+          "--out", "{tmp}/m.json"), "cannot read"),
+        (("recognize", "--model", "{ws}/list.json", "--doc", "{ws}/test.json"), "JSON object"),
+    ],
+)
+def test_bad_input_gives_one_error_line(workspace, tmp_path, capsys, argv, message):
+    argv = [arg.format(ws=workspace, tmp=tmp_path) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_eval_json_out_refuses_non_finite_values(workspace, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("doctnn.cli.report_to_dict", lambda report: {"rate": float("nan")})
+    out_json = tmp_path / "report.json"
+    code, _, err = run(
+        capsys, "eval", "--tnn", str(workspace / "tnn.model"),
+        "--test", str(workspace / "test.json"), "--json-out", str(out_json),
     )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["passes"]
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "not JSON compliant" in err
+    assert not out_json.exists()

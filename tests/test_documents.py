@@ -6,11 +6,15 @@ from hypothesis import given, strategies as st
 from doctnn import (
     CorpusError,
     DocumentInstance,
+    ExtractorSpec,
     GroundTruth,
+    NetworkConfig,
     Token,
     TokenKind,
+    default_config,
     default_topology,
     load_corpus,
+    save_config,
     save_corpus,
     token_kind,
 )
@@ -125,6 +129,32 @@ def test_load_rejects_malformed_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(CorpusError, match="parse error"):
         load_corpus(path, TOPOLOGY)
+
+
+def test_load_rejects_missing_file(tmp_path):
+    with pytest.raises(CorpusError, match="cannot read"):
+        load_corpus(tmp_path / "absent.json", TOPOLOGY)
+
+
+def test_save_corpus_refuses_non_finite_values(tmp_path):
+    token = Token("Total", 0.5, 0.5, 0.08, 0.02)
+    object.__setattr__(token, "x", float("nan"))  # past Token's own validation
+    path = tmp_path / "corpus.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_corpus([DocumentInstance(id="d", tokens=(token,))], path)
+    assert not path.exists()
+
+
+def test_save_config_refuses_non_finite_values(tmp_path):
+    config = default_config()
+    extractors = dict(config.extractors)
+    extractors["horizontal_alignment"] = ExtractorSpec(
+        kind="horizontal_alignment", params={"align_tol": float("nan")}
+    )
+    path = tmp_path / "config.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_config(NetworkConfig(config.topology, extractors, config.hyperparams), path)
+    assert not path.exists()
 
 
 def test_round_trip_identity(tmp_path):

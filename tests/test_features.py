@@ -162,6 +162,12 @@ def test_horizontal_alignment_no_wide_rows():
     assert value("horizontal_alignment", d) == 0.0
 
 
+def test_horizontal_alignment_gaps_whose_square_underflows():
+    # mean gap 1.5e-170: its square underflows to 0, which must not divide
+    d = doc([tok("a", x, 0.2) for x in (0.0, 1e-170, 3e-170)])
+    assert value("horizontal_alignment", d) == 0.0
+
+
 def test_horizontal_alignment_irregular_gaps():
     d = doc([tok("a", x, 0.2) for x in (0.1, 0.15, 0.35, 0.4)])
     got = value("horizontal_alignment", d)

@@ -117,6 +117,9 @@ def test_rejects_negative_counts():
         GenSpec(seed=0, counts={"invoice": -1})
     with pytest.raises(ValueError):
         Noise(drop_rate=1.2)
+    for jitter in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="jitter"):
+            Noise(jitter=jitter)
 
 
 def test_ambiguous_corpus_is_deterministic_and_labeled():

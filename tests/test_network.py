@@ -11,7 +11,6 @@ from doctnn import (
     ModelFormatError,
     TnnModel,
     default_config,
-    forward_layer,
     forward_tnn,
     generate,
     load_model,
@@ -134,19 +133,19 @@ def test_neuron_activation_dimension_mismatch():
         neuron_activation((1.0, 1.0, 1.0), (0.5, 0.5), 0.0)
 
 
-# --- forward_layer -------------------------------------------------------------------
+# --- LayerNetwork.forward ---------------------------------------------------------
 
 def test_forward_layer_zero_network():
     rng = np.random.default_rng(0)
     net = LayerNetwork.create(("a", "b"), ("x", "y"), [("a", "x"), ("b", "y")], rng)
     net.weights[:] = 0.0
-    out = forward_layer(net, (0.0, 0.0))
+    out = net.forward((0.0, 0.0))
     assert np.all(out == 0.5)
 
 
 def test_forward_layer_single_link():
     net = single_link_net(weight=10.0, threshold=5.0)
-    out = forward_layer(net, (1.0,))
+    out = net.forward((1.0,))
     assert out[0] == pytest.approx(sigmoid(5.0))
     assert out[0] == pytest.approx(0.9933071490757153)
 
@@ -154,15 +153,15 @@ def test_forward_layer_single_link():
 def test_forward_layer_mask_invariance():
     rng = np.random.default_rng(1)
     net = LayerNetwork.create(("a", "b"), ("x",), [("a", "x")], rng)
-    base = forward_layer(net, (0.4, 0.0))
+    base = net.forward((0.4, 0.0))
     for b in (0.1, 0.5, 1.0):
-        assert np.array_equal(forward_layer(net, (0.4, b)), base)
+        assert np.array_equal(net.forward((0.4, b)), base)
 
 
 def test_forward_layer_dimension_mismatch():
     net = single_link_net()
     with pytest.raises(ValueError, match="mismatch"):
-        forward_layer(net, (1.0, 2.0))
+        net.forward((1.0, 2.0))
 
 
 # --- forward_tnn ------------------------------------------------------------------------
@@ -174,9 +173,9 @@ def test_forward_tnn_equals_composition():
     elements = dict(zip(config.topology.elements, rng.uniform(0, 1, 10)))
     trace = forward_tnn(model, elements)
     x = np.array([elements[n] for n in config.topology.elements])
-    sub = forward_layer(model.nets[0], x)
-    struct = forward_layer(model.nets[1], sub)
-    docs = forward_layer(model.nets[2], struct)
+    sub = model.nets[0].forward(x)
+    struct = model.nets[1].forward(sub)
+    docs = model.nets[2].forward(struct)
     assert list(trace.substructures.values()) == sub.tolist()
     assert list(trace.structures.values()) == struct.tolist()
     assert list(trace.documents.values()) == docs.tolist()
@@ -372,5 +371,5 @@ def test_mask_invariance_survives_training():
     net = LayerNetwork.create(("a", "b"), ("x",), [("a", "x")], rng)
     samples = [((0.2, 0.9), (1.0,)), ((0.8, 0.1), (0.0,))]
     train_nn1(net, samples, max_epochs=200)
-    base = forward_layer(net, (0.5, 0.0))
-    assert np.array_equal(forward_layer(net, (0.5, 0.77)), base)
+    base = net.forward((0.5, 0.0))
+    assert np.array_equal(net.forward((0.5, 0.77)), base)
