@@ -31,6 +31,7 @@ from .evaluation import (
     report_to_dict,
 )
 from .features import (
+    DocumentView,
     ElementExtractor,
     ElementVector,
     ExtractorSpec,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 if TYPE_CHECKING:
     from .topology import Topology
@@ -49,6 +49,13 @@ def read_json(path: str | Path, error: type[Exception]) -> dict:
     if not isinstance(payload, dict):
         raise error(f"parse error in {path}: expected a JSON object")
     return payload
+
+
+def require(payload: object, key: str, error: type[Exception], where: str) -> object:
+    """``payload[key]``, raising ``error`` that names the key when it is absent."""
+    if not isinstance(payload, Mapping) or key not in payload:
+        raise error(f"{where} missing {key!r}")
+    return payload[key]
 
 
 class TokenKind(str, Enum):

@@ -4,8 +4,16 @@ Every input neuron is backed by one extractor with up to three refinement
 levels. Level 1 is the cheapest scan and the least precise; higher levels
 re-run the cheaper level and tighten it with extra evidence, so for the
 gated extractors a refined value can only confirm or cancel what level 1
-saw, never invent new evidence. Work is metered in token visits so the
-cost ordering between levels stays measurable.
+saw, never invent new evidence.
+
+Extractors read a document through a ``DocumentView``: one reading that
+folds keyword text and groups rows and columns once per alignment
+tolerance, shared by every extractor and every refinement pass of one
+``recognize`` call. Work is metered in token visits so the cost ordering
+between levels stays measurable. A visit is the modelled cost of a level,
+one per token its algorithm reads; a read the view serves from memory is
+charged as if the tokens were scanned again, so visits do not count the
+work the view saves. Wall time is measured apart from visits.
 """
 from __future__ import annotations
 
@@ -13,7 +21,9 @@ import math
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from functools import lru_cache
+from operator import attrgetter
+from typing import Callable, Mapping, Sequence, Sized
 
 from .documents import DocumentInstance, Token, TokenKind
 
@@ -33,7 +43,8 @@ ADDRESS_KEYWORDS = (
 )
 DATE_PATTERN = re.compile(r"^(\d{2})([/-])(\d{2})\2(\d{2}|\d{4})$")
 
-LevelFn = Callable[[DocumentInstance, "Tally"], float]
+LevelFn = Callable[["DocumentView", "Tally"], float]
+Groups = tuple[tuple[Token, ...], ...]
 
 
 class Tally:
@@ -49,12 +60,41 @@ class Tally:
         self.visits += len(out)
         return out
 
+    def charge(self, tokens: Sized) -> None:
+        """Charge a read of ``tokens`` that the document view served from memory."""
+        self.visits += len(tokens)
+
+
+def _number(key: str, value: object, least: float | None = None) -> float:
+    """An extractor param as a finite float, at least ``least`` when given."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"param '{key}': {exc}") from exc
+    if not math.isfinite(number) or (least is not None and number < least):
+        bound = "" if least is None else f" >= {least:g}"
+        raise ValueError(f"param '{key}' must be a finite number{bound}, got {value!r}")
+    return number
+
+
+def _param(params: Mapping, key: str, default: float, least: float | None = None) -> float:
+    return _number(key, params.get(key, default), least)
+
+
+def _words(params: Mapping, key: str, default: tuple[str, ...]) -> tuple[str, ...]:
+    value = params.get(key, default)
+    if (isinstance(value, str) or not isinstance(value, Sequence)
+            or not all(isinstance(w, str) and w for w in value)):
+        raise ValueError(f"param '{key}' must be a list of non-empty strings, got {value!r}")
+    return tuple(value)
+
 
 def _fold(text: str) -> str:
     decomposed = unicodedata.normalize("NFKD", text)
     return "".join(c for c in decomposed if not unicodedata.combining(c)).casefold()
 
 
+@lru_cache(maxsize=8192)
 def _norm(text: str) -> str:
     return _fold(text).strip(".,:;!?()[]\"'")
 
@@ -66,25 +106,92 @@ def _numeric_value(text: str) -> float | None:
         return None
 
 
+_X = attrgetter("x")
+_Y = attrgetter("y")
+
+
 def _cluster(tokens: Sequence[Token], key: Callable[[Token], float],
              tol: float = ALIGN_TOL) -> list[list[Token]]:
     """Single-linkage 1-D grouping: a gap above tol starts a new group."""
-    ordered = sorted(tokens, key=key)
     groups: list[list[Token]] = []
-    for tok in ordered:
-        if groups and key(tok) - key(groups[-1][-1]) <= tol:
+    last = 0.0
+    for tok in sorted(tokens, key=key):
+        edge = key(tok)
+        if groups and edge - last <= tol:
             groups[-1].append(tok)
         else:
             groups.append([tok])
+        last = edge
     return groups
 
 
 def _rows(tokens: Sequence[Token], tol: float = ALIGN_TOL) -> list[list[Token]]:
-    return [sorted(g, key=lambda t: t.x) for g in _cluster(tokens, lambda t: t.y, tol)]
+    return [sorted(g, key=_X) for g in _cluster(tokens, _Y, tol)]
 
 
 def _columns(tokens: Sequence[Token], tol: float = ALIGN_TOL) -> list[list[Token]]:
-    return _cluster(tokens, lambda t: t.x, tol)
+    return _cluster(tokens, _X, tol)
+
+
+def _right_groups(tokens: Sequence[Token], tol: float = ALIGN_TOL) -> list[list[Token]]:
+    return _cluster(tokens, lambda t: t.right, tol)
+
+
+class DocumentView:
+    """One reading of a document, shared by the extractors of one recognize call.
+
+    Folded keyword text and the full-document rows, columns (by left edge)
+    and right-edge groups are computed on first use, the groupings once per
+    alignment tolerance. The view holds no state beyond one call: the
+    document and its tokens are never written to.
+    """
+
+    __slots__ = ("id", "tokens", "_norms", "_folded", "_groups")
+
+    def __init__(self, doc: DocumentInstance) -> None:
+        self.id = doc.id
+        self.tokens = doc.tokens
+        self._norms: dict[int, str] | None = None
+        self._folded: str | None = None
+        self._groups: dict[tuple[Callable, float], Groups] = {}
+
+    @property
+    def norms(self) -> dict[int, str]:
+        """Keyword-folded text of each token, keyed by ``id(token)``."""
+        if self._norms is None:
+            self._norms = {id(t): _norm(t.text) for t in self.tokens}
+        return self._norms
+
+    @property
+    def folded(self) -> str:
+        """Every token's folded text, one per line: a string absent here is in no token."""
+        if self._folded is None:
+            self._folded = "\n".join(self.norms.values())
+        return self._folded
+
+    def _grouped(self, group: Callable[[Sequence[Token], float], list[list[Token]]],
+                 tol: float) -> Groups:
+        groups = self._groups.get((group, tol))
+        if groups is None:
+            groups = tuple(tuple(g) for g in group(self.tokens, tol))
+            self._groups[group, tol] = groups
+        return groups
+
+    def rows(self, tol: float) -> Groups:
+        """Rows top to bottom, each ordered left to right."""
+        return self._grouped(_rows, tol)
+
+    def columns(self, tol: float) -> Groups:
+        """Groups of tokens sharing a left edge, left to right."""
+        return self._grouped(_columns, tol)
+
+    def right_groups(self, tol: float) -> Groups:
+        """Groups of tokens sharing a right edge, left to right."""
+        return self._grouped(_right_groups, tol)
+
+
+def _as_view(doc: DocumentInstance | DocumentView) -> DocumentView:
+    return doc if isinstance(doc, DocumentView) else DocumentView(doc)
 
 
 def _column_x(column: Sequence[Token]) -> float:
@@ -99,37 +206,37 @@ def _is_short_wordlike(tok: Token) -> bool:
 
 # --- amount area ------------------------------------------------------------
 
-def _amount_region(doc: DocumentInstance, tally: Tally, right_x: float) -> list[Token]:
-    return [t for t in tally.scan(doc.tokens) if t.x >= right_x]
+def _amount_region(view: DocumentView, tally: Tally, right_x: float) -> list[Token]:
+    return [t for t in tally.scan(view.tokens) if t.x >= right_x]
 
 
 def _amount_levels(params: Mapping) -> tuple[LevelFn, ...]:
-    right_x = float(params.get("right_region_x", RIGHT_REGION_X))
-    tol = float(params.get("align_tol", ALIGN_TOL))
-    rel_tol = float(params.get("product_rel_tol", QTY_PRICE_REL_TOL))
+    right_x = _param(params, "right_region_x", RIGHT_REGION_X)
+    tol = _param(params, "align_tol", ALIGN_TOL, least=0.0)
+    rel_tol = _param(params, "product_rel_tol", QTY_PRICE_REL_TOL)
 
-    def level1(doc: DocumentInstance, tally: Tally) -> float:
-        region = _amount_region(doc, tally, right_x)
+    def level1(view: DocumentView, tally: Tally) -> float:
+        region = _amount_region(view, tally, right_x)
         if not region:
             return 0.0
         numeric = [t for t in tally.scan(region) if t.kind is TokenKind.NUMERIC]
         return len(numeric) / len(region)
 
-    def level2(doc: DocumentInstance, tally: Tally) -> float:
-        base = level1(doc, tally)
+    def level2(view: DocumentView, tally: Tally) -> float:
+        base = level1(view, tally)
         if base == 0.0:
             return 0.0
-        numeric = [t for t in _amount_region(doc, tally, right_x)
+        numeric = [t for t in _amount_region(view, tally, right_x)
                    if t.kind is TokenKind.NUMERIC]
         vertical_ok = any(len(g) >= 2 for g in _columns(tally.scan(numeric), tol))
         wide_rows = sum(1 for r in _rows(tally.scan(numeric), tol) if len(r) >= 2)
         return base if vertical_ok and wide_rows >= 2 else 0.0
 
-    def level3(doc: DocumentInstance, tally: Tally) -> float:
-        base = level2(doc, tally)
+    def level3(view: DocumentView, tally: Tally) -> float:
+        base = level2(view, tally)
         if base == 0.0:
             return 0.0
-        numeric = [t for t in _amount_region(doc, tally, right_x)
+        numeric = [t for t in _amount_region(view, tally, right_x)
                    if t.kind is TokenKind.NUMERIC]
         cols = [g for g in _columns(tally.scan(numeric), tol) if len(g) >= 2]
         cols.sort(key=_column_x)
@@ -167,37 +274,41 @@ def _amount_levels(params: Mapping) -> tuple[LevelFn, ...]:
 # --- designation zone -------------------------------------------------------
 
 def _designation_levels(params: Mapping) -> tuple[LevelFn, ...]:
-    lo, hi = params.get("middle_band", MIDDLE_BAND)
-    tol = float(params.get("align_tol", ALIGN_TOL))
+    band_edges = params.get("middle_band", MIDDLE_BAND)
+    if isinstance(band_edges, str) or not isinstance(band_edges, Sequence) or len(band_edges) != 2:
+        raise ValueError(f"param 'middle_band' must be two numbers, got {band_edges!r}")
+    lo, hi = (_number("middle_band", edge) for edge in band_edges)
+    tol = _param(params, "align_tol", ALIGN_TOL, least=0.0)
 
-    def band(doc: DocumentInstance, tally: Tally) -> list[Token]:
-        return [t for t in tally.scan(doc.tokens) if lo <= t.x < hi]
+    def band(view: DocumentView, tally: Tally) -> list[Token]:
+        return [t for t in tally.scan(view.tokens) if lo <= t.x < hi]
 
-    def level1(doc: DocumentInstance, tally: Tally) -> float:
-        tokens = band(doc, tally)
+    def level1(view: DocumentView, tally: Tally) -> float:
+        tokens = band(view, tally)
         if not tokens:
             return 0.0
         alpha = sum(1 for t in tokens if t.kind is TokenKind.ALPHABETIC)
         alnum = sum(1 for t in tokens if t.kind is TokenKind.ALPHANUMERIC)
         return (alpha + 0.5 * alnum) / len(tokens)
 
-    def level2(doc: DocumentInstance, tally: Tally) -> float:
-        base = level1(doc, tally)
+    def level2(view: DocumentView, tally: Tally) -> float:
+        base = level1(view, tally)
         if base == 0.0:
             return 0.0
-        aligned = any(len(g) >= 3 for g in _columns(band(doc, tally), tol))
+        aligned = any(len(g) >= 3 for g in _columns(band(view, tally), tol))
         return base if aligned else 0.0
 
-    def level3(doc: DocumentInstance, tally: Tally) -> float:
-        base = level2(doc, tally)
+    def level3(view: DocumentView, tally: Tally) -> float:
+        base = level2(view, tally)
         if base == 0.0:
             return 0.0
-        tokens = band(doc, tally)
+        tokens = band(view, tally)
         band_lo = min(t.x for t in tokens)
         band_hi = max(t.x for t in tokens)
         code_left = False
         numeric_right = False
-        for col in _columns(tally.scan(doc.tokens), tol):
+        tally.charge(view.tokens)
+        for col in view.columns(tol):
             if len(col) < 2:
                 continue
             cx = _column_x(col)
@@ -213,36 +324,37 @@ def _designation_levels(params: Mapping) -> tuple[LevelFn, ...]:
 # --- code area ----------------------------------------------------------------
 
 def _code_levels(params: Mapping) -> tuple[LevelFn, ...]:
-    left_x = float(params.get("left_band_x", LEFT_BAND_X))
-    tol = float(params.get("align_tol", ALIGN_TOL))
+    left_x = _param(params, "left_band_x", LEFT_BAND_X)
+    tol = _param(params, "align_tol", ALIGN_TOL, least=0.0)
 
-    def band(doc: DocumentInstance, tally: Tally) -> list[Token]:
-        return [t for t in tally.scan(doc.tokens) if t.x <= left_x]
+    def band(view: DocumentView, tally: Tally) -> list[Token]:
+        return [t for t in tally.scan(view.tokens) if t.x <= left_x]
 
-    def candidate_column(doc: DocumentInstance, tally: Tally) -> list[Token]:
-        short = [t for t in band(doc, tally) if _is_short_wordlike(t)]
+    def candidate_column(view: DocumentView, tally: Tally) -> list[Token]:
+        short = [t for t in band(view, tally) if _is_short_wordlike(t)]
         groups = [g for g in _columns(tally.scan(short), tol) if len(g) >= 3]
         return max(groups, key=len) if groups else []
 
-    def level1(doc: DocumentInstance, tally: Tally) -> float:
-        tokens = band(doc, tally)
+    def level1(view: DocumentView, tally: Tally) -> float:
+        tokens = band(view, tally)
         if not tokens:
             return 0.0
         return sum(1 for t in tokens if _is_short_wordlike(t)) / len(tokens)
 
-    def level2(doc: DocumentInstance, tally: Tally) -> float:
-        base = level1(doc, tally)
+    def level2(view: DocumentView, tally: Tally) -> float:
+        base = level1(view, tally)
         if base == 0.0:
             return 0.0
-        return base if candidate_column(doc, tally) else 0.0
+        return base if candidate_column(view, tally) else 0.0
 
-    def level3(doc: DocumentInstance, tally: Tally) -> float:
-        base = level2(doc, tally)
+    def level3(view: DocumentView, tally: Tally) -> float:
+        base = level2(view, tally)
         if base == 0.0:
             return 0.0
-        column = candidate_column(doc, tally)
+        column = candidate_column(view, tally)
         cx = _column_x(column)
-        for col in _columns(tally.scan(doc.tokens), tol):
+        tally.charge(view.tokens)
+        for col in view.columns(tol):
             if len(col) >= 3 and _column_x(col) < cx - tol:
                 return 0.0
         return base
@@ -253,36 +365,37 @@ def _code_levels(params: Mapping) -> tuple[LevelFn, ...]:
 # --- alignment --------------------------------------------------------------
 
 def _vertical_levels(params: Mapping) -> tuple[LevelFn, ...]:
-    tol = float(params.get("align_tol", ALIGN_TOL))
+    tol = _param(params, "align_tol", ALIGN_TOL, least=0.0)
 
-    def justify_score(tokens: Sequence[Token], edge: Callable[[Token], float],
+    def justify_score(view: DocumentView, edge_groups: Callable[[float], Groups],
                       tally: Tally) -> float:
-        scanned = tally.scan(tokens)
-        if len(scanned) < 3:
+        tally.charge(view.tokens)
+        if len(view.tokens) < 3:
             return 0.0
         best = 0
-        for group in _cluster(scanned, edge, tol):
+        for group in edge_groups(tol):
             if len(group) >= 3:
                 best = max(best, len(group))
-        return best / len(scanned)
+        return best / len(view.tokens)
 
-    def level1(doc: DocumentInstance, tally: Tally) -> float:
-        return justify_score(doc.tokens, lambda t: t.x, tally)
+    def level1(view: DocumentView, tally: Tally) -> float:
+        return justify_score(view, view.columns, tally)
 
-    def level2(doc: DocumentInstance, tally: Tally) -> float:
-        left = level1(doc, tally)
-        right = justify_score(doc.tokens, lambda t: t.right, tally)
+    def level2(view: DocumentView, tally: Tally) -> float:
+        left = level1(view, tally)
+        right = justify_score(view, view.right_groups, tally)
         return max(left, right)
 
     return (level1, level2)
 
 
 def _horizontal_levels(params: Mapping) -> tuple[LevelFn, ...]:
-    tol = float(params.get("align_tol", ALIGN_TOL))
+    tol = _param(params, "align_tol", ALIGN_TOL, least=0.0)
 
-    def level1(doc: DocumentInstance, tally: Tally) -> float:
+    def level1(view: DocumentView, tally: Tally) -> float:
         scores = []
-        for row in _rows(tally.scan(doc.tokens), tol):
+        tally.charge(view.tokens)
+        for row in view.rows(tol):
             if len(row) < 3:
                 continue
             gaps = [b.x - a.x for a, b in zip(row, row[1:])]
@@ -300,21 +413,28 @@ def _horizontal_levels(params: Mapping) -> tuple[LevelFn, ...]:
 
 # --- keyword groups -----------------------------------------------------------
 
-def _keyword_hits(doc: DocumentInstance, keywords: Sequence[str],
+def _keyword_hits(view: DocumentView, keywords: Sequence[str],
                   tally: Tally, tol: float) -> dict[str, list[Token]]:
     """Map each matched keyword to the tokens anchoring it (bigrams use the first)."""
     singles = [k for k in keywords if " " not in k]
     bigrams = [k for k in keywords if " " in k]
     hits: dict[str, list[Token]] = {}
-    for tok in tally.scan(doc.tokens):
-        norm = _norm(tok.text)
-        for kw in singles:
-            if kw in norm:
-                hits.setdefault(kw, []).append(tok)
+    norms = view.norms
+    folded = view.folded
+    tally.charge(view.tokens)
+    for kw in singles:
+        if kw in folded:
+            anchors = [t for t in view.tokens if kw in norms[id(t)]]
+            if anchors:
+                hits[kw] = anchors
     if bigrams:
-        for row in _rows(tally.scan(doc.tokens), tol):
+        tally.charge(view.tokens)
+        # a bigram can only match where each of its words is in some token
+        bigrams = [k for k in bigrams if all(word in folded for word in k.split(" "))]
+    if bigrams:
+        for row in view.rows(tol):
             for a, b in zip(row, row[1:]):
-                joined = f"{_norm(a.text)} {_norm(b.text)}"
+                joined = f"{norms[id(a)]} {norms[id(b)]}"
                 for kw in bigrams:
                     if kw in joined:
                         hits.setdefault(kw, []).append(a)
@@ -322,48 +442,50 @@ def _keyword_hits(doc: DocumentInstance, keywords: Sequence[str],
 
 
 def _keywords_total_levels(params: Mapping) -> tuple[LevelFn, ...]:
-    tol = float(params.get("align_tol", ALIGN_TOL))
-    base_set = tuple(params.get("keywords", TOTAL_KEYWORDS))
-    extended = tuple(params.get("keywords_extended", TOTAL_KEYWORDS_EXTENDED))
+    tol = _param(params, "align_tol", ALIGN_TOL, least=0.0)
+    base_set = _words(params, "keywords", TOTAL_KEYWORDS)
+    extended = _words(params, "keywords_extended", TOTAL_KEYWORDS_EXTENDED)
 
-    def level1(doc: DocumentInstance, tally: Tally) -> float:
-        hits = _keyword_hits(doc, base_set, tally, tol)
+    def level1(view: DocumentView, tally: Tally) -> float:
+        hits = _keyword_hits(view, base_set, tally, tol)
         return 0.5 * len(hits)
 
-    def level2(doc: DocumentInstance, tally: Tally) -> float:
-        level1(doc, tally)
-        hits = _keyword_hits(doc, extended, tally, tol)
+    def level2(view: DocumentView, tally: Tally) -> float:
+        level1(view, tally)
+        hits = _keyword_hits(view, extended, tally, tol)
         return min(1.0, len(hits) / 2.0)
 
     return (level1, level2)
 
 
 def _keywords_address_levels(params: Mapping) -> tuple[LevelFn, ...]:
-    tol = float(params.get("align_tol", ALIGN_TOL))
-    keywords = tuple(params.get("keywords", ADDRESS_KEYWORDS))
+    tol = _param(params, "align_tol", ALIGN_TOL, least=0.0)
+    keywords = _words(params, "keywords", ADDRESS_KEYWORDS)
+    singles = tuple(kw for kw in keywords if " " not in kw)
 
-    def is_keyword_token(tok: Token) -> bool:
-        norm = _norm(tok.text)
-        return any(kw in norm for kw in keywords if " " not in kw)
+    def is_keyword_text(norm: str) -> bool:
+        return any(kw in norm for kw in singles)
 
-    def level1(doc: DocumentInstance, tally: Tally) -> float:
-        hits = _keyword_hits(doc, keywords, tally, tol)
+    def level1(view: DocumentView, tally: Tally) -> float:
+        hits = _keyword_hits(view, keywords, tally, tol)
         return min(1.0, len(hits) / 3.0)
 
-    def level2(doc: DocumentInstance, tally: Tally) -> float:
-        level1(doc, tally)
-        hits = _keyword_hits(doc, keywords, tally, tol)
+    def level2(view: DocumentView, tally: Tally) -> float:
+        level1(view, tally)
+        hits = _keyword_hits(view, keywords, tally, tol)
         if not hits:
             return 0.0
-        rows = _rows(tally.scan(doc.tokens), tol)
+        tally.charge(view.tokens)
+        rows = view.rows(tol)
+        norms = view.norms
         row_index = {id(t): i for i, row in enumerate(rows) for t in row}
         confirmed = 0
         for anchors in hits.values():
             found_value = False
             for anchor in anchors:
                 ri = row_index[id(anchor)]
-                nearby = rows[ri] + (rows[ri + 1] if ri + 1 < len(rows) else [])
-                if any(t is not anchor and not is_keyword_token(t) for t in nearby):
+                nearby = rows[ri] + (rows[ri + 1] if ri + 1 < len(rows) else ())
+                if any(t is not anchor and not is_keyword_text(norms[id(t)]) for t in nearby):
                     found_value = True
                     break
             confirmed += 1 if found_value else 0
@@ -375,17 +497,17 @@ def _keywords_address_levels(params: Mapping) -> tuple[LevelFn, ...]:
 # --- text block ----------------------------------------------------------------
 
 def _text_block_levels(params: Mapping) -> tuple[LevelFn, ...]:
-    tol = float(params.get("align_tol", ALIGN_TOL))
-    min_rows = int(params.get("min_rows", 3))
+    tol = _param(params, "align_tol", ALIGN_TOL, least=0.0)
+    min_rows = int(_param(params, "min_rows", 3))
 
     def majority_alpha(row: Sequence[Token]) -> bool:
         return sum(1 for t in row if t.kind is TokenKind.ALPHABETIC) * 2 > len(row)
 
-    def best_run(doc: DocumentInstance, tally: Tally) -> list[list[Token]]:
-        rows = _rows(tally.scan(doc.tokens), tol)
-        best: list[list[Token]] = []
-        run: list[list[Token]] = []
-        for row in rows:
+    def best_run(view: DocumentView, tally: Tally) -> list[tuple[Token, ...]]:
+        tally.charge(view.tokens)
+        best: list[tuple[Token, ...]] = []
+        run: list[tuple[Token, ...]] = []
+        for row in view.rows(tol):
             if majority_alpha(row):
                 run.append(row)
             else:
@@ -395,18 +517,18 @@ def _text_block_levels(params: Mapping) -> tuple[LevelFn, ...]:
                 best = list(run)
         return best
 
-    def level1(doc: DocumentInstance, tally: Tally) -> float:
-        run = best_run(doc, tally)
+    def level1(view: DocumentView, tally: Tally) -> float:
+        run = best_run(view, tally)
         if not run:
             return 0.0
         tokens = [t for row in run for t in row]
         return sum(1 for t in tokens if t.kind is TokenKind.ALPHABETIC) / len(tokens)
 
-    def level2(doc: DocumentInstance, tally: Tally) -> float:
-        base = level1(doc, tally)
+    def level2(view: DocumentView, tally: Tally) -> float:
+        base = level1(view, tally)
         if base == 0.0:
             return 0.0
-        run = best_run(doc, tally)
+        run = best_run(view, tally)
         lefts = sorted(row[0].x for row in run)
         biggest = 0
         count = 1
@@ -422,16 +544,16 @@ def _text_block_levels(params: Mapping) -> tuple[LevelFn, ...]:
 # --- date indicator -------------------------------------------------------------
 
 def _date_levels(params: Mapping) -> tuple[LevelFn, ...]:
-    def level1(doc: DocumentInstance, tally: Tally) -> float:
-        for tok in tally.scan(doc.tokens):
+    def level1(view: DocumentView, tally: Tally) -> float:
+        for tok in tally.scan(view.tokens):
             if DATE_PATTERN.match(tok.text):
                 return 1.0
         return 0.0
 
-    def level2(doc: DocumentInstance, tally: Tally) -> float:
-        if level1(doc, tally) == 0.0:
+    def level2(view: DocumentView, tally: Tally) -> float:
+        if level1(view, tally) == 0.0:
             return 0.0
-        for tok in tally.scan(doc.tokens):
+        for tok in tally.scan(view.tokens):
             m = DATE_PATTERN.match(tok.text)
             if m and 1 <= int(m.group(1)) <= 31 and 1 <= int(m.group(3)) <= 12:
                 return 1.0
@@ -443,12 +565,12 @@ def _date_levels(params: Mapping) -> tuple[LevelFn, ...]:
 # --- isolated bottom cluster -----------------------------------------------------
 
 def _isolated_levels(params: Mapping) -> tuple[LevelFn, ...]:
-    band_y = float(params.get("bottom_band_y", BOTTOM_BAND_Y))
-    max_tokens = int(params.get("max_tokens", ISOLATED_MAX_TOKENS))
-    min_gap = float(params.get("min_gap", ISOLATED_MIN_GAP))
+    band_y = _param(params, "bottom_band_y", BOTTOM_BAND_Y)
+    max_tokens = int(_param(params, "max_tokens", ISOLATED_MAX_TOKENS))
+    min_gap = _param(params, "min_gap", ISOLATED_MIN_GAP)
 
-    def level1(doc: DocumentInstance, tally: Tally) -> float:
-        tokens = tally.scan(doc.tokens)
+    def level1(view: DocumentView, tally: Tally) -> float:
+        tokens = tally.scan(view.tokens)
         cluster = [t for t in tokens if t.y > band_y]
         if not cluster or len(cluster) > max_tokens:
             return 0.0
@@ -498,15 +620,16 @@ class ElementExtractor:
     def max_level(self) -> int:
         return len(self.levels)
 
-    def evaluate(self, doc: DocumentInstance, level: int, tally: Tally | None = None) -> float:
+    def evaluate(self, doc: DocumentInstance | DocumentView, level: int,
+                 tally: Tally | None = None) -> float:
         if not 1 <= level <= self.max_level:
             raise ValueError(
                 f"extractor '{self.name}': level {level} not in 1..{self.max_level}"
             )
-        value = self.levels[level - 1](doc, tally if tally is not None else Tally())
+        value = self.levels[level - 1](_as_view(doc), tally if tally is not None else Tally())
         return min(1.0, max(0.0, float(value)))
 
-    def measure(self, doc: DocumentInstance, level: int) -> tuple[float, int]:
+    def measure(self, doc: DocumentInstance | DocumentView, level: int) -> tuple[float, int]:
         """Evaluate and report the token-visit cost of doing so."""
         tally = Tally()
         value = self.evaluate(doc, level, tally)
@@ -516,7 +639,10 @@ class ElementExtractor:
 def build_extractor(name: str, spec: ExtractorSpec) -> ElementExtractor:
     if spec.kind not in EXTRACTOR_KINDS:
         raise ValueError(f"unknown extractor kind '{spec.kind}' for element '{name}'")
-    levels = EXTRACTOR_KINDS[spec.kind](spec.params)
+    try:
+        levels = EXTRACTOR_KINDS[spec.kind](spec.params)
+    except ValueError as exc:
+        raise ValueError(f"element '{name}': {exc}") from exc
     return ElementExtractor(name=name, levels=levels)
 
 
@@ -534,18 +660,19 @@ class ElementVector:
 
 def extract_all(
     extractors: Mapping[str, ElementExtractor],
-    doc: DocumentInstance,
+    doc: DocumentInstance | DocumentView,
     level_overrides: Mapping[str, int] | None = None,
 ) -> ElementVector:
-    """Evaluate every element at level 1 unless overridden."""
+    """Evaluate every element at level 1 unless overridden, from one document view."""
     overrides = dict(level_overrides or {})
     unknown = set(overrides) - set(extractors)
     if unknown:
         raise ValueError(f"unknown element name(s) in overrides: {sorted(unknown)}")
     values: dict[str, float] = {}
     levels: dict[str, int] = {}
+    view = _as_view(doc)
     for name, extractor in extractors.items():
         level = overrides.get(name, 1)
-        values[name] = extractor.evaluate(doc, level)
+        values[name] = extractor.evaluate(view, level)
         levels[name] = level
     return ElementVector(values=values, level_used=levels)

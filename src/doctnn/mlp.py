@@ -21,6 +21,8 @@ from .network import (
     ModelFormatError,
     _element_array,
     model_config,
+    read_matrix,
+    read_number,
     sigmoid,
 )
 from .topology import NetworkConfig, config_to_dict
@@ -202,8 +204,8 @@ def mlp_from_dict(payload: Mapping) -> MlpModel:
     weights = []
     biases = []
     for i, raw in enumerate(raw_layers):
-        w = np.asarray(raw["weights"], dtype=float)
-        b = np.asarray(raw["biases"], dtype=float)
+        w = read_matrix(raw, "weights", f"dense layer {i}")
+        b = read_matrix(raw, "biases", f"dense layer {i}")
         if w.shape != (sizes[i], sizes[i + 1]) or b.shape != (sizes[i + 1],):
             raise ModelFormatError(
                 f"matrix shape {w.shape} disagrees with topology layers "
@@ -215,12 +217,13 @@ def mlp_from_dict(payload: Mapping) -> MlpModel:
     if payload.get("training") is not None:
         raw_training = payload["training"]
         training = MlpTrainingStats(
-            epochs=int(raw_training["epochs"]),
-            samples=int(raw_training["samples"]),
-            backward_passes=int(raw_training["backward_passes"]),
-            final_mse=float(raw_training["final_mse"]),
+            epochs=read_number(raw_training, "epochs", int, "model training"),
+            samples=read_number(raw_training, "samples", int, "model training"),
+            backward_passes=read_number(raw_training, "backward_passes", int, "model training"),
+            final_mse=read_number(raw_training, "final_mse", float, "model training"),
             class_counts={
-                k: int(v) for k, v in raw_training.get("class_counts", {}).items()
+                k: read_number(raw_training["class_counts"], k, int, "training class_counts")
+                for k in raw_training.get("class_counts", {})
             },
         )
     return MlpModel(

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .documents import DocumentInstance, read_json, write_json
+from .documents import DocumentInstance, read_json, require, write_json
 from .features import ElementVector, build_extractors, extract_all
 from .topology import NetworkConfig, Topology, config_from_dict, config_to_dict
 
@@ -316,13 +316,34 @@ def _stats_to_dict(stats: TrainingStats) -> dict:
     }
 
 
-def _stats_from_dict(payload: Mapping) -> TrainingStats:
+def read_number(payload: object, key: str, kind: type, where: str) -> float | int:
+    """``kind(payload[key])``, raising ModelFormatError that names the key."""
+    value = require(payload, key, ModelFormatError, where)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ModelFormatError(f"{where} {key!r}: {exc}") from exc
+
+
+def read_matrix(payload: object, key: str, where: str) -> np.ndarray:
+    """``payload[key]`` as a float array, refusing NaN and infinities at load."""
+    value = require(payload, key, ModelFormatError, where)
+    try:
+        matrix = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{where} {key!r}: {exc}") from exc
+    if not np.all(np.isfinite(matrix)):
+        raise ModelFormatError(f"{where} {key!r} holds a value that is not finite")
+    return matrix
+
+
+def _stats_from_dict(payload: object, where: str) -> TrainingStats:
     return TrainingStats(
-        epochs=int(payload["epochs"]),
-        samples=int(payload["samples"]),
-        update_passes=int(payload["update_passes"]),
-        weight_updates=int(payload["weight_updates"]),
-        final_mse=float(payload["final_mse"]),
+        epochs=read_number(payload, "epochs", int, where),
+        samples=read_number(payload, "samples", int, where),
+        update_passes=read_number(payload, "update_passes", int, where),
+        weight_updates=read_number(payload, "weight_updates", int, where),
+        final_mse=read_number(payload, "final_mse", float, where),
     )
 
 
@@ -359,7 +380,10 @@ def model_config(payload: Mapping, kind: str) -> NetworkConfig:
         )
     if payload.get("kind") != kind:
         raise ModelFormatError(f"expected kind {kind!r}, found {payload.get('kind')!r}")
-    return config_from_dict(payload["config"])
+    config = require(payload, "config", ModelFormatError, "model file")
+    if not isinstance(config, Mapping):
+        raise ModelFormatError(f"model file 'config' must be an object, got {config!r}")
+    return config_from_dict(config)
 
 
 def model_from_dict(payload: Mapping) -> TnnModel:
@@ -369,10 +393,13 @@ def model_from_dict(payload: Mapping) -> TnnModel:
     if len(raw_nets) != len(pairs):
         raise ModelFormatError(f"expected {len(pairs)} layer networks, found {len(raw_nets)}")
     nets = []
-    for raw, (inp, out) in zip(raw_nets, pairs):
-        weights = np.asarray(raw["weights"], dtype=float)
-        thresholds = np.asarray(raw["thresholds"], dtype=float)
-        if tuple(raw["inputs"]) != inp or tuple(raw["outputs"]) != out:
+    for i, (raw, (inp, out)) in enumerate(zip(raw_nets, pairs)):
+        where = f"layer network {i}"
+        weights = read_matrix(raw, "weights", where)
+        thresholds = read_matrix(raw, "thresholds", where)
+        inputs = require(raw, "inputs", ModelFormatError, where)
+        outputs = require(raw, "outputs", ModelFormatError, where)
+        if tuple(inputs) != inp or tuple(outputs) != out:
             raise ModelFormatError("layer network names disagree with the topology")
         if weights.shape != (len(inp), len(out)) or thresholds.shape != (len(out),):
             raise ModelFormatError(
@@ -390,9 +417,15 @@ def model_from_dict(payload: Mapping) -> TnnModel:
     training = None
     if payload.get("training") is not None:
         raw_training = payload["training"]
+        raw_stats = require(raw_training, "stats", ModelFormatError, "model training")
+        counts = require(raw_training, "class_counts", ModelFormatError, "model training")
         training = TnnTrainingSummary(
-            stats=tuple(_stats_from_dict(s) for s in raw_training["stats"]),
-            class_counts={k: int(v) for k, v in raw_training["class_counts"].items()},
+            stats=tuple(
+                _stats_from_dict(s, f"training stats {i}") for i, s in enumerate(raw_stats)
+            ),
+            class_counts={
+                k: read_number(counts, k, int, "training class_counts") for k in counts
+            },
         )
     return TnnModel(
         config=config,

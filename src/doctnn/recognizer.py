@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .documents import DocumentInstance
-from .features import ElementExtractor, extract_all
+from .features import DocumentView, ElementExtractor, extract_all
 from .network import ActivationTrace, TnnModel, forward_tnn
 from .topology import _finite
 
@@ -192,10 +192,12 @@ def recognize(
     # a document without tokens carries no evidence and can only be unknown,
     # whatever resting activations the trained thresholds produce
     has_evidence = bool(doc.tokens)
+    # every pass re-evaluates all elements from this one reading of the document
+    view = DocumentView(doc)
     passes: list[PassRecord] = []
     for pass_no in range(1, params.max_passes + 1):
         overrides = {name: lvl for name, lvl in levels.items() if lvl > 1}
-        vector = extract_all(ex, doc, overrides)
+        vector = extract_all(ex, view, overrides)
         trace = forward_tnn(model, vector)
         top1, top2 = _top_two(trace.documents, model.topology.documents)
         confidence = trace.documents[top1]

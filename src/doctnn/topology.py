@@ -15,8 +15,8 @@ from numbers import Integral, Real
 from pathlib import Path
 from typing import Mapping
 
-from .documents import read_json, write_json
-from .features import EXTRACTOR_KINDS, ExtractorSpec
+from .documents import read_json, require, write_json
+from .features import EXTRACTOR_KINDS, ExtractorSpec, build_extractors
 
 CONFIG_FORMAT_VERSION = 1
 
@@ -252,10 +252,14 @@ def config_from_dict(payload: Mapping) -> NetworkConfig:
         )
     except KeyError as exc:
         raise TopologyError(f"config layers missing {exc}") from exc
-    extractors = {
-        name: ExtractorSpec(kind=entry["kind"], params=dict(entry.get("params", {})))
-        for name, entry in payload.get("extractors", {}).items()
-    }
+    extractors = {}
+    for name, entry in payload.get("extractors", {}).items():
+        where = f"config extractor '{name}'"
+        kind = require(entry, "kind", TopologyError, where)
+        params = entry.get("params", {})
+        if not isinstance(params, Mapping):
+            raise TopologyError(f"{where}: 'params' must be an object, got {params!r}")
+        extractors[name] = ExtractorSpec(kind=kind, params=dict(params))
     hp = payload.get("hyperparams", {})
     try:
         mu = float(hp.get("mu", 0.5))
@@ -264,7 +268,13 @@ def config_from_dict(payload: Mapping) -> NetworkConfig:
     except (TypeError, ValueError, OverflowError) as exc:
         raise TopologyError(f"config hyperparams: {exc}") from exc
     hyperparams = Hyperparams(mu=mu, epsilon=epsilon, max_epochs=max_epochs)
-    return NetworkConfig(topology=topology, extractors=extractors, hyperparams=hyperparams)
+    config = NetworkConfig(topology=topology, extractors=extractors, hyperparams=hyperparams)
+    # building reads every param, so a bad one is refused here, naming its element
+    try:
+        build_extractors(config.extractors)
+    except ValueError as exc:
+        raise TopologyError(f"config {exc}") from exc
+    return config
 
 
 def load_config(path: str | Path) -> NetworkConfig:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from doctnn.cli import main
-from doctnn.topology import default_config, save_config
+from doctnn.topology import config_to_dict, default_config, save_config
 
 
 def run(capsys, *argv):
@@ -29,7 +29,44 @@ def workspace(tmp_path_factory):
         "train", "mlp", "--corpus", str(root / "train.json"),
         "--seed", "3", "--max-epochs", "200", "--out", str(root / "mlp.model"),
     ]) == 0
+    write_broken_files(root)
     return root
+
+
+DROP = object()
+
+
+def write_broken_files(root):
+    """Model and config files with a missing key or a bad value, for the error rows."""
+    def broken(source, name, path, value=DROP):
+        payload = json.loads((root / source).read_text())
+        *parents, last = path
+        node = payload
+        for key in parents:
+            node = node[key]
+        if value is DROP:
+            del node[last]
+        else:
+            node[last] = value
+        # json.dumps writes NaN as a bare literal, which json.loads reads back
+        (root / name).write_text(json.dumps(payload))
+
+    nets = "layer_networks"
+    broken("tnn.model", "no_config.json", ("config",))
+    broken("tnn.model", "no_weights.json", (nets, 0, "weights"))
+    broken("tnn.model", "no_inputs.json", (nets, 2, "inputs"))
+    broken("tnn.model", "no_epochs.json", ("training", "stats", 0, "epochs"))
+    broken("tnn.model", "no_kind.json", ("config", "extractors", "code_area", "kind"))
+    broken("tnn.model", "nan_weight.json", (nets, 0, "weights", 0, 0), float("nan"))
+    broken("tnn.model", "inf_threshold.json", (nets, 1, "thresholds", 0), float("inf"))
+    broken("mlp.model", "mlp_no_biases.json", ("layers", 1, "biases"))
+    broken("mlp.model", "mlp_nan_bias.json", ("layers", 2, "biases", 0), float("nan"))
+    broken("mlp.model", "mlp_no_passes.json", ("training", "backward_passes"))
+    (root / "config.json").write_text(json.dumps(config_to_dict(default_config())))
+    align_tol = ("extractors", "horizontal_alignment", "params", "align_tol")
+    broken("config.json", "tol_nan.json", align_tol, float("nan"))
+    broken("config.json", "tol_negative.json", align_tol, -1)
+    broken("config.json", "tol_text.json", align_tol, "abc")
 
 
 def test_gen_corpus_writes_both_splits(tmp_path, capsys):
@@ -252,6 +289,30 @@ EVAL = ("--tnn", "{ws}/tnn.model", "--test", "{ws}/test.json")
         (("train", "tnn", "--corpus", "{ws}/train.json", "--config", "{tmp}/absent.json",
           "--out", "{tmp}/m.json"), "cannot read"),
         (("recognize", "--model", "{ws}/list.json", "--doc", "{ws}/test.json"), "JSON object"),
+        (("recognize", "--model", "{ws}/no_config.json", "--doc", "{ws}/test.json"),
+         "missing 'config'"),
+        (("recognize", "--model", "{ws}/no_weights.json", "--doc", "{ws}/test.json"),
+         "missing 'weights'"),
+        (("recognize", "--model", "{ws}/no_inputs.json", "--doc", "{ws}/test.json"),
+         "missing 'inputs'"),
+        (("recognize", "--model", "{ws}/no_epochs.json", "--doc", "{ws}/test.json"),
+         "missing 'epochs'"),
+        (("recognize", "--model", "{ws}/no_kind.json", "--doc", "{ws}/test.json"),
+         "'code_area' missing 'kind'"),
+        (("recognize", "--model", "{ws}/nan_weight.json", "--doc", "{ws}/test.json"),
+         "'weights' holds a value that is not finite"),
+        (("eval", "--tnn", "{ws}/inf_threshold.json", "--test", "{ws}/test.json"),
+         "'thresholds' holds a value that is not finite"),
+        (("eval", *EVAL, "--mlp", "{ws}/mlp_no_biases.json"), "missing 'biases'"),
+        (("eval", *EVAL, "--mlp", "{ws}/mlp_nan_bias.json"),
+         "'biases' holds a value that is not finite"),
+        (("eval", *EVAL, "--mlp", "{ws}/mlp_no_passes.json"), "missing 'backward_passes'"),
+        (("train", "tnn", "--corpus", "{ws}/train.json", "--config", "{ws}/tol_nan.json",
+          "--out", "{tmp}/m.json"), "'horizontal_alignment': param 'align_tol'"),
+        (("train", "mlp", "--corpus", "{ws}/train.json", "--config", "{ws}/tol_negative.json",
+          "--out", "{tmp}/m.json"), "'horizontal_alignment': param 'align_tol'"),
+        (("train", "tnn", "--corpus", "{ws}/train.json", "--config", "{ws}/tol_text.json",
+          "--out", "{tmp}/m.json"), "'horizontal_alignment': param 'align_tol'"),
     ],
 )
 def test_bad_input_gives_one_error_line(workspace, tmp_path, capsys, argv, message):

@@ -11,13 +11,16 @@ from doctnn import (
     NetworkConfig,
     Token,
     TokenKind,
+    TopologyError,
     default_config,
     default_topology,
+    load_config,
     load_corpus,
     save_config,
     save_corpus,
     token_kind,
 )
+from doctnn.topology import config_to_dict
 
 TOPOLOGY = default_topology()
 
@@ -155,6 +158,27 @@ def test_save_config_refuses_non_finite_values(tmp_path):
     with pytest.raises(ValueError, match="not JSON compliant"):
         save_config(NetworkConfig(config.topology, extractors, config.hyperparams), path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "element, param, value",
+    [
+        ("horizontal_alignment", "align_tol", float("nan")),
+        ("horizontal_alignment", "align_tol", -1),
+        ("amount_area", "align_tol", "abc"),
+        ("amount_area", "product_rel_tol", float("inf")),
+        ("designation_zone", "middle_band", [0.3]),
+        ("text_block", "min_rows", float("inf")),
+        ("keywords_total", "keywords", 5),
+    ],
+)
+def test_load_config_names_element_and_bad_param(tmp_path, element, param, value):
+    payload = config_to_dict(default_config())
+    payload["extractors"][element]["params"][param] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))  # writes NaN and Infinity as bare literals
+    with pytest.raises(TopologyError, match=f"element '{element}': param '{param}'"):
+        load_config(path)
 
 
 def test_round_trip_identity(tmp_path):

@@ -1,8 +1,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from doctnn import DocumentInstance, build_extractors, default_config, extract_all
-from conftest import doc, tok
+from doctnn import (
+    DocumentInstance,
+    DocumentView,
+    GenSpec,
+    build_extractors,
+    default_config,
+    extract_all,
+    generate,
+    generate_ambiguous,
+)
+from conftest import DESK_NOISE, doc, tok
 
 EXTRACTORS = build_extractors(default_config().extractors)
 GATED = ("amount_area", "designation_zone", "code_area", "text_block")
@@ -194,6 +203,17 @@ def test_keywords_total_absent():
     assert value("keywords_total", d, 2) == 0.0
 
 
+def test_keyword_bigrams_need_adjacent_tokens_on_one_row():
+    assert value("keywords_total", doc([tok("Net", 0.1, 0.5), tok("Pay:", 0.2, 0.5)]), 2) == 0.5
+    # the bigram may span the join of the two folded texts
+    spanning = doc([tok("Xnet", 0.1, 0.5), tok("payment", 0.2, 0.5)])
+    assert value("keywords_total", spanning, 2) == 0.5
+    two_rows = doc([tok("Net", 0.1, 0.5), tok("Pay", 0.2, 0.6)])
+    assert value("keywords_total", two_rows, 2) == 0.0
+    postal = doc([tok("Postal", 0.1, 0.2), tok("Code", 0.2, 0.2)])
+    assert value("keywords_address", postal, 1) == pytest.approx(1 / 3)
+
+
 def test_keywords_address_three_hits():
     d = doc([tok("Mr.", 0.1, 0.1), tok("Street", 0.1, 0.15), tok("BP", 0.1, 0.2)])
     assert value("keywords_address", d) == 1.0
@@ -344,6 +364,55 @@ def test_gated_extractors_tighten_monotonically(document):
         values = [extractor.evaluate(document, lvl) for lvl in range(1, extractor.max_level + 1)]
         for cheap, precise in zip(values, values[1:]):
             assert precise <= cheap
+
+
+# a visit is the modelled cost of a level: reads the shared view serves from
+# memory are charged like scans, so these figures must not move with caching
+QP_AMOUNT_ROWS_VISITS = {
+    ("amount_area", 1): 12, ("amount_area", 2): 30, ("amount_area", 3): 48,
+    ("designation_zone", 1): 6, ("designation_zone", 2): 6, ("designation_zone", 3): 6,
+    ("code_area", 1): 6, ("code_area", 2): 6, ("code_area", 3): 6,
+    ("vertical_alignment", 1): 6, ("vertical_alignment", 2): 12,
+    ("horizontal_alignment", 1): 6,
+    ("keywords_total", 1): 6, ("keywords_total", 2): 18,
+    ("keywords_address", 1): 12, ("keywords_address", 2): 24,
+    ("text_block", 1): 6, ("text_block", 2): 6,
+    ("date_indicator", 1): 6, ("date_indicator", 2): 6,
+    ("isolated_block", 1): 6,
+}
+
+
+def test_visits_per_level_on_qp_amount_rows():
+    document = qp_amount_rows()
+    visits = {
+        (name, level): extractor.measure(document, level)[1]
+        for name, extractor in EXTRACTORS.items()
+        for level in range(1, extractor.max_level + 1)
+    }
+    assert visits == QP_AMOUNT_ROWS_VISITS
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_shared_view_matches_plain_document(seed, ambiguous):
+    if ambiguous:
+        documents = generate_ambiguous(seed, 2)
+    else:
+        counts = {"invoice": 1, "form": 1, "letter": 1}
+        documents = generate(GenSpec(seed=seed, counts=counts, noise=DESK_NOISE))
+    for document in documents:
+        plain = {
+            (name, level): extractor.measure(document, level)
+            for name, extractor in EXTRACTORS.items()
+            for level in range(1, extractor.max_level + 1)
+        }
+        # memo state differs with the order the extractors read the view in
+        for order in (list(EXTRACTORS.items()), list(reversed(EXTRACTORS.items()))):
+            view = DocumentView(document)
+            for name, extractor in order:
+                for level in range(1, extractor.max_level + 1):
+                    assert extractor.evaluate(view, level) == plain[name, level][0]
+                    assert extractor.measure(view, level) == plain[name, level]
 
 
 @pytest.mark.parametrize("document", FIXTURES, ids=range(len(FIXTURES)))
