@@ -58,6 +58,16 @@ def require(payload: object, key: str, error: type[Exception], where: str) -> ob
     return payload[key]
 
 
+def expect_type(value: object, kind: type, error: type[Exception], what: str):
+    """``value``, raising ``error`` unless it is a JSON list (``kind`` list) or object (Mapping)."""
+    if kind is list:
+        if not isinstance(value, (list, tuple)):
+            raise error(f"{what} must be a list, got {value!r}")
+    elif not isinstance(value, Mapping):
+        raise error(f"{what} must be an object, got {value!r}")
+    return value
+
+
 class TokenKind(str, Enum):
     ALPHABETIC = "alphabetic"
     NUMERIC = "numeric"
@@ -81,15 +91,20 @@ def token_kind(text: str) -> TokenKind:
     return TokenKind.SYMBOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
-    """One text token with its bounding box in page fractions."""
+    """One text token with its bounding box in page fractions.
+
+    ``kind`` is derived from ``text`` once, at construction; it takes no part
+    in equality, hashing or ``repr``.
+    """
 
     text: str
     x: float
     y: float
     width: float
     height: float
+    kind: TokenKind = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.text:
@@ -106,10 +121,7 @@ class Token:
             raise ValueError(f"field 'x': x+width = {self.x + self.width} exceeds 1")
         if self.y + self.height > 1.0 + _COORD_SLACK:
             raise ValueError(f"field 'y': y+height = {self.y + self.height} exceeds 1")
-
-    @property
-    def kind(self) -> TokenKind:
-        return token_kind(self.text)
+        object.__setattr__(self, "kind", token_kind(self.text))
 
     @property
     def right(self) -> float:
@@ -179,9 +191,9 @@ def _parse_document(raw: object, topology: "Topology") -> DocumentInstance:
     doc_id = str(raw["id"])
     if not doc_id:
         raise CorpusError("document entry has empty 'id'")
-    tokens = tuple(
-        _parse_token(t, doc_id, i) for i, t in enumerate(raw.get("tokens", []))
-    )
+    where = f"document '{doc_id}'"
+    raw_tokens = expect_type(raw.get("tokens", []), list, CorpusError, f"{where} 'tokens'")
+    tokens = tuple(_parse_token(t, doc_id, i) for i, t in enumerate(raw_tokens))
     labels = None
     if raw.get("labels") is not None:
         lab = raw["labels"]
@@ -189,8 +201,10 @@ def _parse_document(raw: object, topology: "Topology") -> DocumentInstance:
             raise CorpusError(f"document '{doc_id}' field 'labels': missing 'class'")
         labels = GroundTruth(
             document_class=str(lab["class"]),
-            structures=frozenset(str(s) for s in lab.get("structures", [])),
-            substructures=frozenset(str(s) for s in lab.get("substructures", [])),
+            structures=frozenset(str(s) for s in expect_type(
+                lab.get("structures", []), list, CorpusError, f"{where} 'structures'")),
+            substructures=frozenset(str(s) for s in expect_type(
+                lab.get("substructures", []), list, CorpusError, f"{where} 'substructures'")),
         )
         _validate_labels(labels, doc_id, topology)
     return DocumentInstance(id=doc_id, tokens=tokens, labels=labels)
@@ -201,7 +215,8 @@ def load_corpus(path: str | Path, topology: "Topology") -> list[DocumentInstance
     payload = read_json(path, CorpusError)
     if "documents" not in payload:
         raise CorpusError(f"parse error in {path}: top-level 'documents' key missing")
-    docs = [_parse_document(raw, topology) for raw in payload["documents"]]
+    raw_docs = expect_type(payload["documents"], list, CorpusError, f"{path} 'documents'")
+    docs = [_parse_document(raw, topology) for raw in raw_docs]
     seen: set[str] = set()
     for doc in docs:
         if doc.id in seen:

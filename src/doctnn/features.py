@@ -22,7 +22,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import attrgetter
+from operator import attrgetter, sub
 from typing import Callable, Mapping, Sequence, Sized
 
 from .documents import DocumentInstance, Token, TokenKind
@@ -77,12 +77,14 @@ def _number(key: str, value: object, least: float | None = None) -> float:
     return number
 
 
-def _param(params: Mapping, key: str, default: float, least: float | None = None) -> float:
-    return _number(key, params.get(key, default), least)
+# A kind's builder pops each param it reads from its own copy of the spec's
+# params, so whatever is left over is a param the kind does not know.
+def _param(params: dict, key: str, default: float, least: float | None = None) -> float:
+    return _number(key, params.pop(key, default), least)
 
 
-def _words(params: Mapping, key: str, default: tuple[str, ...]) -> tuple[str, ...]:
-    value = params.get(key, default)
+def _words(params: dict, key: str, default: tuple[str, ...]) -> tuple[str, ...]:
+    value = params.pop(key, default)
     if (isinstance(value, str) or not isinstance(value, Sequence)
             or not all(isinstance(w, str) and w for w in value)):
         raise ValueError(f"param '{key}' must be a list of non-empty strings, got {value!r}")
@@ -106,6 +108,14 @@ def _numeric_value(text: str) -> float | None:
         return None
 
 
+# token kinds bound once: looking a member up on the enum class costs more
+# than the rest of a per-token test
+_ALPHABETIC = TokenKind.ALPHABETIC
+_ALPHANUMERIC = TokenKind.ALPHANUMERIC
+_NUMERIC = TokenKind.NUMERIC
+_WORDLIKE = (_ALPHABETIC, _ALPHANUMERIC)
+
+_TEXT = attrgetter("text")
 _X = attrgetter("x")
 _Y = attrgetter("y")
 
@@ -113,14 +123,16 @@ _Y = attrgetter("y")
 def _cluster(tokens: Sequence[Token], key: Callable[[Token], float],
              tol: float = ALIGN_TOL) -> list[list[Token]]:
     """Single-linkage 1-D grouping: a gap above tol starts a new group."""
+    ordered = sorted(tokens, key=key)
     groups: list[list[Token]] = []
+    group: list[Token] = []
     last = 0.0
-    for tok in sorted(tokens, key=key):
-        edge = key(tok)
-        if groups and edge - last <= tol:
-            groups[-1].append(tok)
+    for tok, edge in zip(ordered, map(key, ordered)):
+        if group and edge - last <= tol:
+            group.append(tok)
         else:
-            groups.append([tok])
+            group = [tok]
+            groups.append(group)
         last = edge
     return groups
 
@@ -146,40 +158,50 @@ class DocumentView:
     document and its tokens are never written to.
     """
 
-    __slots__ = ("id", "tokens", "_norms", "_folded", "_groups")
+    __slots__ = ("id", "tokens", "_norms", "_folded", "_groups", "_row_norms")
 
     def __init__(self, doc: DocumentInstance) -> None:
         self.id = doc.id
         self.tokens = doc.tokens
-        self._norms: dict[int, str] | None = None
+        self._norms: tuple[str, ...] | None = None
         self._folded: str | None = None
         self._groups: dict[tuple[Callable, float], Groups] = {}
+        self._row_norms: dict[float, tuple[tuple[str, ...], ...]] = {}
 
     @property
-    def norms(self) -> dict[int, str]:
-        """Keyword-folded text of each token, keyed by ``id(token)``."""
+    def norms(self) -> tuple[str, ...]:
+        """Keyword-folded text of each token, in token order."""
         if self._norms is None:
-            self._norms = {id(t): _norm(t.text) for t in self.tokens}
+            self._norms = tuple(map(_norm, map(_TEXT, self.tokens)))
         return self._norms
 
     @property
     def folded(self) -> str:
         """Every token's folded text, one per line: a string absent here is in no token."""
         if self._folded is None:
-            self._folded = "\n".join(self.norms.values())
+            self._folded = "\n".join(self.norms)
         return self._folded
 
     def _grouped(self, group: Callable[[Sequence[Token], float], list[list[Token]]],
                  tol: float) -> Groups:
         groups = self._groups.get((group, tol))
         if groups is None:
-            groups = tuple(tuple(g) for g in group(self.tokens, tol))
+            groups = tuple(map(tuple, group(self.tokens, tol)))
             self._groups[group, tol] = groups
         return groups
 
     def rows(self, tol: float) -> Groups:
         """Rows top to bottom, each ordered left to right."""
         return self._grouped(_rows, tol)
+
+    def row_norms(self, tol: float) -> tuple[tuple[str, ...], ...]:
+        """Folded text of each token of ``rows(tol)``, in the same layout."""
+        row_norms = self._row_norms.get(tol)
+        if row_norms is None:
+            norm_of = dict(zip(map(id, self.tokens), self.norms)).__getitem__
+            row_norms = tuple(tuple(map(norm_of, map(id, row))) for row in self.rows(tol))
+            self._row_norms[tol] = row_norms
+        return row_norms
 
     def columns(self, tol: float) -> Groups:
         """Groups of tokens sharing a left edge, left to right."""
@@ -199,9 +221,7 @@ def _column_x(column: Sequence[Token]) -> float:
 
 
 def _is_short_wordlike(tok: Token) -> bool:
-    return len(tok.text) <= SHORT_TOKEN_LEN and tok.kind in (
-        TokenKind.ALPHABETIC, TokenKind.ALPHANUMERIC,
-    )
+    return len(tok.text) <= SHORT_TOKEN_LEN and tok.kind in _WORDLIKE
 
 
 # --- amount area ------------------------------------------------------------
@@ -210,7 +230,7 @@ def _amount_region(view: DocumentView, tally: Tally, right_x: float) -> list[Tok
     return [t for t in tally.scan(view.tokens) if t.x >= right_x]
 
 
-def _amount_levels(params: Mapping) -> tuple[LevelFn, ...]:
+def _amount_levels(params: dict) -> tuple[LevelFn, ...]:
     right_x = _param(params, "right_region_x", RIGHT_REGION_X)
     tol = _param(params, "align_tol", ALIGN_TOL, least=0.0)
     rel_tol = _param(params, "product_rel_tol", QTY_PRICE_REL_TOL)
@@ -219,7 +239,7 @@ def _amount_levels(params: Mapping) -> tuple[LevelFn, ...]:
         region = _amount_region(view, tally, right_x)
         if not region:
             return 0.0
-        numeric = [t for t in tally.scan(region) if t.kind is TokenKind.NUMERIC]
+        numeric = [t for t in tally.scan(region) if t.kind is _NUMERIC]
         return len(numeric) / len(region)
 
     def level2(view: DocumentView, tally: Tally) -> float:
@@ -227,7 +247,7 @@ def _amount_levels(params: Mapping) -> tuple[LevelFn, ...]:
         if base == 0.0:
             return 0.0
         numeric = [t for t in _amount_region(view, tally, right_x)
-                   if t.kind is TokenKind.NUMERIC]
+                   if t.kind is _NUMERIC]
         vertical_ok = any(len(g) >= 2 for g in _columns(tally.scan(numeric), tol))
         wide_rows = sum(1 for r in _rows(tally.scan(numeric), tol) if len(r) >= 2)
         return base if vertical_ok and wide_rows >= 2 else 0.0
@@ -237,7 +257,7 @@ def _amount_levels(params: Mapping) -> tuple[LevelFn, ...]:
         if base == 0.0:
             return 0.0
         numeric = [t for t in _amount_region(view, tally, right_x)
-                   if t.kind is TokenKind.NUMERIC]
+                   if t.kind is _NUMERIC]
         cols = [g for g in _columns(tally.scan(numeric), tol) if len(g) >= 2]
         cols.sort(key=_column_x)
         row_of: dict[int, int] = {}
@@ -273,8 +293,8 @@ def _amount_levels(params: Mapping) -> tuple[LevelFn, ...]:
 
 # --- designation zone -------------------------------------------------------
 
-def _designation_levels(params: Mapping) -> tuple[LevelFn, ...]:
-    band_edges = params.get("middle_band", MIDDLE_BAND)
+def _designation_levels(params: dict) -> tuple[LevelFn, ...]:
+    band_edges = params.pop("middle_band", MIDDLE_BAND)
     if isinstance(band_edges, str) or not isinstance(band_edges, Sequence) or len(band_edges) != 2:
         raise ValueError(f"param 'middle_band' must be two numbers, got {band_edges!r}")
     lo, hi = (_number("middle_band", edge) for edge in band_edges)
@@ -287,8 +307,9 @@ def _designation_levels(params: Mapping) -> tuple[LevelFn, ...]:
         tokens = band(view, tally)
         if not tokens:
             return 0.0
-        alpha = sum(1 for t in tokens if t.kind is TokenKind.ALPHABETIC)
-        alnum = sum(1 for t in tokens if t.kind is TokenKind.ALPHANUMERIC)
+        kinds = [t.kind for t in tokens]
+        alpha = kinds.count(_ALPHABETIC)
+        alnum = kinds.count(_ALPHANUMERIC)
         return (alpha + 0.5 * alnum) / len(tokens)
 
     def level2(view: DocumentView, tally: Tally) -> float:
@@ -314,7 +335,7 @@ def _designation_levels(params: Mapping) -> tuple[LevelFn, ...]:
             cx = _column_x(col)
             if cx < band_lo - tol and all(_is_short_wordlike(t) for t in col):
                 code_left = True
-            if cx > band_hi + tol and all(t.kind is TokenKind.NUMERIC for t in col):
+            if cx > band_hi + tol and all(t.kind is _NUMERIC for t in col):
                 numeric_right = True
         return base if code_left and numeric_right else 0.0
 
@@ -323,7 +344,7 @@ def _designation_levels(params: Mapping) -> tuple[LevelFn, ...]:
 
 # --- code area ----------------------------------------------------------------
 
-def _code_levels(params: Mapping) -> tuple[LevelFn, ...]:
+def _code_levels(params: dict) -> tuple[LevelFn, ...]:
     left_x = _param(params, "left_band_x", LEFT_BAND_X)
     tol = _param(params, "align_tol", ALIGN_TOL, least=0.0)
 
@@ -339,7 +360,7 @@ def _code_levels(params: Mapping) -> tuple[LevelFn, ...]:
         tokens = band(view, tally)
         if not tokens:
             return 0.0
-        return sum(1 for t in tokens if _is_short_wordlike(t)) / len(tokens)
+        return len([t for t in tokens if _is_short_wordlike(t)]) / len(tokens)
 
     def level2(view: DocumentView, tally: Tally) -> float:
         base = level1(view, tally)
@@ -364,7 +385,7 @@ def _code_levels(params: Mapping) -> tuple[LevelFn, ...]:
 
 # --- alignment --------------------------------------------------------------
 
-def _vertical_levels(params: Mapping) -> tuple[LevelFn, ...]:
+def _vertical_levels(params: dict) -> tuple[LevelFn, ...]:
     tol = _param(params, "align_tol", ALIGN_TOL, least=0.0)
 
     def justify_score(view: DocumentView, edge_groups: Callable[[float], Groups],
@@ -372,11 +393,8 @@ def _vertical_levels(params: Mapping) -> tuple[LevelFn, ...]:
         tally.charge(view.tokens)
         if len(view.tokens) < 3:
             return 0.0
-        best = 0
-        for group in edge_groups(tol):
-            if len(group) >= 3:
-                best = max(best, len(group))
-        return best / len(view.tokens)
+        best = max(map(len, edge_groups(tol)))
+        return best / len(view.tokens) if best >= 3 else 0.0
 
     def level1(view: DocumentView, tally: Tally) -> float:
         return justify_score(view, view.columns, tally)
@@ -389,7 +407,7 @@ def _vertical_levels(params: Mapping) -> tuple[LevelFn, ...]:
     return (level1, level2)
 
 
-def _horizontal_levels(params: Mapping) -> tuple[LevelFn, ...]:
+def _horizontal_levels(params: dict) -> tuple[LevelFn, ...]:
     tol = _param(params, "align_tol", ALIGN_TOL, least=0.0)
 
     def level1(view: DocumentView, tally: Tally) -> float:
@@ -398,13 +416,14 @@ def _horizontal_levels(params: Mapping) -> tuple[LevelFn, ...]:
         for row in view.rows(tol):
             if len(row) < 3:
                 continue
-            gaps = [b.x - a.x for a, b in zip(row, row[1:])]
+            xs = list(map(_X, row))
+            gaps = list(map(sub, xs[1:], xs))  # each x minus the one before it
             mean = sum(gaps) / len(gaps)
             # the square, not only the mean, can be 0: it underflows for gaps near 1e-170
             if mean * mean <= 0.0:
                 scores.append(0.0)
                 continue
-            var = sum((g - mean) ** 2 for g in gaps) / len(gaps)
+            var = sum([(g - mean) ** 2 for g in gaps]) / len(gaps)
             scores.append(max(0.0, 1.0 - var / (mean * mean)))
         return sum(scores) / len(scores) if scores else 0.0
 
@@ -419,12 +438,11 @@ def _keyword_hits(view: DocumentView, keywords: Sequence[str],
     singles = [k for k in keywords if " " not in k]
     bigrams = [k for k in keywords if " " in k]
     hits: dict[str, list[Token]] = {}
-    norms = view.norms
     folded = view.folded
     tally.charge(view.tokens)
     for kw in singles:
         if kw in folded:
-            anchors = [t for t in view.tokens if kw in norms[id(t)]]
+            anchors = [t for t, norm in zip(view.tokens, view.norms) if kw in norm]
             if anchors:
                 hits[kw] = anchors
     if bigrams:
@@ -432,16 +450,21 @@ def _keyword_hits(view: DocumentView, keywords: Sequence[str],
         # a bigram can only match where each of its words is in some token
         bigrams = [k for k in bigrams if all(word in folded for word in k.split(" "))]
     if bigrams:
-        for row in view.rows(tol):
-            for a, b in zip(row, row[1:]):
-                joined = f"{norms[id(a)]} {norms[id(b)]}"
-                for kw in bigrams:
+        for row, norms in zip(view.rows(tol), view.row_norms(tol)):
+            # an adjacent pair's joined text lies inside its row's joined text
+            line = " ".join(norms)
+            present = [kw for kw in bigrams if kw in line]
+            if not present:
+                continue
+            for a, norm_a, norm_b in zip(row, norms, norms[1:]):
+                joined = f"{norm_a} {norm_b}"
+                for kw in present:
                     if kw in joined:
                         hits.setdefault(kw, []).append(a)
     return hits
 
 
-def _keywords_total_levels(params: Mapping) -> tuple[LevelFn, ...]:
+def _keywords_total_levels(params: dict) -> tuple[LevelFn, ...]:
     tol = _param(params, "align_tol", ALIGN_TOL, least=0.0)
     base_set = _words(params, "keywords", TOTAL_KEYWORDS)
     extended = _words(params, "keywords_extended", TOTAL_KEYWORDS_EXTENDED)
@@ -458,7 +481,7 @@ def _keywords_total_levels(params: Mapping) -> tuple[LevelFn, ...]:
     return (level1, level2)
 
 
-def _keywords_address_levels(params: Mapping) -> tuple[LevelFn, ...]:
+def _keywords_address_levels(params: dict) -> tuple[LevelFn, ...]:
     tol = _param(params, "align_tol", ALIGN_TOL, least=0.0)
     keywords = _words(params, "keywords", ADDRESS_KEYWORDS)
     singles = tuple(kw for kw in keywords if " " not in kw)
@@ -477,7 +500,7 @@ def _keywords_address_levels(params: Mapping) -> tuple[LevelFn, ...]:
             return 0.0
         tally.charge(view.tokens)
         rows = view.rows(tol)
-        norms = view.norms
+        norms = dict(zip(map(id, view.tokens), view.norms))
         row_index = {id(t): i for i, row in enumerate(rows) for t in row}
         confirmed = 0
         for anchors in hits.values():
@@ -496,39 +519,43 @@ def _keywords_address_levels(params: Mapping) -> tuple[LevelFn, ...]:
 
 # --- text block ----------------------------------------------------------------
 
-def _text_block_levels(params: Mapping) -> tuple[LevelFn, ...]:
+def _best_run(view: DocumentView, tally: Tally, tol: float,
+              min_rows: int) -> list[tuple[Token, ...]]:
+    """The run of at least ``min_rows`` consecutive mostly-alphabetic rows with most tokens."""
+    tally.charge(view.tokens)
+    best: list[tuple[Token, ...]] = []
+    run: list[tuple[Token, ...]] = []
+    best_size = run_size = 0
+    for row in view.rows(tol):
+        if [t.kind for t in row].count(_ALPHABETIC) * 2 > len(row):
+            run.append(row)
+            run_size += len(row)
+        else:
+            run = []
+            run_size = 0
+            continue
+        if len(run) >= min_rows and run_size > best_size:
+            best = list(run)
+            best_size = run_size
+    return best
+
+
+def _text_block_levels(params: dict) -> tuple[LevelFn, ...]:
     tol = _param(params, "align_tol", ALIGN_TOL, least=0.0)
     min_rows = int(_param(params, "min_rows", 3))
 
-    def majority_alpha(row: Sequence[Token]) -> bool:
-        return sum(1 for t in row if t.kind is TokenKind.ALPHABETIC) * 2 > len(row)
-
-    def best_run(view: DocumentView, tally: Tally) -> list[tuple[Token, ...]]:
-        tally.charge(view.tokens)
-        best: list[tuple[Token, ...]] = []
-        run: list[tuple[Token, ...]] = []
-        for row in view.rows(tol):
-            if majority_alpha(row):
-                run.append(row)
-            else:
-                run = []
-                continue
-            if len(run) >= min_rows and sum(map(len, run)) > sum(map(len, best)):
-                best = list(run)
-        return best
-
     def level1(view: DocumentView, tally: Tally) -> float:
-        run = best_run(view, tally)
+        run = _best_run(view, tally, tol, min_rows)
         if not run:
             return 0.0
-        tokens = [t for row in run for t in row]
-        return sum(1 for t in tokens if t.kind is TokenKind.ALPHABETIC) / len(tokens)
+        kinds = [t.kind for row in run for t in row]
+        return kinds.count(_ALPHABETIC) / len(kinds)
 
     def level2(view: DocumentView, tally: Tally) -> float:
         base = level1(view, tally)
         if base == 0.0:
             return 0.0
-        run = best_run(view, tally)
+        run = _best_run(view, tally, tol, min_rows)
         lefts = sorted(row[0].x for row in run)
         biggest = 0
         count = 1
@@ -543,7 +570,7 @@ def _text_block_levels(params: Mapping) -> tuple[LevelFn, ...]:
 
 # --- date indicator -------------------------------------------------------------
 
-def _date_levels(params: Mapping) -> tuple[LevelFn, ...]:
+def _date_levels(params: dict) -> tuple[LevelFn, ...]:
     def level1(view: DocumentView, tally: Tally) -> float:
         for tok in tally.scan(view.tokens):
             if DATE_PATTERN.match(tok.text):
@@ -564,7 +591,7 @@ def _date_levels(params: Mapping) -> tuple[LevelFn, ...]:
 
 # --- isolated bottom cluster -----------------------------------------------------
 
-def _isolated_levels(params: Mapping) -> tuple[LevelFn, ...]:
+def _isolated_levels(params: dict) -> tuple[LevelFn, ...]:
     band_y = _param(params, "bottom_band_y", BOTTOM_BAND_Y)
     max_tokens = int(_param(params, "max_tokens", ISOLATED_MAX_TOKENS))
     min_gap = _param(params, "min_gap", ISOLATED_MIN_GAP)
@@ -577,7 +604,7 @@ def _isolated_levels(params: Mapping) -> tuple[LevelFn, ...]:
         above = [t for t in tokens if t.y <= band_y]
         if not above:
             return 1.0
-        gap = min(t.y for t in cluster) - max(t.bottom for t in above)
+        gap = min([t.y for t in cluster]) - max([t.bottom for t in above])
         return 1.0 if gap >= min_gap else 0.0
 
     return (level1,)
@@ -585,7 +612,7 @@ def _isolated_levels(params: Mapping) -> tuple[LevelFn, ...]:
 
 # --- registry ----------------------------------------------------------------------
 
-EXTRACTOR_KINDS: dict[str, Callable[[Mapping], tuple[LevelFn, ...]]] = {
+EXTRACTOR_KINDS: dict[str, Callable[[dict], tuple[LevelFn, ...]]] = {
     "amount_area": _amount_levels,
     "designation_zone": _designation_levels,
     "code_area": _code_levels,
@@ -639,8 +666,11 @@ class ElementExtractor:
 def build_extractor(name: str, spec: ExtractorSpec) -> ElementExtractor:
     if spec.kind not in EXTRACTOR_KINDS:
         raise ValueError(f"unknown extractor kind '{spec.kind}' for element '{name}'")
+    unread = dict(spec.params)
     try:
-        levels = EXTRACTOR_KINDS[spec.kind](spec.params)
+        levels = EXTRACTOR_KINDS[spec.kind](unread)
+        if unread:
+            raise ValueError(f"param '{next(iter(unread))}' is unknown to kind '{spec.kind}'")
     except ValueError as exc:
         raise ValueError(f"element '{name}': {exc}") from exc
     return ElementExtractor(name=name, levels=levels)
@@ -665,8 +695,8 @@ def extract_all(
 ) -> ElementVector:
     """Evaluate every element at level 1 unless overridden, from one document view."""
     overrides = dict(level_overrides or {})
-    unknown = set(overrides) - set(extractors)
-    if unknown:
+    if not overrides.keys() <= extractors.keys():
+        unknown = set(overrides) - set(extractors)
         raise ValueError(f"unknown element name(s) in overrides: {sorted(unknown)}")
     values: dict[str, float] = {}
     levels: dict[str, int] = {}

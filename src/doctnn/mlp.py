@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .documents import DocumentInstance, read_json, write_json
+from .documents import DocumentInstance, expect_type, read_json, write_json
 from .features import ElementVector, build_extractors, extract_all
 from .network import (
     MODEL_FORMAT_VERSION,
@@ -23,6 +23,7 @@ from .network import (
     model_config,
     read_matrix,
     read_number,
+    read_seed,
     sigmoid,
 )
 from .topology import NetworkConfig, config_to_dict
@@ -198,7 +199,8 @@ def mlp_to_dict(model: MlpModel) -> dict:
 def mlp_from_dict(payload: Mapping) -> MlpModel:
     config = model_config(payload, "mlp")
     sizes = [len(names) for names in config.topology.layers()]
-    raw_layers = payload.get("layers", [])
+    raw_layers = expect_type(payload.get("layers", []), list, ModelFormatError,
+                             "model file 'layers'")
     if len(raw_layers) != 3:
         raise ModelFormatError(f"expected 3 dense layers, found {len(raw_layers)}")
     weights = []
@@ -215,22 +217,24 @@ def mlp_from_dict(payload: Mapping) -> MlpModel:
         biases.append(b)
     training = None
     if payload.get("training") is not None:
-        raw_training = payload["training"]
+        raw_training = expect_type(payload["training"], Mapping, ModelFormatError,
+                                   "model file 'training'")
+        counts = expect_type(raw_training.get("class_counts", {}), Mapping, ModelFormatError,
+                             "model training 'class_counts'")
         training = MlpTrainingStats(
             epochs=read_number(raw_training, "epochs", int, "model training"),
             samples=read_number(raw_training, "samples", int, "model training"),
             backward_passes=read_number(raw_training, "backward_passes", int, "model training"),
             final_mse=read_number(raw_training, "final_mse", float, "model training"),
             class_counts={
-                k: read_number(raw_training["class_counts"], k, int, "training class_counts")
-                for k in raw_training.get("class_counts", {})
+                k: read_number(counts, k, int, "training class_counts") for k in counts
             },
         )
     return MlpModel(
         config=config,
         weights=weights,
         biases=biases,
-        seed=int(payload.get("seed", 0)),
+        seed=read_seed(payload),
         training=training,
     )
 

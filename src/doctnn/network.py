@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .documents import DocumentInstance, read_json, require, write_json
+from .documents import DocumentInstance, expect_type, read_json, require, write_json
 from .features import ElementVector, build_extractors, extract_all
 from .topology import NetworkConfig, Topology, config_from_dict, config_to_dict
 
@@ -232,13 +232,16 @@ class TnnModel:
 
 def _element_array(topology: Topology, vector: ElementVector | Mapping[str, float]) -> np.ndarray:
     values = vector.values if isinstance(vector, ElementVector) else vector
-    missing = set(topology.elements) - set(values)
-    if missing:
-        raise ValueError(f"element vector incomplete, missing: {sorted(missing)}")
-    extra = set(values) - set(topology.elements)
-    if extra:
-        raise ValueError(f"element vector has unknown entries: {sorted(extra)}")
-    return np.asarray([values[name] for name in topology.elements], dtype=float)
+    names = topology.elements
+    # element names are unique, so equal sizes and no name missing mean the same keys
+    if len(values) != len(names) or not all(name in values for name in names):
+        missing = set(names) - set(values)
+        if missing:
+            raise ValueError(f"element vector incomplete, missing: {sorted(missing)}")
+        extra = set(values) - set(names)
+        if extra:
+            raise ValueError(f"element vector has unknown entries: {sorted(extra)}")
+    return np.asarray([values[name] for name in names], dtype=float)
 
 
 def forward_tnn(model: TnnModel, elements: ElementVector | Mapping[str, float]) -> ActivationTrace:
@@ -337,6 +340,11 @@ def read_matrix(payload: object, key: str, where: str) -> np.ndarray:
     return matrix
 
 
+def read_seed(payload: Mapping) -> int:
+    """A model file's seed, 0 when absent."""
+    return read_number(payload, "seed", int, "model file") if "seed" in payload else 0
+
+
 def _stats_from_dict(payload: object, where: str) -> TrainingStats:
     return TrainingStats(
         epochs=read_number(payload, "epochs", int, where),
@@ -388,7 +396,8 @@ def model_config(payload: Mapping, kind: str) -> NetworkConfig:
 
 def model_from_dict(payload: Mapping) -> TnnModel:
     config = model_config(payload, "tnn")
-    raw_nets = payload.get("layer_networks", [])
+    raw_nets = expect_type(payload.get("layer_networks", []), list, ModelFormatError,
+                           "model file 'layer_networks'")
     pairs = config.topology.layer_pairs()
     if len(raw_nets) != len(pairs):
         raise ModelFormatError(f"expected {len(pairs)} layer networks, found {len(raw_nets)}")
@@ -399,7 +408,8 @@ def model_from_dict(payload: Mapping) -> TnnModel:
         thresholds = read_matrix(raw, "thresholds", where)
         inputs = require(raw, "inputs", ModelFormatError, where)
         outputs = require(raw, "outputs", ModelFormatError, where)
-        if tuple(inputs) != inp or tuple(outputs) != out:
+        # JSON gives lists; comparing with lists also refuses a name list of another type
+        if inputs != list(inp) or outputs != list(out):
             raise ModelFormatError("layer network names disagree with the topology")
         if weights.shape != (len(inp), len(out)) or thresholds.shape != (len(out),):
             raise ModelFormatError(
@@ -417,8 +427,11 @@ def model_from_dict(payload: Mapping) -> TnnModel:
     training = None
     if payload.get("training") is not None:
         raw_training = payload["training"]
-        raw_stats = require(raw_training, "stats", ModelFormatError, "model training")
-        counts = require(raw_training, "class_counts", ModelFormatError, "model training")
+        raw_stats = expect_type(require(raw_training, "stats", ModelFormatError, "model training"),
+                                list, ModelFormatError, "model training 'stats'")
+        counts = expect_type(
+            require(raw_training, "class_counts", ModelFormatError, "model training"),
+            Mapping, ModelFormatError, "model training 'class_counts'")
         training = TnnTrainingSummary(
             stats=tuple(
                 _stats_from_dict(s, f"training stats {i}") for i, s in enumerate(raw_stats)
@@ -430,7 +443,7 @@ def model_from_dict(payload: Mapping) -> TnnModel:
     return TnnModel(
         config=config,
         nets=tuple(nets),
-        seed=int(payload.get("seed", 0)),
+        seed=read_seed(payload),
         training=training,
     )
 

@@ -15,7 +15,7 @@ from numbers import Integral, Real
 from pathlib import Path
 from typing import Mapping
 
-from .documents import read_json, require, write_json
+from .documents import expect_type, read_json, require, write_json
 from .features import EXTRACTOR_KINDS, ExtractorSpec, build_extractors
 
 CONFIG_FORMAT_VERSION = 1
@@ -234,6 +234,13 @@ def config_to_dict(config: NetworkConfig) -> dict:
     }
 
 
+def _names(value: object, where: str) -> tuple[str, ...]:
+    """A JSON list of neuron names as a tuple, refusing any other JSON type."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(n, str) for n in value):
+        raise TopologyError(f"{where} must be a list of names, got {value!r}")
+    return tuple(value)
+
+
 def config_from_dict(payload: Mapping) -> NetworkConfig:
     if payload.get("format_version") != CONFIG_FORMAT_VERSION:
         raise TopologyError(
@@ -242,25 +249,28 @@ def config_from_dict(payload: Mapping) -> NetworkConfig:
     layers = payload.get("layers")
     if not isinstance(layers, Mapping):
         raise TopologyError("config missing 'layers' section")
-    try:
-        topology = Topology(
-            elements=tuple(layers["elements"]),
-            substructures=tuple(layers["substructures"]),
-            structures=tuple(layers["structures"]),
-            documents=tuple(layers["documents"]),
-            links=frozenset((src, dst) for src, dst in payload.get("links", [])),
-        )
-    except KeyError as exc:
-        raise TopologyError(f"config layers missing {exc}") from exc
+    names = [
+        _names(require(layers, layer, TopologyError, "config layers"), f"config layer '{layer}'")
+        for layer in LAYER_NAMES
+    ]
+    links = [
+        _names(link, "config 'links' entry")
+        for link in expect_type(payload.get("links", []), list, TopologyError, "config 'links'")
+    ]
+    if any(len(link) != 2 for link in links):
+        raise TopologyError("config 'links' entries must be [source, target] pairs")
+    topology = Topology(*names, links=frozenset(links))
     extractors = {}
-    for name, entry in payload.get("extractors", {}).items():
+    extractor_entries = expect_type(payload.get("extractors", {}), Mapping, TopologyError,
+                                    "config 'extractors'")
+    for name, entry in extractor_entries.items():
         where = f"config extractor '{name}'"
         kind = require(entry, "kind", TopologyError, where)
-        params = entry.get("params", {})
-        if not isinstance(params, Mapping):
-            raise TopologyError(f"{where}: 'params' must be an object, got {params!r}")
+        if not isinstance(kind, str):
+            raise TopologyError(f"{where}: 'kind' must be a string, got {kind!r}")
+        params = expect_type(entry.get("params", {}), Mapping, TopologyError, f"{where}: 'params'")
         extractors[name] = ExtractorSpec(kind=kind, params=dict(params))
-    hp = payload.get("hyperparams", {})
+    hp = expect_type(payload.get("hyperparams", {}), Mapping, TopologyError, "config 'hyperparams'")
     try:
         mu = float(hp.get("mu", 0.5))
         epsilon = float(hp.get("epsilon", 0.01))

@@ -11,12 +11,15 @@ from doctnn import (
     Noise,
     TnnModel,
     Token,
+    TokenKind,
     Topology,
     default_config,
     generate,
+    token_kind,
     train_mlp,
     train_tnn,
 )
+from doctnn.features import _norm
 
 # the frozen desk-scale run: corpus sizes and noise mirror the reported
 # experiment; seeds are pinned so every criterion is reproducible
@@ -70,6 +73,55 @@ def two_branch_sigmoid(x):
     out[~pos] = ez / (1.0 + ez)
     out = np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
     return float(out) if np.ndim(x) == 0 else out
+
+
+def reference_keyword_hits(view, keywords, tally, tol):
+    """Keyword matching that joins every adjacent pair of every row, folding each token itself.
+
+    The reference ``features._keyword_hits`` must match anchor for anchor and visit for visit.
+    """
+    singles = [k for k in keywords if " " not in k]
+    bigrams = [k for k in keywords if " " in k]
+    hits = {}
+    norms = {id(t): _norm(t.text) for t in view.tokens}
+    folded = "\n".join(norms.values())
+    tally.charge(view.tokens)
+    for kw in singles:
+        if kw in folded:
+            anchors = [t for t in view.tokens if kw in norms[id(t)]]
+            if anchors:
+                hits[kw] = anchors
+    if bigrams:
+        tally.charge(view.tokens)
+        bigrams = [k for k in bigrams if all(word in folded for word in k.split(" "))]
+    if bigrams:
+        for row in view.rows(tol):
+            for a, b in zip(row, row[1:]):
+                joined = f"{norms[id(a)]} {norms[id(b)]}"
+                for kw in bigrams:
+                    if kw in joined:
+                        hits.setdefault(kw, []).append(a)
+    return hits
+
+
+def reference_best_run(view, tally, tol, min_rows):
+    """Text-block run search that re-sums each run and classifies each token from its text.
+
+    The reference ``features._best_run`` must match row for row and visit for visit.
+    """
+    tally.charge(view.tokens)
+    best = []
+    run = []
+    for row in view.rows(tol):
+        alpha = sum(1 for t in row if token_kind(t.text) is TokenKind.ALPHABETIC)
+        if alpha * 2 > len(row):
+            run.append(row)
+        else:
+            run = []
+            continue
+        if len(run) >= min_rows and sum(map(len, run)) > sum(map(len, best)):
+            best = list(run)
+    return best
 
 
 @pytest.fixture(scope="session")

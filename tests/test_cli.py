@@ -67,6 +67,11 @@ def write_broken_files(root):
     broken("config.json", "tol_nan.json", align_tol, float("nan"))
     broken("config.json", "tol_negative.json", align_tol, -1)
     broken("config.json", "tol_text.json", align_tol, "abc")
+    broken("config.json", "extractors_list.json", ("extractors",), [])
+    broken("config.json", "kind_list.json", ("extractors", "code_area", "kind"), [])
+    broken("config.json", "links_numbers.json", ("links",), [1, 2])
+    broken("config.json", "layers_number.json", ("layers",), {"elements": 5})
+    broken("config.json", "hyperparams_list.json", ("hyperparams",), [])
 
 
 def test_gen_corpus_writes_both_splits(tmp_path, capsys):
@@ -313,6 +318,17 @@ EVAL = ("--tnn", "{ws}/tnn.model", "--test", "{ws}/test.json")
           "--out", "{tmp}/m.json"), "'horizontal_alignment': param 'align_tol'"),
         (("train", "tnn", "--corpus", "{ws}/train.json", "--config", "{ws}/tol_text.json",
           "--out", "{tmp}/m.json"), "'horizontal_alignment': param 'align_tol'"),
+        (("train", "tnn", "--corpus", "{ws}/train.json", "--config", "{ws}/extractors_list.json",
+          "--out", "{tmp}/m.json"), "'extractors' must be an object"),
+        (("train", "tnn", "--corpus", "{ws}/train.json", "--config", "{ws}/kind_list.json",
+          "--out", "{tmp}/m.json"), "'code_area': 'kind' must be a string"),
+        (("train", "tnn", "--corpus", "{ws}/train.json", "--config", "{ws}/links_numbers.json",
+          "--out", "{tmp}/m.json"), "'links' entry must be a list of names"),
+        (("train", "mlp", "--corpus", "{ws}/train.json", "--config", "{ws}/layers_number.json",
+          "--out", "{tmp}/m.json"), "layer 'elements' must be a list of names"),
+        (("train", "tnn", "--corpus", "{ws}/train.json", "--config",
+          "{ws}/hyperparams_list.json", "--out", "{tmp}/m.json"),
+         "'hyperparams' must be an object"),
     ],
 )
 def test_bad_input_gives_one_error_line(workspace, tmp_path, capsys, argv, message):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,10 +10,16 @@ from doctnn import (
     DocumentInstance,
     ExtractorSpec,
     GroundTruth,
+    MlpModel,
+    MlpTrainingStats,
+    ModelFormatError,
     NetworkConfig,
+    TnnModel,
+    TnnTrainingSummary,
     Token,
     TokenKind,
     TopologyError,
+    TrainingStats,
     default_config,
     default_topology,
     load_config,
@@ -20,7 +28,11 @@ from doctnn import (
     save_corpus,
     token_kind,
 )
-from doctnn.topology import config_to_dict
+from doctnn.documents import corpus_to_dict
+from doctnn.mlp import mlp_from_dict, mlp_to_dict
+from doctnn.network import model_from_dict, model_to_dict
+from doctnn.topology import config_from_dict, config_to_dict
+from conftest import dense_config
 
 TOPOLOGY = default_topology()
 
@@ -40,6 +52,7 @@ TOPOLOGY = default_topology()
 )
 def test_token_kind(text, kind):
     assert token_kind(text) is kind
+    assert Token(text, 0.1, 0.1, 0.05, 0.02).kind is kind
 
 
 def test_token_kind_rejects_empty():
@@ -52,6 +65,23 @@ def test_token_kind_total_and_stable(text):
     first = token_kind(text)
     assert first in set(TokenKind)
     assert token_kind(text) is first
+
+
+@given(st.text(min_size=1, max_size=12), st.floats(0.0, 0.9), st.floats(0.0, 0.9),
+       st.floats(0.01, 0.1), st.floats(0.01, 0.1))
+def test_token_kind_is_a_field_outside_equality_hash_and_repr(text, x, y, width, height):
+    token = Token(text, x, y, width, height)
+    assert token.kind is token_kind(text)
+    values = (text, x, y, width, height)
+    assert token == Token(*values) and hash(token) == hash(values)
+    assert token != Token(text + "!", x, y, width, height)
+    assert repr(token) == (
+        f"Token(text={text!r}, x={x!r}, y={y!r}, width={width!r}, height={height!r})"
+    )
+    with pytest.raises(TypeError):
+        Token(*values, TokenKind.SYMBOL)
+    with pytest.raises(FrozenInstanceError):
+        token.kind = TokenKind.SYMBOL
 
 
 @pytest.mark.parametrize(
@@ -170,6 +200,7 @@ def test_save_config_refuses_non_finite_values(tmp_path):
         ("designation_zone", "middle_band", [0.3]),
         ("text_block", "min_rows", float("inf")),
         ("keywords_total", "keywords", 5),
+        ("horizontal_alignment", "align_toll", 5),
     ],
 )
 def test_load_config_names_element_and_bad_param(tmp_path, element, param, value):
@@ -202,3 +233,114 @@ def test_round_trip_identity(tmp_path):
     save_corpus(loaded, second)
     assert load_corpus(second, TOPOLOGY) == docs
     assert first.read_bytes() == second.read_bytes()
+
+
+# sha256 of the save_corpus file for the pinned desk corpora (seeds 51 and 52):
+# a change to Token or to the encoding that moves a byte of the file shows here
+DESK_CORPUS_SHA256 = (
+    "7eb98163e516bb716e17974cc0d370ed1adbc43d9f56d563870eababaaf810ea",
+    "b1c1f5382b17ea0f309a9573f04a81241d66c6ec61cde378e08ed8684a382da3",
+)
+
+
+def test_save_corpus_bytes_are_pinned(desk_corpora, tmp_path):
+    digests = []
+    for corpus in desk_corpora:
+        path = tmp_path / "corpus.json"
+        save_corpus(corpus, path)
+        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert tuple(digests) == DESK_CORPUS_SHA256
+
+
+# --- fuzzing the file loaders -------------------------------------------------------
+
+# every param of every default extractor kind, written out so each is fuzzed
+EXPLICIT_PARAMS = {
+    "amount_area": {"right_region_x": 0.5, "align_tol": 0.01, "product_rel_tol": 1e-6},
+    "designation_zone": {"middle_band": [0.28, 0.52], "align_tol": 0.01},
+    "code_area": {"left_band_x": 0.25, "align_tol": 0.01},
+    "vertical_alignment": {"align_tol": 0.01},
+    "horizontal_alignment": {"align_tol": 0.01},
+    "keywords_total": {"align_tol": 0.01, "keywords": ["vat", "total"],
+                       "keywords_extended": ["tax", "net pay"]},
+    "keywords_address": {"align_tol": 0.01, "keywords": ["mr", "postal code"]},
+    "text_block": {"align_tol": 0.01, "min_rows": 3},
+    "date_indicator": {},
+    "isolated_block": {"bottom_band_y": 0.8, "max_tokens": 4, "min_gap": 0.05},
+}
+WRONG_VALUES = ([], {}, 5, "x", None, True, 1e308)
+
+
+def json_paths(node, prefix=()):
+    """The key path of every value inside a JSON object or list."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from json_paths(child, prefix + (key,))
+
+
+def config_payload():
+    payload = config_to_dict(default_config())
+    for name, params in EXPLICIT_PARAMS.items():
+        payload["extractors"][name]["params"] = params
+    return payload
+
+
+def tnn_payload():
+    model = TnnModel.create(dense_config((3, 2, 2, 2)), seed=1)
+    stats = TrainingStats(epochs=4, samples=3, update_passes=12, weight_updates=48,
+                          final_mse=0.01)
+    model.training = TnnTrainingSummary(stats=(stats,) * 3, class_counts={"d0": 2, "d1": 1})
+    return model_to_dict(model)
+
+
+def mlp_payload():
+    model = MlpModel.create(dense_config((3, 2, 2, 2)), seed=1)
+    model.training = MlpTrainingStats(epochs=4, samples=3, backward_passes=12, final_mse=0.01,
+                                      class_counts={"d0": 2, "d1": 1})
+    return mlp_to_dict(model)
+
+
+def corpus_payload():
+    labels = GroundTruth("invoice", frozenset({"total", "table"}), frozenset({"totals_line"}))
+    docs = [
+        DocumentInstance("a", (Token("Total", 0.5, 0.5, 0.08, 0.02),
+                               Token("7.00", 0.7, 0.5, 0.05, 0.02)), labels),
+        DocumentInstance("b", (Token("Dear", 0.1, 0.1, 0.05, 0.02),)),
+    ]
+    return corpus_to_dict(docs)
+
+
+def load_corpus_payload(payload, path):
+    path.write_text(json.dumps(payload))
+    return load_corpus(path, TOPOLOGY)
+
+
+@pytest.mark.parametrize(
+    "payload, load",
+    [
+        (config_payload(), lambda payload, _: config_from_dict(payload)),
+        (tnn_payload(), lambda payload, _: model_from_dict(payload)),
+        (mlp_payload(), lambda payload, _: mlp_from_dict(payload)),
+        (corpus_payload(), load_corpus_payload),
+    ],
+    ids=["config", "tnn", "mlp", "corpus"],
+)
+def test_loaders_refuse_wrong_json_types_with_their_own_error(payload, load, tmp_path):
+    load(payload, tmp_path / "file.json")  # the unmutated payload loads
+    text = json.dumps(payload)
+    for path in json_paths(payload):
+        for value in WRONG_VALUES:
+            mutant = json.loads(text)
+            *parents, last = path
+            node = mutant
+            for key in parents:
+                node = node[key]
+            node[last] = value
+            try:
+                load(mutant, tmp_path / "file.json")
+            except (CorpusError, ModelFormatError, TopologyError):
+                pass
+            except Exception as exc:  # a traceback, not a one-line error
+                pytest.fail(f"{path} set to {value!r}: {type(exc).__name__}: {exc}")

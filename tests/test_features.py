@@ -11,7 +11,15 @@ from doctnn import (
     generate,
     generate_ambiguous,
 )
-from conftest import DESK_NOISE, doc, tok
+from doctnn import features
+from doctnn.features import (
+    ADDRESS_KEYWORDS,
+    ALIGN_TOL,
+    TOTAL_KEYWORDS,
+    TOTAL_KEYWORDS_EXTENDED,
+    Tally,
+)
+from conftest import DESK_NOISE, doc, reference_best_run, reference_keyword_hits, tok
 
 EXTRACTORS = build_extractors(default_config().extractors)
 GATED = ("amount_area", "designation_zone", "code_area", "text_block")
@@ -145,6 +153,9 @@ def test_vertical_alignment_counting():
 
 def test_vertical_alignment_needs_three_tokens():
     assert value("vertical_alignment", doc([tok("a", 0.1, 0.1), tok("b", 0.1, 0.2)])) == 0.0
+    # three tokens on the page, but no column holds three of them
+    pair_and_one = doc([tok("a", 0.1, 0.1), tok("b", 0.1, 0.2), tok("c", 0.5, 0.3)])
+    assert value("vertical_alignment", pair_and_one) == 0.0
 
 
 def test_vertical_alignment_right_justify_refinement():
@@ -392,20 +403,26 @@ def test_visits_per_level_on_qp_amount_rows():
     assert visits == QP_AMOUNT_ROWS_VISITS
 
 
+def generated_documents(seed, ambiguous):
+    if ambiguous:
+        return generate_ambiguous(seed, 2)
+    counts = {"invoice": 1, "form": 1, "letter": 1}
+    return generate(GenSpec(seed=seed, counts=counts, noise=DESK_NOISE))
+
+
+def all_measures(document):
+    return {
+        (name, level): extractor.measure(document, level)
+        for name, extractor in EXTRACTORS.items()
+        for level in range(1, extractor.max_level + 1)
+    }
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10_000), st.booleans())
 def test_shared_view_matches_plain_document(seed, ambiguous):
-    if ambiguous:
-        documents = generate_ambiguous(seed, 2)
-    else:
-        counts = {"invoice": 1, "form": 1, "letter": 1}
-        documents = generate(GenSpec(seed=seed, counts=counts, noise=DESK_NOISE))
-    for document in documents:
-        plain = {
-            (name, level): extractor.measure(document, level)
-            for name, extractor in EXTRACTORS.items()
-            for level in range(1, extractor.max_level + 1)
-        }
+    for document in generated_documents(seed, ambiguous):
+        plain = all_measures(document)
         # memo state differs with the order the extractors read the view in
         for order in (list(EXTRACTORS.items()), list(reversed(EXTRACTORS.items()))):
             view = DocumentView(document)
@@ -413,6 +430,48 @@ def test_shared_view_matches_plain_document(seed, ambiguous):
                 for level in range(1, extractor.max_level + 1):
                     assert extractor.evaluate(view, level) == plain[name, level][0]
                     assert extractor.measure(view, level) == plain[name, level]
+
+
+def anchor_ids(hits):
+    return [(kw, [id(t) for t in anchors]) for kw, anchors in hits.items()]
+
+
+# keyword-like tokens added to generated pages: some texts hold a space, so a
+# bigram can lie inside one token as well as across two neighbours
+keyword_tokens = st.builds(
+    tok,
+    text=st.sampled_from(["net pay", "Net", "Pay:", "postal", "Code", "Postal Code", "xnet",
+                          "payment", "total", "VAT", "tax amount", "code postal", "Mr."]),
+    x=st.floats(0.0, 0.9),
+    y=st.sampled_from([0.1, 0.105, 0.5, 0.9]),
+)
+BIGRAM_KEYWORDS = ("net pay", "postal code", "code postal", "pay total", "tax amount", "vat")
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), st.lists(keyword_tokens, max_size=8))
+def test_keyword_hits_and_best_run_match_references(seed, ambiguous, extra):
+    for generated in generated_documents(seed, ambiguous):
+        document = DocumentInstance(id=generated.id, tokens=generated.tokens + tuple(extra))
+        view = DocumentView(document)
+        for keywords in (TOTAL_KEYWORDS, TOTAL_KEYWORDS_EXTENDED, ADDRESS_KEYWORDS,
+                         BIGRAM_KEYWORDS):
+            tally, reference_tally = Tally(), Tally()
+            hits = features._keyword_hits(view, keywords, tally, ALIGN_TOL)
+            reference = reference_keyword_hits(view, keywords, reference_tally, ALIGN_TOL)
+            assert anchor_ids(hits) == anchor_ids(reference)
+            assert tally.visits == reference_tally.visits
+        for min_rows in (1, 3):
+            tally, reference_tally = Tally(), Tally()
+            run = features._best_run(view, tally, ALIGN_TOL, min_rows)
+            assert run == reference_best_run(view, reference_tally, ALIGN_TOL, min_rows)
+            assert tally.visits == reference_tally.visits
+        # every extractor value and visit count is the same with the references swapped in
+        measured = all_measures(document)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(features, "_keyword_hits", reference_keyword_hits)
+            patch.setattr(features, "_best_run", reference_best_run)
+            assert all_measures(document) == measured
 
 
 @pytest.mark.parametrize("document", FIXTURES, ids=range(len(FIXTURES)))

@@ -198,6 +198,17 @@ def test_forward_tnn_rejects_incomplete_vector():
         forward_tnn(model, {"amount_area": 1.0})
 
 
+def test_forward_tnn_rejects_vector_with_other_keys():
+    model = TnnModel.create(default_config(), seed=0)
+    full = {name: 0.5 for name in model.topology.elements}
+    with pytest.raises(ValueError, match=r"unknown entries: \['extra'\]"):
+        forward_tnn(model, {**full, "extra": 1.0})
+    # as many keys as the topology has elements, one of them foreign
+    swapped = {**{n: v for n, v in full.items() if n != "text_block"}, "extra": 1.0}
+    with pytest.raises(ValueError, match=r"missing: \['text_block'\]"):
+        forward_tnn(model, swapped)
+
+
 # --- delta-rule training -------------------------------------------------------------------
 
 def test_single_update_matches_hand_oracle():
