@@ -59,10 +59,8 @@ from .network import (
     TrainingStats,
     forward_tnn,
     load_model,
-    neuron_activation,
     save_model,
     sigmoid,
-    sigmoid_prime_from_output,
     train_nn1,
     train_tnn,
 )

@@ -9,9 +9,11 @@ placed on the page.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from numbers import Real
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -58,14 +60,55 @@ def require(payload: object, key: str, error: type[Exception], where: str) -> ob
     return payload[key]
 
 
+_JSON_TYPES = {
+    list: ("a list", (list, tuple)),
+    Mapping: ("an object", Mapping),
+    str: ("a string", str),
+    int: ("an integer", int),
+    float: ("a number", (int, float)),
+}
+
+
+# the types json.loads gives a JSON number; bool is not one of them
+_JSON_NUMBERS = frozenset((int, float))
+
+
 def expect_type(value: object, kind: type, error: type[Exception], what: str):
-    """``value``, raising ``error`` unless it is a JSON list (``kind`` list) or object (Mapping)."""
-    if kind is list:
-        if not isinstance(value, (list, tuple)):
-            raise error(f"{what} must be a list, got {value!r}")
-    elif not isinstance(value, Mapping):
-        raise error(f"{what} must be an object, got {value!r}")
+    """``value``, raising ``error`` unless it has the JSON type ``kind``.
+
+    ``kind`` is list, Mapping (an object), str, int or float (any number).
+    Nothing is converted: a bool is neither an integer nor a number, and a
+    float is not an integer, so ``True`` or ``2.9`` never stands in for 1 or 2.
+    """
+    name, accepted = _JSON_TYPES[kind]
+    if not isinstance(value, accepted) or isinstance(value, bool):
+        raise error(f"{what} must be {name}, got {value!r}")
     return value
+
+
+def finite_number(value: object) -> bool:
+    """Whether ``value`` is a number, not a bool, that a float holds finitely."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def expect_names(value: object, error: type[Exception], what: str) -> tuple[str, ...]:
+    """A JSON list of names as a tuple, raising ``error`` for any other JSON type."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(n, str) for n in value):
+        raise error(f"{what} must be a list of names, got {value!r}")
+    return tuple(value)
+
+
+def check_version(payload: Mapping, expected: int, error: type[Exception], what: str) -> None:
+    """Refuse a file whose ``format_version`` is not the integer ``expected``."""
+    version = payload.get("format_version")
+    # True == 1 == 1.0 in Python, so the type is checked as well as the value
+    if type(version) is not int or version != expected:
+        raise error(f"unsupported {what} format_version {version!r}")
 
 
 class TokenKind(str, Enum):
@@ -173,22 +216,24 @@ def _parse_token(raw: object, doc_id: str, index: int) -> Token:
         raise CorpusError(
             f"document '{doc_id}' token {index}: missing field(s) {sorted(missing)}"
         )
+    text = raw["text"]
+    box = (raw["x"], raw["y"], raw["w"], raw["h"])
+    where = f"document '{doc_id}' token {index}"
+    # one cheap test per token; expect_type then names the field that fails it
+    if type(text) is not str or not _JSON_NUMBERS.issuperset(map(type, box)):
+        expect_type(text, str, CorpusError, f"{where} field 'text'")
+        for key, value in zip(("x", "y", "w", "h"), box):
+            expect_type(value, float, CorpusError, f"{where} field '{key}'")
     try:
-        return Token(
-            text=str(raw["text"]),
-            x=float(raw["x"]),
-            y=float(raw["y"]),
-            width=float(raw["w"]),
-            height=float(raw["h"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise CorpusError(f"document '{doc_id}' token {index}: {exc}") from exc
+        return Token(text, *box)
+    except ValueError as exc:
+        raise CorpusError(f"{where}: {exc}") from exc
 
 
 def _parse_document(raw: object, topology: "Topology") -> DocumentInstance:
     if not isinstance(raw, dict) or "id" not in raw:
         raise CorpusError("document entry missing 'id'")
-    doc_id = str(raw["id"])
+    doc_id = expect_type(raw["id"], str, CorpusError, "document entry 'id'")
     if not doc_id:
         raise CorpusError("document entry has empty 'id'")
     where = f"document '{doc_id}'"
@@ -200,11 +245,11 @@ def _parse_document(raw: object, topology: "Topology") -> DocumentInstance:
         if not isinstance(lab, dict) or "class" not in lab:
             raise CorpusError(f"document '{doc_id}' field 'labels': missing 'class'")
         labels = GroundTruth(
-            document_class=str(lab["class"]),
-            structures=frozenset(str(s) for s in expect_type(
-                lab.get("structures", []), list, CorpusError, f"{where} 'structures'")),
-            substructures=frozenset(str(s) for s in expect_type(
-                lab.get("substructures", []), list, CorpusError, f"{where} 'substructures'")),
+            document_class=expect_type(lab["class"], str, CorpusError, f"{where} field 'class'"),
+            structures=frozenset(expect_names(
+                lab.get("structures", []), CorpusError, f"{where} 'structures'")),
+            substructures=frozenset(expect_names(
+                lab.get("substructures", []), CorpusError, f"{where} 'substructures'")),
         )
         _validate_labels(labels, doc_id, topology)
     return DocumentInstance(id=doc_id, tokens=tokens, labels=labels)

@@ -16,7 +16,7 @@ from .documents import DocumentInstance
 from .features import extract_all
 from .mlp import MlpModel, MlpTrainingStats, forward_mlp
 from .network import TnnModel, TnnTrainingSummary
-from .recognizer import RecognizerParams, recognize
+from .recognizer import DEFAULT_PARAMS, RecognizerParams, recognize
 
 REJECT_LABEL = "rejected"
 
@@ -105,14 +105,12 @@ def _require_labels(docs: Sequence[DocumentInstance]) -> None:
 def evaluate_tnn(
     model: TnnModel,
     docs: Sequence[DocumentInstance],
-    params: RecognizerParams | None = None,
+    params: RecognizerParams = DEFAULT_PARAMS,
 ) -> tuple[tuple[ClassRow, ...], tuple[StructureRow, ...], dict[str, dict[str, int]]]:
     """Count a document as recognized only when accepted with the right class;
     count a labeled structure as recognized when it appears in the extracted set."""
     _require_labels(docs)
-    params = params or RecognizerParams()
     topo = model.topology
-    extractors = model.build_extractors()
     tested = {name: 0 for name in topo.documents}
     correct = {name: 0 for name in topo.documents}
     confusion = {
@@ -124,7 +122,7 @@ def evaluate_tnn(
     for doc in docs:
         truth = doc.labels.document_class
         tested[truth] += 1
-        result = recognize(model, doc, params, extractors)
+        result = recognize(model, doc, params)
         predicted = result.winning_class if result.status == "recognized" else REJECT_LABEL
         confusion[truth][predicted] += 1
         if predicted == truth:
@@ -153,7 +151,6 @@ def evaluate_mlp(
     """Plain argmax ranking against the class label; no structure metrics exist."""
     _require_labels(docs)
     topo = model.config.topology
-    extractors = model.build_extractors()
     tested = {name: 0 for name in topo.documents}
     correct = {name: 0 for name in topo.documents}
     confusion = {
@@ -162,7 +159,7 @@ def evaluate_mlp(
     for doc in docs:
         truth = doc.labels.document_class
         tested[truth] += 1
-        activations = forward_mlp(model, extract_all(extractors, doc))
+        activations = forward_mlp(model, extract_all(model.config.element_extractors, doc))
         predicted = topo.documents[int(np.argmax(activations))]
         confusion[truth][predicted] += 1
         if predicted == truth:
@@ -198,7 +195,7 @@ def compare_training_cost(
 def build_report(
     tnn_model: TnnModel,
     test_docs: Sequence[DocumentInstance],
-    params: RecognizerParams | None = None,
+    params: RecognizerParams = DEFAULT_PARAMS,
     mlp_model: MlpModel | None = None,
     mlp_test_docs: Sequence[DocumentInstance] | None = None,
 ) -> EvalReport:

@@ -25,7 +25,7 @@ from functools import lru_cache
 from operator import attrgetter, sub
 from typing import Callable, Mapping, Sequence, Sized
 
-from .documents import DocumentInstance, Token, TokenKind
+from .documents import DocumentInstance, Token, TokenKind, expect_type, finite_number
 
 ALIGN_TOL = 0.01            # page fraction, shared by row and column grouping
 RIGHT_REGION_X = 0.5        # tokens with left edge here or beyond form the amount region
@@ -65,22 +65,22 @@ class Tally:
         self.visits += len(tokens)
 
 
-def _number(key: str, value: object, least: float | None = None) -> float:
-    """An extractor param as a finite float, at least ``least`` when given."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"param '{key}': {exc}") from exc
-    if not math.isfinite(number) or (least is not None and number < least):
+def _number(key: str, value: object, least: float | None = None, kind: type = float) -> float:
+    """An extractor param: a finite number, or an integer when ``kind`` is int,
+    at least ``least`` when given. A bool, a string or a fraction where an
+    integer belongs is refused, never converted."""
+    expect_type(value, kind, ValueError, f"param '{key}'")
+    if not finite_number(value) or (least is not None and value < least):
         bound = "" if least is None else f" >= {least:g}"
         raise ValueError(f"param '{key}' must be a finite number{bound}, got {value!r}")
-    return number
+    return value
 
 
 # A kind's builder pops each param it reads from its own copy of the spec's
 # params, so whatever is left over is a param the kind does not know.
-def _param(params: dict, key: str, default: float, least: float | None = None) -> float:
-    return _number(key, params.pop(key, default), least)
+def _param(params: dict, key: str, default: float, least: float | None = None,
+           kind: type = float) -> float:
+    return _number(key, params.pop(key, default), least, kind)
 
 
 def _words(params: dict, key: str, default: tuple[str, ...]) -> tuple[str, ...]:
@@ -542,7 +542,7 @@ def _best_run(view: DocumentView, tally: Tally, tol: float,
 
 def _text_block_levels(params: dict) -> tuple[LevelFn, ...]:
     tol = _param(params, "align_tol", ALIGN_TOL, least=0.0)
-    min_rows = int(_param(params, "min_rows", 3))
+    min_rows = _param(params, "min_rows", 3, kind=int)
 
     def level1(view: DocumentView, tally: Tally) -> float:
         run = _best_run(view, tally, tol, min_rows)
@@ -593,7 +593,7 @@ def _date_levels(params: dict) -> tuple[LevelFn, ...]:
 
 def _isolated_levels(params: dict) -> tuple[LevelFn, ...]:
     band_y = _param(params, "bottom_band_y", BOTTOM_BAND_Y)
-    max_tokens = int(_param(params, "max_tokens", ISOLATED_MAX_TOKENS))
+    max_tokens = _param(params, "max_tokens", ISOLATED_MAX_TOKENS, kind=int)
     min_gap = _param(params, "min_gap", ISOLATED_MIN_GAP)
 
     def level1(view: DocumentView, tally: Tally) -> float:
@@ -664,10 +664,10 @@ class ElementExtractor:
 
 
 def build_extractor(name: str, spec: ExtractorSpec) -> ElementExtractor:
-    if spec.kind not in EXTRACTOR_KINDS:
-        raise ValueError(f"unknown extractor kind '{spec.kind}' for element '{name}'")
     unread = dict(spec.params)
     try:
+        if spec.kind not in EXTRACTOR_KINDS:
+            raise ValueError(f"unknown extractor kind '{spec.kind}'")
         levels = EXTRACTOR_KINDS[spec.kind](unread)
         if unread:
             raise ValueError(f"param '{next(iter(unread))}' is unknown to kind '{spec.kind}'")

@@ -15,11 +15,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .documents import DocumentInstance, expect_type, read_json, write_json
-from .features import ElementVector, build_extractors, extract_all
+from .features import ElementVector, extract_all
 from .network import (
     MODEL_FORMAT_VERSION,
     ModelFormatError,
     _element_array,
+    count_classes,
     model_config,
     read_matrix,
     read_number,
@@ -63,9 +64,6 @@ class MlpModel:
     def class_names(self) -> tuple[str, ...]:
         return self.config.topology.documents
 
-    def build_extractors(self):
-        return build_extractors(self.config.extractors)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MlpModel):
             return NotImplemented
@@ -103,31 +101,20 @@ def gradients(
     return grad_w, grad_b, a3, loss
 
 
-def train_mlp(
-    model: MlpModel,
-    docs: Sequence[DocumentInstance],
-    extractors: Mapping | None = None,
-) -> MlpTrainingStats:
+def train_mlp(model: MlpModel, docs: Sequence[DocumentInstance]) -> MlpTrainingStats:
     """Online gradient descent on class labels only; hidden layers get no targets."""
-    if not docs:
-        raise ValueError("training corpus is empty")
-    for doc in docs:
-        if doc.labels is None:
-            raise ValueError(f"document '{doc.id}' is missing labels")
     topo = model.config.topology
-    ex = extractors if extractors is not None else model.build_extractors()
+    counts = count_classes(docs, topo)
     xs = np.asarray(
-        [_element_array(topo, extract_all(ex, doc)) for doc in docs], dtype=float
+        [_element_array(topo, extract_all(model.config.element_extractors, doc))
+         for doc in docs],
+        dtype=float,
     )
     class_index = {name: i for i, name in enumerate(topo.documents)}
     ts = np.zeros((len(docs), len(topo.documents)))
     for row, doc in enumerate(docs):
         ts[row, class_index[doc.labels.document_class]] = 1.0
-    counts: dict[str, int] = {name: 0 for name in topo.documents}
-    for doc in docs:
-        counts[doc.labels.document_class] += 1
-    stats = train_mlp_on_samples(model, xs, ts, class_counts=counts)
-    return stats
+    return train_mlp_on_samples(model, xs, ts, class_counts=counts)
 
 
 def train_mlp_on_samples(

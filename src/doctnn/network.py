@@ -20,8 +20,16 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .documents import DocumentInstance, expect_type, read_json, require, write_json
-from .features import ElementVector, build_extractors, extract_all
+from .documents import (
+    DocumentInstance,
+    check_version,
+    expect_type,
+    finite_number,
+    read_json,
+    require,
+    write_json,
+)
+from .features import ElementExtractor, ElementVector, extract_all
 from .topology import NetworkConfig, Topology, config_from_dict, config_to_dict
 
 MODEL_FORMAT_VERSION = 1
@@ -49,23 +57,6 @@ def sigmoid(x):
     out = np.where(arr >= 0.0, 1.0, e) / (1.0 + e)
     out = np.minimum(np.maximum(out, _SIG_LO), _SIG_HI)
     return float(out) if arr.ndim == 0 else out
-
-
-def sigmoid_prime_from_output(s: float) -> float:
-    """Derivative of the logistic expressed through its own output: s * (1 - s)."""
-    s = float(s)
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"output value {s} outside the open interval (0, 1)")
-    return s * (1.0 - s)
-
-
-def neuron_activation(inputs, weights, threshold: float) -> float:
-    """sigmoid(sum(W_ij * e_i) - theta) for one output neuron."""
-    inputs = np.asarray(inputs, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if inputs.shape != weights.shape:
-        raise ValueError(f"dimension mismatch: {inputs.shape} inputs vs {weights.shape} weights")
-    return float(sigmoid(float(inputs @ weights) - float(threshold)))
 
 
 @dataclass
@@ -221,8 +212,9 @@ class TnnModel:
     def topology(self) -> Topology:
         return self.config.topology
 
-    def build_extractors(self):
-        return build_extractors(self.config.extractors)
+    def build_extractors(self) -> Mapping[str, ElementExtractor]:
+        """The config's extractors, built once when the config was made."""
+        return self.config.element_extractors
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TnnModel):
@@ -263,26 +255,33 @@ def _binary_targets(names: tuple[str, ...], present: frozenset[str]) -> list[flo
     return [1.0 if name in present else 0.0 for name in names]
 
 
-def train_tnn(
-    model: TnnModel,
-    docs: Sequence[DocumentInstance],
-    extractors: Mapping | None = None,
-) -> TnnTrainingSummary:
+def count_classes(docs: Sequence[DocumentInstance], topology: Topology) -> dict[str, int]:
+    """Documents per class of a training corpus, in the topology's class order.
+
+    Refuses an empty corpus and a document without labels, naming it.
+    """
+    if not docs:
+        raise ValueError("training corpus is empty")
+    counts = {name: 0 for name in topology.documents}
+    for doc in docs:
+        if doc.labels is None:
+            raise ValueError(f"document '{doc.id}' is missing labels")
+        counts[doc.labels.document_class] += 1
+    return counts
+
+
+def train_tnn(model: TnnModel, docs: Sequence[DocumentInstance]) -> TnnTrainingSummary:
     """Train the three networks separately on fully labeled documents.
 
     Each network gets ground-truth inputs from the layer below (teacher
     forcing), so the three training problems stay independent; the learned
     weights then drive the full cascade.
     """
-    if not docs:
-        raise ValueError("training corpus is empty")
-    for doc in docs:
-        if doc.labels is None:
-            raise ValueError(f"document '{doc.id}' is missing labels")
     topo = model.topology
-    ex = extractors if extractors is not None else model.build_extractors()
+    counts = count_classes(docs, topo)
     element_rows = [
-        _element_array(topo, extract_all(ex, doc)).tolist() for doc in docs
+        _element_array(topo, extract_all(model.config.element_extractors, doc)).tolist()
+        for doc in docs
     ]
     sub_rows = [_binary_targets(topo.substructures, doc.labels.substructures) for doc in docs]
     struct_rows = [_binary_targets(topo.structures, doc.labels.structures) for doc in docs]
@@ -299,9 +298,6 @@ def train_tnn(
         train_nn1(model.nets[2], list(zip(struct_rows, class_rows)),
                   hp.mu, hp.epsilon, hp.max_epochs),
     )
-    counts: dict[str, int] = {name: 0 for name in topo.documents}
-    for doc in docs:
-        counts[doc.labels.document_class] += 1
     summary = TnnTrainingSummary(stats=stats, class_counts=counts)
     model.training = summary
     return summary
@@ -320,24 +316,27 @@ def _stats_to_dict(stats: TrainingStats) -> dict:
 
 
 def read_number(payload: object, key: str, kind: type, where: str) -> float | int:
-    """``kind(payload[key])``, raising ModelFormatError that names the key."""
-    value = require(payload, key, ModelFormatError, where)
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ModelFormatError(f"{where} {key!r}: {exc}") from exc
+    """``payload[key]``, an integer (``kind`` int) or a finite number (float).
+
+    Raises ModelFormatError that names the key; nothing is converted.
+    """
+    value = expect_type(require(payload, key, ModelFormatError, where), kind,
+                        ModelFormatError, f"{where} {key!r}")
+    if kind is float and not finite_number(value):
+        raise ModelFormatError(f"{where} {key!r} must be a finite number, got {value!r}")
+    return value
 
 
 def read_matrix(payload: object, key: str, where: str) -> np.ndarray:
     """``payload[key]`` as a float array, refusing NaN and infinities at load."""
-    value = require(payload, key, ModelFormatError, where)
-    try:
-        matrix = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f"{where} {key!r}: {exc}") from exc
-    if not np.all(np.isfinite(matrix)):
-        raise ModelFormatError(f"{where} {key!r} holds a value that is not finite")
-    return matrix
+    # a float conversion would accept a bool or a numeric string, so every
+    # entry's JSON type is checked before it
+    entries = np.asarray(require(payload, key, ModelFormatError, where), dtype=object)
+    for entry in entries.flat:
+        expect_type(entry, float, ModelFormatError, f"{where} {key!r} entry")
+        if not finite_number(entry):
+            raise ModelFormatError(f"{where} {key!r} holds a value that is not finite")
+    return entries.astype(float)
 
 
 def read_seed(payload: Mapping) -> int:
@@ -382,15 +381,11 @@ def model_to_dict(model: TnnModel) -> dict:
 
 def model_config(payload: Mapping, kind: str) -> NetworkConfig:
     """Check a model file's format_version and kind, then read its config."""
-    if payload.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(
-            f"unsupported model format_version {payload.get('format_version')!r}"
-        )
+    check_version(payload, MODEL_FORMAT_VERSION, ModelFormatError, "model")
     if payload.get("kind") != kind:
         raise ModelFormatError(f"expected kind {kind!r}, found {payload.get('kind')!r}")
-    config = require(payload, "config", ModelFormatError, "model file")
-    if not isinstance(config, Mapping):
-        raise ModelFormatError(f"model file 'config' must be an object, got {config!r}")
+    config = expect_type(require(payload, "config", ModelFormatError, "model file"), Mapping,
+                         ModelFormatError, "model file 'config'")
     return config_from_dict(config)
 
 

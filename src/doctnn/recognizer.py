@@ -15,10 +15,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .documents import DocumentInstance
+from .documents import DocumentInstance, finite_number
 from .features import DocumentView, ElementExtractor, extract_all
 from .network import ActivationTrace, TnnModel, forward_tnn
-from .topology import _finite
 
 
 @dataclass(frozen=True)
@@ -33,12 +32,15 @@ class RecognizerParams:
         # thresholds are not bounded to [0, 1]: a threshold above 1 rejects everything
         for name in ("tau_accept", "tau_margin", "tau_struct"):
             value = getattr(self, name)
-            if not _finite(value):
+            if not finite_number(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         for name, least in (("max_passes", 1), ("blame_budget", 0)):
             value = getattr(self, name)
             if not isinstance(value, Integral) or isinstance(value, bool) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+DEFAULT_PARAMS = RecognizerParams()
 
 
 @dataclass(frozen=True)
@@ -178,15 +180,15 @@ def _top_two(documents: Mapping[str, float], order: Sequence[str]) -> tuple[str,
 def recognize(
     model: TnnModel,
     doc: DocumentInstance,
-    params: RecognizerParams | None = None,
+    params: RecognizerParams = DEFAULT_PARAMS,
     extractors: Mapping[str, ElementExtractor] | None = None,
 ) -> RecognitionResult:
-    """Run the propagate / blame / refine loop and report class and structures."""
-    params = params or RecognizerParams()
-    ex = extractors if extractors is not None else model.build_extractors()
-    missing = set(model.topology.elements) - set(ex)
-    if missing:
-        raise ValueError(f"extractors do not cover the topology: missing {sorted(missing)}")
+    """Run the propagate / blame / refine loop and report class and structures.
+
+    ``extractors`` defaults to the ones the model's config built; a mapping
+    that misses an element is refused by the first forward, naming it.
+    """
+    ex = extractors if extractors is not None else model.config.element_extractors
     max_levels = {name: ex[name].max_level for name in ex}
     levels = {name: 1 for name in model.topology.elements}
     # a document without tokens carries no evidence and can only be unknown,

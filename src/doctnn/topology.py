@@ -9,14 +9,22 @@ class can also learn counter-evidence (a totals line argues against
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from numbers import Integral, Real
+from numbers import Integral
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping
 
-from .documents import expect_type, read_json, require, write_json
-from .features import EXTRACTOR_KINDS, ExtractorSpec, build_extractors
+from .documents import (
+    check_version,
+    expect_names,
+    expect_type,
+    finite_number,
+    read_json,
+    require,
+    write_json,
+)
+from .features import ElementExtractor, ExtractorSpec, build_extractors
 
 CONFIG_FORMAT_VERSION = 1
 
@@ -88,10 +96,6 @@ class Topology:
         return frozenset(seen & set(self.elements))
 
 
-def _finite(value: object) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
 @dataclass(frozen=True)
 class Hyperparams:
     """Online training settings: correction step, stability threshold, epoch cap."""
@@ -101,9 +105,9 @@ class Hyperparams:
     max_epochs: int = 1000
 
     def __post_init__(self) -> None:
-        if not (_finite(self.mu) and self.mu > 0):
+        if not (finite_number(self.mu) and self.mu > 0):
             raise TopologyError(f"mu must be a finite number > 0, got {self.mu!r}")
-        if not (_finite(self.epsilon) and self.epsilon >= 0):
+        if not (finite_number(self.epsilon) and self.epsilon >= 0):
             raise TopologyError(f"epsilon must be a finite number >= 0, got {self.epsilon!r}")
         if (
             not isinstance(self.max_epochs, Integral)
@@ -115,17 +119,30 @@ class Hyperparams:
 
 @dataclass(frozen=True)
 class NetworkConfig:
+    """Topology, extractor specs and hyperparams of one network.
+
+    Construction builds every element's extractor once, into the read-only
+    ``element_extractors``; models made from the config share them, and they
+    hold no per-document state.
+    """
+
     topology: Topology
     extractors: Mapping[str, ExtractorSpec]
     hyperparams: Hyperparams = field(default_factory=Hyperparams)
+    element_extractors: Mapping[str, ElementExtractor] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         missing = set(self.topology.elements) - set(self.extractors)
         if missing:
             raise TopologyError(f"element(s) without extractor spec: {sorted(missing)}")
-        for name, spec in self.extractors.items():
-            if spec.kind not in EXTRACTOR_KINDS:
-                raise TopologyError(f"element '{name}': unknown extractor kind '{spec.kind}'")
+        # building reads every param, so a bad kind or param is refused here,
+        # naming its element
+        try:
+            built = build_extractors(self.extractors)
+        except ValueError as exc:
+            raise TopologyError(f"config {exc}") from exc
+        object.__setattr__(self, "element_extractors", MappingProxyType(built))
 
 
 DEFAULT_ELEMENTS = (
@@ -234,27 +251,18 @@ def config_to_dict(config: NetworkConfig) -> dict:
     }
 
 
-def _names(value: object, where: str) -> tuple[str, ...]:
-    """A JSON list of neuron names as a tuple, refusing any other JSON type."""
-    if not isinstance(value, (list, tuple)) or not all(isinstance(n, str) for n in value):
-        raise TopologyError(f"{where} must be a list of names, got {value!r}")
-    return tuple(value)
-
-
 def config_from_dict(payload: Mapping) -> NetworkConfig:
-    if payload.get("format_version") != CONFIG_FORMAT_VERSION:
-        raise TopologyError(
-            f"unsupported config format_version {payload.get('format_version')!r}"
-        )
+    check_version(payload, CONFIG_FORMAT_VERSION, TopologyError, "config")
     layers = payload.get("layers")
     if not isinstance(layers, Mapping):
         raise TopologyError("config missing 'layers' section")
     names = [
-        _names(require(layers, layer, TopologyError, "config layers"), f"config layer '{layer}'")
+        expect_names(require(layers, layer, TopologyError, "config layers"), TopologyError,
+                     f"config layer '{layer}'")
         for layer in LAYER_NAMES
     ]
     links = [
-        _names(link, "config 'links' entry")
+        expect_names(link, TopologyError, "config 'links' entry")
         for link in expect_type(payload.get("links", []), list, TopologyError, "config 'links'")
     ]
     if any(len(link) != 2 for link in links):
@@ -265,26 +273,19 @@ def config_from_dict(payload: Mapping) -> NetworkConfig:
                                     "config 'extractors'")
     for name, entry in extractor_entries.items():
         where = f"config extractor '{name}'"
-        kind = require(entry, "kind", TopologyError, where)
-        if not isinstance(kind, str):
-            raise TopologyError(f"{where}: 'kind' must be a string, got {kind!r}")
+        kind = expect_type(require(entry, "kind", TopologyError, where), str, TopologyError,
+                           f"{where}: 'kind'")
         params = expect_type(entry.get("params", {}), Mapping, TopologyError, f"{where}: 'params'")
         extractors[name] = ExtractorSpec(kind=kind, params=dict(params))
     hp = expect_type(payload.get("hyperparams", {}), Mapping, TopologyError, "config 'hyperparams'")
+    # Hyperparams checks the JSON types itself: a string, a bool or a
+    # fractional max_epochs is refused, never converted
     try:
-        mu = float(hp.get("mu", 0.5))
-        epsilon = float(hp.get("epsilon", 0.01))
-        max_epochs = int(hp.get("max_epochs", 1000))
-    except (TypeError, ValueError, OverflowError) as exc:
+        hyperparams = Hyperparams(**{key: hp[key] for key in ("mu", "epsilon", "max_epochs")
+                                     if key in hp})
+    except TopologyError as exc:
         raise TopologyError(f"config hyperparams: {exc}") from exc
-    hyperparams = Hyperparams(mu=mu, epsilon=epsilon, max_epochs=max_epochs)
-    config = NetworkConfig(topology=topology, extractors=extractors, hyperparams=hyperparams)
-    # building reads every param, so a bad one is refused here, naming its element
-    try:
-        build_extractors(config.extractors)
-    except ValueError as exc:
-        raise TopologyError(f"config {exc}") from exc
-    return config
+    return NetworkConfig(topology=topology, extractors=extractors, hyperparams=hyperparams)
 
 
 def load_config(path: str | Path) -> NetworkConfig:

@@ -72,6 +72,11 @@ def write_broken_files(root):
     broken("config.json", "links_numbers.json", ("links",), [1, 2])
     broken("config.json", "layers_number.json", ("layers",), {"elements": 5})
     broken("config.json", "hyperparams_list.json", ("hyperparams",), [])
+    broken("test.json", "id_list.json", ("documents", 0, "id"), [])
+    broken("test.json", "text_object.json", ("documents", 0, "tokens", 0, "text"), {"a": 1})
+    broken("tnn.model", "seed_fraction.json", ("seed",), 2.9)
+    broken("config.json", "epochs_fraction.json", ("hyperparams", "max_epochs"), 2.5)
+    broken("tnn.model", "version_true.json", ("format_version",), True)
 
 
 def test_gen_corpus_writes_both_splits(tmp_path, capsys):
@@ -143,6 +148,7 @@ def test_train_rejects_bad_hyperparams(workspace, tmp_path, capsys, network, fla
         ('{"epsilon": Infinity}', "epsilon"),
         ('{"mu": -1}', "mu"),
         ('{"mu": null}', "hyperparams"),
+        pytest.param('{"mu": 1%s}' % ("0" * 400), "mu", id="mu-beyond-float-range"),
     ],
 )
 def test_train_rejects_bad_hyperparams_in_config(workspace, tmp_path, capsys,
@@ -329,6 +335,17 @@ EVAL = ("--tnn", "{ws}/tnn.model", "--test", "{ws}/test.json")
         (("train", "tnn", "--corpus", "{ws}/train.json", "--config",
           "{ws}/hyperparams_list.json", "--out", "{tmp}/m.json"),
          "'hyperparams' must be an object"),
+        (("recognize", "--model", "{ws}/tnn.model", "--doc", "{ws}/id_list.json"),
+         "'id' must be a string"),
+        (("eval", "--tnn", "{ws}/tnn.model", "--test", "{ws}/text_object.json"),
+         "field 'text' must be a string"),
+        (("recognize", "--model", "{ws}/seed_fraction.json", "--doc", "{ws}/test.json"),
+         "'seed' must be an integer"),
+        (("train", "tnn", "--corpus", "{ws}/train.json", "--config",
+          "{ws}/epochs_fraction.json", "--out", "{tmp}/m.json"),
+         "max_epochs must be an integer"),
+        (("eval", "--tnn", "{ws}/version_true.json", "--test", "{ws}/test.json"),
+         "format_version True"),
     ],
 )
 def test_bad_input_gives_one_error_line(workspace, tmp_path, capsys, argv, message):

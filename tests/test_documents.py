@@ -179,13 +179,14 @@ def test_save_corpus_refuses_non_finite_values(tmp_path):
 
 
 def test_save_config_refuses_non_finite_values(tmp_path):
+    # building the config refuses the NaN param, so write_json never sees it
     config = default_config()
     extractors = dict(config.extractors)
     extractors["horizontal_alignment"] = ExtractorSpec(
         kind="horizontal_alignment", params={"align_tol": float("nan")}
     )
     path = tmp_path / "config.json"
-    with pytest.raises(ValueError, match="not JSON compliant"):
+    with pytest.raises(TopologyError, match="'horizontal_alignment': param 'align_tol'"):
         save_config(NetworkConfig(config.topology, extractors, config.hyperparams), path)
     assert not path.exists()
 
@@ -201,6 +202,12 @@ def test_save_config_refuses_non_finite_values(tmp_path):
         ("text_block", "min_rows", float("inf")),
         ("keywords_total", "keywords", 5),
         ("horizontal_alignment", "align_toll", 5),
+        ("horizontal_alignment", "align_tol", True),
+        ("code_area", "left_band_x", "0.25"),
+        ("text_block", "min_rows", 2.5),
+        ("isolated_block", "max_tokens", 4.0),
+        pytest.param("vertical_alignment", "align_tol", 10**400,
+                     id="vertical_alignment-align_tol-beyond-float-range"),
     ],
 )
 def test_load_config_names_element_and_bad_param(tmp_path, element, param, value):
@@ -268,7 +275,7 @@ EXPLICIT_PARAMS = {
     "date_indicator": {},
     "isolated_block": {"bottom_band_y": 0.8, "max_tokens": 4, "min_gap": 0.05},
 }
-WRONG_VALUES = ([], {}, 5, "x", None, True, 1e308)
+WRONG_VALUES = ([], {}, 5, 2.5, "x", None, True, 1e308)
 
 
 def json_paths(node, prefix=()):
@@ -317,18 +324,41 @@ def load_corpus_payload(payload, path):
     return load_corpus(path, TOPOLOGY)
 
 
+def json_kind(value):
+    """The JSON type of a parsed value; JSON has one number type, so 5 and 5.0 share it."""
+    if isinstance(value, bool) or value is None:
+        return type(value)
+    return float if isinstance(value, (int, float)) else type(value)
+
+
+def same_json(a, b):
+    """Equal JSON with equal JSON types: True is not 1, "[]" is not []."""
+    if json_kind(a) is not json_kind(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_json(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_json, a, b))
+    return a == b
+
+
+# a file may leave these out: {} loads as the default hyperparams, null as no labels
+FILLED_IN = (("hyperparams", {}), ("labels", None))
+
+
 @pytest.mark.parametrize(
-    "payload, load",
+    "payload, load, save",
     [
-        (config_payload(), lambda payload, _: config_from_dict(payload)),
-        (tnn_payload(), lambda payload, _: model_from_dict(payload)),
-        (mlp_payload(), lambda payload, _: mlp_from_dict(payload)),
-        (corpus_payload(), load_corpus_payload),
+        (config_payload(), lambda payload, _: config_from_dict(payload), config_to_dict),
+        (tnn_payload(), lambda payload, _: model_from_dict(payload), model_to_dict),
+        (mlp_payload(), lambda payload, _: mlp_from_dict(payload), mlp_to_dict),
+        (corpus_payload(), load_corpus_payload, corpus_to_dict),
     ],
     ids=["config", "tnn", "mlp", "corpus"],
 )
-def test_loaders_refuse_wrong_json_types_with_their_own_error(payload, load, tmp_path):
-    load(payload, tmp_path / "file.json")  # the unmutated payload loads
+def test_loaders_refuse_wrong_json_types_with_their_own_error(payload, load, save, tmp_path):
+    # the unmutated payload loads and saves back unchanged
+    assert same_json(save(load(payload, tmp_path / "file.json")), payload)
     text = json.dumps(payload)
     for path in json_paths(payload):
         for value in WRONG_VALUES:
@@ -339,8 +369,13 @@ def test_loaders_refuse_wrong_json_types_with_their_own_error(payload, load, tmp
                 node = node[key]
             node[last] = value
             try:
-                load(mutant, tmp_path / "file.json")
+                loaded = load(mutant, tmp_path / "file.json")
             except (CorpusError, ModelFormatError, TopologyError):
-                pass
+                continue
             except Exception as exc:  # a traceback, not a one-line error
                 pytest.fail(f"{path} set to {value!r}: {type(exc).__name__}: {exc}")
+            # what loads was taken as written: a value that was converted
+            # (True to 1, 2.9 to 2, [] to "[]") saves back different
+            if (last, value) not in FILLED_IN:
+                saved = json.loads(json.dumps(save(loaded)))
+                assert same_json(saved, mutant), f"{path} set to {value!r} loads as {saved}"

@@ -14,10 +14,8 @@ from doctnn import (
     forward_tnn,
     generate,
     load_model,
-    neuron_activation,
     save_model,
     sigmoid,
-    sigmoid_prime_from_output,
     train_nn1,
     train_tnn,
 )
@@ -86,51 +84,6 @@ def test_sigmoid_is_bit_identical_to_two_branch_reference():
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_sigmoid_matches_reference_on_any_finite_scalar(x):
     assert sigmoid(x) == two_branch_sigmoid(x)
-
-
-# --- derivative through the output ---------------------------------------------
-
-def test_derivative_peak():
-    assert sigmoid_prime_from_output(0.5) == 0.25
-
-
-@given(st.floats(0.01, 0.99))
-def test_derivative_symmetry(s):
-    assert sigmoid_prime_from_output(s) == pytest.approx(
-        sigmoid_prime_from_output(1.0 - s), abs=1e-12
-    )
-
-
-@pytest.mark.parametrize("x", [-3.0, -0.7, 0.0, 1.2, 4.0])
-def test_derivative_matches_central_differences(x):
-    h = 1e-5
-    numeric = (sigmoid(x + h) - sigmoid(x - h)) / (2 * h)
-    assert sigmoid_prime_from_output(sigmoid(x)) == pytest.approx(numeric, abs=1e-6)
-
-
-@pytest.mark.parametrize("s", [0.0, 1.0, -0.2, 1.4])
-def test_derivative_rejects_out_of_range(s):
-    with pytest.raises(ValueError):
-        sigmoid_prime_from_output(s)
-
-
-# --- neuron activation ------------------------------------------------------------
-
-def test_neuron_activation_cancellation():
-    assert neuron_activation((1.0, 1.0), (1.0, -1.0), 0.0) == 0.5
-
-
-def test_neuron_activation_zero_weights():
-    assert neuron_activation((0.3, 0.9), (0.0, 0.0), 0.0) == 0.5
-
-
-def test_neuron_activation_threshold():
-    assert neuron_activation((1.0, 1.0), (0.5, 0.5), 1.0) == 0.5
-
-
-def test_neuron_activation_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        neuron_activation((1.0, 1.0, 1.0), (0.5, 0.5), 0.0)
 
 
 # --- LayerNetwork.forward ---------------------------------------------------------

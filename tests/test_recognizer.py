@@ -6,17 +6,24 @@ import pytest
 from doctnn import (
     DocumentInstance,
     ExtractorSpec,
+    Hyperparams,
+    MlpModel,
     NetworkConfig,
     RecognizerParams,
     TnnModel,
     Topology,
     blame_elements,
     blame_scores,
+    build_report,
+    default_config,
     extract_structures,
     forward_tnn,
     generate_ambiguous,
     recognize,
+    train_mlp,
+    train_tnn,
 )
+from doctnn import features
 from doctnn.network import ActivationTrace
 
 
@@ -267,3 +274,41 @@ def test_result_serialization_shape(desk_tnn, desk_corpora):
     assert set(payload["passes"][0]["activations"]) == {
         "elements", "substructures", "structures", "documents",
     }
+
+
+# --- extractors owned by the config ---------------------------------------------------
+
+def test_config_builds_each_extractor_once(desk_tnn, desk_corpora, monkeypatch):
+    built = []
+    real = features.build_extractor
+    monkeypatch.setattr(features, "build_extractor",
+                        lambda name, spec: built.append(name) or real(name, spec))
+    config = default_config()
+    short = NetworkConfig(config.topology, config.extractors, Hyperparams(max_epochs=3))
+    assert built == list(config.topology.elements) * 2
+    built.clear()
+    train, test = desk_corpora
+    train_tnn(TnnModel.create(config, seed=1), train[:12])
+    mlp = MlpModel.create(short, seed=1)
+    train_mlp(mlp, train[:12])
+    for document in test[:5] + generate_ambiguous(7, 2):
+        recognize(desk_tnn, document)
+    build_report(desk_tnn, test[:5], mlp_model=mlp)
+    assert built == []
+
+
+def test_recognize_defaults_to_the_prebuilt_path(desk_tnn, desk_corpora):
+    _, test = desk_corpora
+    extractors = desk_tnn.build_extractors()
+    assert extractors is desk_tnn.config.element_extractors
+    for document in test[:20] + generate_ambiguous(7, 4):
+        assert recognize(desk_tnn, document) == recognize(
+            desk_tnn, document, RecognizerParams(), extractors)
+
+
+def test_recognize_refuses_extractors_missing_an_element(desk_tnn, desk_corpora):
+    _, test = desk_corpora
+    extractors = dict(desk_tnn.build_extractors())
+    del extractors["date_indicator"]
+    with pytest.raises(ValueError, match="date_indicator"):
+        recognize(desk_tnn, test[0], extractors=extractors)
