@@ -140,14 +140,20 @@ def cmd_recognize(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    # only the baseline reads the training samples, and only when asked to:
+    # a flag that would be read for nothing is refused before any file is read
+    if args.reuse_training_samples and not args.train:
+        return _fail("--reuse-training-samples requires --train")
+    if args.reuse_training_samples and not args.mlp:
+        return _fail("--reuse-training-samples requires --mlp")
+    if args.train and not args.reuse_training_samples:
+        return _fail("--train is read only with --reuse-training-samples")
     params = _recognizer_params(args)
     tnn_model = load_model(args.tnn)
     mlp_model = load_mlp(args.mlp) if args.mlp else None
     test_docs = load_corpus(args.test, tnn_model.topology)
     mlp_test_docs = list(test_docs)
     if args.reuse_training_samples:
-        if not args.train:
-            return _fail("--reuse-training-samples requires --train")
         train_docs = load_corpus(args.train, tnn_model.topology)
         mlp_test_docs = train_docs + [
             DocumentInstance(id=f"test-{d.id}", tokens=d.tokens, labels=d.labels)

@@ -9,11 +9,14 @@ saw, never invent new evidence.
 Extractors read a document through a ``DocumentView``: one reading that
 folds keyword text and groups rows and columns once per alignment
 tolerance, shared by every extractor and every refinement pass of one
-``recognize`` call. Work is metered in token visits so the cost ordering
-between levels stays measurable. A visit is the modelled cost of a level,
-one per token its algorithm reads; a read the view serves from memory is
-charged as if the tokens were scanned again, so visits do not count the
-work the view saves. Wall time is measured apart from visits.
+``recognize`` call. The view also computes each level function's value once
+(``DocumentView.value``): a later pass that asks for the same (element,
+level), and a higher level that re-runs a lower one, get the stored value.
+Work is metered in token visits so the cost ordering between levels stays
+measurable. A visit is the modelled cost of a level, one per token its
+algorithm reads; a read or a value the view serves from memory is charged as
+if the tokens were scanned again, so visits do not count the work the view
+saves. Wall time is measured apart from visits.
 """
 from __future__ import annotations
 
@@ -154,11 +157,12 @@ class DocumentView:
 
     Folded keyword text and the full-document rows, columns (by left edge)
     and right-edge groups are computed on first use, the groupings once per
-    alignment tolerance. The view holds no state beyond one call: the
-    document and its tokens are never written to.
+    alignment tolerance, and each level function's value once (``value``).
+    The view holds no state beyond one call: the document and its tokens are
+    never written to.
     """
 
-    __slots__ = ("id", "tokens", "_norms", "_folded", "_groups", "_row_norms")
+    __slots__ = ("id", "tokens", "_norms", "_folded", "_groups", "_row_norms", "_values")
 
     def __init__(self, doc: DocumentInstance) -> None:
         self.id = doc.id
@@ -167,6 +171,24 @@ class DocumentView:
         self._folded: str | None = None
         self._groups: dict[tuple[Callable, float], Groups] = {}
         self._row_norms: dict[float, tuple[tuple[str, ...], ...]] = {}
+        self._values: dict[LevelFn, tuple[float, int]] = {}
+
+    def value(self, level_fn: LevelFn, tally: Tally) -> float:
+        """``level_fn``'s raw value on this view, computed on first use.
+
+        Every call charges ``tally`` the visits of the first run, so a level's
+        modelled cost does not depend on what was evaluated before it. The
+        key is the function object: levels built for another config never
+        share an entry.
+        """
+        memo = self._values.get(level_fn)
+        if memo is None:
+            before = tally.visits
+            value = level_fn(self, tally)
+            self._values[level_fn] = (value, tally.visits - before)
+            return value
+        tally.visits += memo[1]
+        return memo[0]
 
     @property
     def norms(self) -> tuple[str, ...]:
@@ -243,7 +265,7 @@ def _amount_levels(params: dict) -> tuple[LevelFn, ...]:
         return len(numeric) / len(region)
 
     def level2(view: DocumentView, tally: Tally) -> float:
-        base = level1(view, tally)
+        base = view.value(level1, tally)
         if base == 0.0:
             return 0.0
         numeric = [t for t in _amount_region(view, tally, right_x)
@@ -253,7 +275,7 @@ def _amount_levels(params: dict) -> tuple[LevelFn, ...]:
         return base if vertical_ok and wide_rows >= 2 else 0.0
 
     def level3(view: DocumentView, tally: Tally) -> float:
-        base = level2(view, tally)
+        base = view.value(level2, tally)
         if base == 0.0:
             return 0.0
         numeric = [t for t in _amount_region(view, tally, right_x)
@@ -313,14 +335,14 @@ def _designation_levels(params: dict) -> tuple[LevelFn, ...]:
         return (alpha + 0.5 * alnum) / len(tokens)
 
     def level2(view: DocumentView, tally: Tally) -> float:
-        base = level1(view, tally)
+        base = view.value(level1, tally)
         if base == 0.0:
             return 0.0
         aligned = any(len(g) >= 3 for g in _columns(band(view, tally), tol))
         return base if aligned else 0.0
 
     def level3(view: DocumentView, tally: Tally) -> float:
-        base = level2(view, tally)
+        base = view.value(level2, tally)
         if base == 0.0:
             return 0.0
         tokens = band(view, tally)
@@ -363,13 +385,13 @@ def _code_levels(params: dict) -> tuple[LevelFn, ...]:
         return len([t for t in tokens if _is_short_wordlike(t)]) / len(tokens)
 
     def level2(view: DocumentView, tally: Tally) -> float:
-        base = level1(view, tally)
+        base = view.value(level1, tally)
         if base == 0.0:
             return 0.0
         return base if candidate_column(view, tally) else 0.0
 
     def level3(view: DocumentView, tally: Tally) -> float:
-        base = level2(view, tally)
+        base = view.value(level2, tally)
         if base == 0.0:
             return 0.0
         column = candidate_column(view, tally)
@@ -400,7 +422,7 @@ def _vertical_levels(params: dict) -> tuple[LevelFn, ...]:
         return justify_score(view, view.columns, tally)
 
     def level2(view: DocumentView, tally: Tally) -> float:
-        left = level1(view, tally)
+        left = view.value(level1, tally)
         right = justify_score(view, view.right_groups, tally)
         return max(left, right)
 
@@ -474,7 +496,7 @@ def _keywords_total_levels(params: dict) -> tuple[LevelFn, ...]:
         return 0.5 * len(hits)
 
     def level2(view: DocumentView, tally: Tally) -> float:
-        level1(view, tally)
+        view.value(level1, tally)
         hits = _keyword_hits(view, extended, tally, tol)
         return min(1.0, len(hits) / 2.0)
 
@@ -494,7 +516,7 @@ def _keywords_address_levels(params: dict) -> tuple[LevelFn, ...]:
         return min(1.0, len(hits) / 3.0)
 
     def level2(view: DocumentView, tally: Tally) -> float:
-        level1(view, tally)
+        view.value(level1, tally)
         hits = _keyword_hits(view, keywords, tally, tol)
         if not hits:
             return 0.0
@@ -552,7 +574,7 @@ def _text_block_levels(params: dict) -> tuple[LevelFn, ...]:
         return kinds.count(_ALPHABETIC) / len(kinds)
 
     def level2(view: DocumentView, tally: Tally) -> float:
-        base = level1(view, tally)
+        base = view.value(level1, tally)
         if base == 0.0:
             return 0.0
         run = _best_run(view, tally, tol, min_rows)
@@ -578,7 +600,7 @@ def _date_levels(params: dict) -> tuple[LevelFn, ...]:
         return 0.0
 
     def level2(view: DocumentView, tally: Tally) -> float:
-        if level1(view, tally) == 0.0:
+        if view.value(level1, tally) == 0.0:
             return 0.0
         for tok in tally.scan(view.tokens):
             m = DATE_PATTERN.match(tok.text)
@@ -653,7 +675,8 @@ class ElementExtractor:
             raise ValueError(
                 f"extractor '{self.name}': level {level} not in 1..{self.max_level}"
             )
-        value = self.levels[level - 1](_as_view(doc), tally if tally is not None else Tally())
+        value = _as_view(doc).value(self.levels[level - 1],
+                                    tally if tally is not None else Tally())
         return min(1.0, max(0.0, float(value)))
 
     def measure(self, doc: DocumentInstance | DocumentView, level: int) -> tuple[float, int]:

@@ -136,6 +136,9 @@ class NetworkConfig:
         missing = set(self.topology.elements) - set(self.extractors)
         if missing:
             raise TopologyError(f"element(s) without extractor spec: {sorted(missing)}")
+        extra = set(self.extractors) - set(self.topology.elements)
+        if extra:
+            raise TopologyError(f"extractor spec(s) for non-element name(s): {sorted(extra)}")
         # building reads every param, so a bad kind or param is refused here,
         # naming its element
         try:

@@ -77,6 +77,8 @@ def write_broken_files(root):
     broken("tnn.model", "seed_fraction.json", ("seed",), 2.9)
     broken("config.json", "epochs_fraction.json", ("hyperparams", "max_epochs"), 2.5)
     broken("tnn.model", "version_true.json", ("format_version",), True)
+    broken("config.json", "extra_spec.json", ("extractors", "extra_one"),
+           {"kind": "date_indicator"})
 
 
 def test_gen_corpus_writes_both_splits(tmp_path, capsys):
@@ -346,6 +348,12 @@ EVAL = ("--tnn", "{ws}/tnn.model", "--test", "{ws}/test.json")
          "max_epochs must be an integer"),
         (("eval", "--tnn", "{ws}/version_true.json", "--test", "{ws}/test.json"),
          "format_version True"),
+        (("train", "tnn", "--corpus", "{ws}/train.json", "--config", "{ws}/extra_spec.json",
+          "--out", "{tmp}/m.json"), "non-element name(s): ['extra_one']"),
+        (("eval", *EVAL, "--train", "{ws}/train.json", "--reuse-training-samples"),
+         "--reuse-training-samples requires --mlp"),
+        (("eval", *EVAL, "--train", "{tmp}/missing.json"),
+         "--train is read only with --reuse-training-samples"),
     ],
 )
 def test_bad_input_gives_one_error_line(workspace, tmp_path, capsys, argv, message):

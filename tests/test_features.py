@@ -423,13 +423,17 @@ def all_measures(document):
 def test_shared_view_matches_plain_document(seed, ambiguous):
     for document in generated_documents(seed, ambiguous):
         plain = all_measures(document)
-        # memo state differs with the order the extractors read the view in
+        # memo state differs with the order the view is read in: extractors
+        # forward and backward, levels up and down, each (element, level) twice
         for order in (list(EXTRACTORS.items()), list(reversed(EXTRACTORS.items()))):
-            view = DocumentView(document)
-            for name, extractor in order:
-                for level in range(1, extractor.max_level + 1):
-                    assert extractor.evaluate(view, level) == plain[name, level][0]
-                    assert extractor.measure(view, level) == plain[name, level]
+            for descending in (False, True):
+                view = DocumentView(document)
+                for name, extractor in order:
+                    levels = range(1, extractor.max_level + 1)
+                    for level in reversed(levels) if descending else levels:
+                        for _ in range(2):
+                            assert extractor.evaluate(view, level) == plain[name, level][0]
+                            assert extractor.measure(view, level) == plain[name, level]
 
 
 def anchor_ids(hits):

@@ -1,3 +1,4 @@
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -24,6 +25,7 @@ from doctnn import (
     train_tnn,
 )
 from doctnn import features
+from doctnn.features import DocumentView, ElementExtractor, Tally
 from doctnn.network import ActivationTrace
 
 
@@ -312,3 +314,63 @@ def test_recognize_refuses_extractors_missing_an_element(desk_tnn, desk_corpora)
     del extractors["date_indicator"]
     with pytest.raises(ValueError, match="date_indicator"):
         recognize(desk_tnn, test[0], extractors=extractors)
+
+
+# --- each level computed once per recognize call ---------------------------------------
+
+def evaluation_log(model, documents):
+    """Each result's dict, and the (document id, element, level, value, visits)
+    of every evaluation, in call order."""
+    log = []
+    original = ElementExtractor.evaluate
+
+    def evaluate(extractor, doc, level, tally=None):
+        meter = tally if tally is not None else Tally()
+        before = meter.visits
+        value = original(extractor, doc, level, meter)
+        log.append((doc.id, extractor.name, level, value, meter.visits - before))
+        return value
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ElementExtractor, "evaluate", evaluate)
+        results = [recognize(model, document).to_dict() for document in documents]
+    return results, log
+
+
+def test_recognize_runs_each_level_once_per_call(desk_tnn):
+    fixture = generate_ambiguous(7, 24)
+    extractors = desk_tnn.config.element_extractors
+    level_of = {fn.__code__: (name, level)
+                for name, extractor in extractors.items()
+                for level, fn in enumerate(extractor.levels, start=1)}
+    # each kind backs one element, so a level's code object names one function
+    assert len(level_of) == sum(e.max_level for e in extractors.values())
+    for document in fixture:
+        runs = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in level_of:
+                runs.append(level_of[frame.f_code])
+
+        sys.setprofile(profile)
+        try:
+            result = recognize(desk_tnn, document)
+        finally:
+            sys.setprofile(None)
+        assert len(result.passes) == 3
+        assert runs and len(set(runs)) == len(runs)
+    # every evaluation is still asked for and charged as before
+    _, log = evaluation_log(desk_tnn, fixture)
+    assert len(log) == 720
+    assert sum(visits for *_, visits in log) == 50_148
+
+
+def test_memo_matches_straight_through_levels(desk_tnn, desk_corpora):
+    _, test = desk_corpora
+    documents = test + generate_ambiguous(7, 24)
+    memo = evaluation_log(desk_tnn, documents)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DocumentView, "value",
+                      lambda view, level_fn, tally: level_fn(view, tally))
+        straight = evaluation_log(desk_tnn, documents)
+    assert memo == straight
