@@ -64,6 +64,8 @@ def _pick_document(docs: list[DocumentInstance], doc_id: str | None) -> Document
         raise CorpusError(f"document id '{doc_id}' not found")
     if len(docs) == 1:
         return docs[0]
+    if not docs:
+        raise CorpusError("corpus holds no documents")
     raise CorpusError(f"corpus holds {len(docs)} documents; pass --id to pick one")
 
 

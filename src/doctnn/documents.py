@@ -138,8 +138,9 @@ def token_kind(text: str) -> TokenKind:
 class Token:
     """One text token with its bounding box in page fractions.
 
-    ``kind`` is derived from ``text`` once, at construction; it takes no part
-    in equality, hashing or ``repr``.
+    ``kind`` (derived from ``text``) and ``right`` (``x + width``, the right
+    edge) are computed once, at construction; they take no part in equality,
+    hashing or ``repr``.
     """
 
     text: str
@@ -148,6 +149,7 @@ class Token:
     width: float
     height: float
     kind: TokenKind = field(init=False, compare=False, repr=False)
+    right: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.text:
@@ -165,10 +167,7 @@ class Token:
         if self.y + self.height > 1.0 + _COORD_SLACK:
             raise ValueError(f"field 'y': y+height = {self.y + self.height} exceeds 1")
         object.__setattr__(self, "kind", token_kind(self.text))
-
-    @property
-    def right(self) -> float:
-        return self.x + self.width
+        object.__setattr__(self, "right", self.x + self.width)
 
     @property
     def bottom(self) -> float:

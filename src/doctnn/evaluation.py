@@ -199,6 +199,17 @@ def build_report(
     mlp_model: MlpModel | None = None,
     mlp_test_docs: Sequence[DocumentInstance] | None = None,
 ) -> EvalReport:
+    """Evaluate the transparent network, and the dense baseline when given.
+
+    A baseline must rank the transparent network's classes: one trained on
+    other classes is refused before any document is evaluated.
+    """
+    if mlp_model is not None:
+        ours = tnn_model.topology.documents
+        theirs = mlp_model.config.topology.documents
+        if set(theirs) != set(ours):
+            raise ValueError(f"baseline classes {list(theirs)} differ from the "
+                             f"transparent network's {list(ours)}")
     tnn_classes, tnn_structures, tnn_confusion = evaluate_tnn(tnn_model, test_docs, params)
     mlp_classes: tuple[ClassRow, ...] = ()
     mlp_confusion: dict[str, dict[str, int]] = {}

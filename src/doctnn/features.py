@@ -12,11 +12,15 @@ tolerance, shared by every extractor and every refinement pass of one
 ``recognize`` call. The view also computes each level function's value once
 (``DocumentView.value``): a later pass that asks for the same (element,
 level), and a higher level that re-runs a lower one, get the stored value.
-Work is metered in token visits so the cost ordering between levels stays
-measurable. A visit is the modelled cost of a level, one per token its
-algorithm reads; a read or a value the view serves from memory is charged as
-if the tokens were scanned again, so visits do not count the work the view
-saves. Wall time is measured apart from visits.
+The intermediates that two levels of one extractor share (amount's numeric
+columns and rows, code's candidate column, the address keyword hits, the
+text block's best run) go through the same memo, so a raised level starts
+from what its lower level already built. Work is metered in token visits so
+the cost ordering between levels stays measurable. A visit is the modelled
+cost of a level, one per token its algorithm reads; a read or a value the
+view serves from memory is charged as if the tokens were scanned again, so
+visits do not count the work the view saves. Wall time is measured apart
+from visits.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter, sub
-from typing import Callable, Mapping, Sequence, Sized
+from typing import Callable, Mapping, Sequence, Sized, TypeVar
 
 from .documents import DocumentInstance, Token, TokenKind, expect_type, finite_number
 
@@ -47,6 +51,7 @@ ADDRESS_KEYWORDS = (
 DATE_PATTERN = re.compile(r"^(\d{2})([/-])(\d{2})\2(\d{2}|\d{4})$")
 
 LevelFn = Callable[["DocumentView", "Tally"], float]
+T = TypeVar("T")
 Groups = tuple[tuple[Token, ...], ...]
 
 
@@ -121,6 +126,7 @@ _WORDLIKE = (_ALPHABETIC, _ALPHANUMERIC)
 _TEXT = attrgetter("text")
 _X = attrgetter("x")
 _Y = attrgetter("y")
+_RIGHT = attrgetter("right")
 
 
 def _cluster(tokens: Sequence[Token], key: Callable[[Token], float],
@@ -149,7 +155,7 @@ def _columns(tokens: Sequence[Token], tol: float = ALIGN_TOL) -> list[list[Token
 
 
 def _right_groups(tokens: Sequence[Token], tol: float = ALIGN_TOL) -> list[list[Token]]:
-    return _cluster(tokens, lambda t: t.right, tol)
+    return _cluster(tokens, _RIGHT, tol)
 
 
 class DocumentView:
@@ -157,9 +163,9 @@ class DocumentView:
 
     Folded keyword text and the full-document rows, columns (by left edge)
     and right-edge groups are computed on first use, the groupings once per
-    alignment tolerance, and each level function's value once (``value``).
-    The view holds no state beyond one call: the document and its tokens are
-    never written to.
+    alignment tolerance, and each level function's value or shared
+    intermediate once (``value``). The view holds no state beyond one call:
+    the document and its tokens are never written to.
     """
 
     __slots__ = ("id", "tokens", "_norms", "_folded", "_groups", "_row_norms", "_values")
@@ -171,21 +177,24 @@ class DocumentView:
         self._folded: str | None = None
         self._groups: dict[tuple[Callable, float], Groups] = {}
         self._row_norms: dict[float, tuple[tuple[str, ...], ...]] = {}
-        self._values: dict[LevelFn, tuple[float, int]] = {}
+        self._values: dict[Callable, tuple[object, int]] = {}
 
-    def value(self, level_fn: LevelFn, tally: Tally) -> float:
-        """``level_fn``'s raw value on this view, computed on first use.
+    def value(self, fn: Callable[[DocumentView, Tally], T], tally: Tally) -> T:
+        """``fn``'s result on this view, computed on first use.
 
-        Every call charges ``tally`` the visits of the first run, so a level's
-        modelled cost does not depend on what was evaluated before it. The
-        key is the function object: levels built for another config never
-        share an entry.
+        ``fn`` is a level function, whose result is its raw value, or an
+        intermediate that levels share, such as a grouping or a keyword map;
+        every caller gets the same object and must not change it. Every call
+        charges ``tally`` the visits of the first run, so a level's modelled
+        cost does not depend on what was evaluated before it. The key is the
+        function object: functions built for another config never share an
+        entry.
         """
-        memo = self._values.get(level_fn)
+        memo = self._values.get(fn)
         if memo is None:
             before = tally.visits
-            value = level_fn(self, tally)
-            self._values[level_fn] = (value, tally.visits - before)
+            value = fn(self, tally)
+            self._values[fn] = (value, tally.visits - before)
             return value
         tally.visits += memo[1]
         return memo[0]
@@ -257,6 +266,13 @@ def _amount_levels(params: dict) -> tuple[LevelFn, ...]:
     tol = _param(params, "align_tol", ALIGN_TOL, least=0.0)
     rel_tol = _param(params, "product_rel_tol", QTY_PRICE_REL_TOL)
 
+    def numeric_grid(view: DocumentView,
+                     tally: Tally) -> tuple[list[list[Token]], list[list[Token]]]:
+        """Columns and rows of the amount region's numeric tokens."""
+        numeric = [t for t in _amount_region(view, tally, right_x)
+                   if t.kind is _NUMERIC]
+        return _columns(tally.scan(numeric), tol), _rows(tally.scan(numeric), tol)
+
     def level1(view: DocumentView, tally: Tally) -> float:
         region = _amount_region(view, tally, right_x)
         if not region:
@@ -268,22 +284,20 @@ def _amount_levels(params: dict) -> tuple[LevelFn, ...]:
         base = view.value(level1, tally)
         if base == 0.0:
             return 0.0
-        numeric = [t for t in _amount_region(view, tally, right_x)
-                   if t.kind is _NUMERIC]
-        vertical_ok = any(len(g) >= 2 for g in _columns(tally.scan(numeric), tol))
-        wide_rows = sum(1 for r in _rows(tally.scan(numeric), tol) if len(r) >= 2)
+        columns, rows = view.value(numeric_grid, tally)
+        vertical_ok = any(len(g) >= 2 for g in columns)
+        wide_rows = sum(1 for r in rows if len(r) >= 2)
         return base if vertical_ok and wide_rows >= 2 else 0.0
 
     def level3(view: DocumentView, tally: Tally) -> float:
         base = view.value(level2, tally)
         if base == 0.0:
             return 0.0
-        numeric = [t for t in _amount_region(view, tally, right_x)
-                   if t.kind is _NUMERIC]
-        cols = [g for g in _columns(tally.scan(numeric), tol) if len(g) >= 2]
+        columns, rows = view.value(numeric_grid, tally)
+        cols = [g for g in columns if len(g) >= 2]
         cols.sort(key=_column_x)
         row_of: dict[int, int] = {}
-        for ri, row in enumerate(_rows(tally.scan(numeric), tol)):
+        for ri, row in enumerate(rows):
             for tok in row:
                 row_of[id(tok)] = ri
         per_col: list[dict[int, float]] = []
@@ -388,14 +402,13 @@ def _code_levels(params: dict) -> tuple[LevelFn, ...]:
         base = view.value(level1, tally)
         if base == 0.0:
             return 0.0
-        return base if candidate_column(view, tally) else 0.0
+        return base if view.value(candidate_column, tally) else 0.0
 
     def level3(view: DocumentView, tally: Tally) -> float:
         base = view.value(level2, tally)
         if base == 0.0:
             return 0.0
-        column = candidate_column(view, tally)
-        cx = _column_x(column)
+        cx = _column_x(view.value(candidate_column, tally))
         tally.charge(view.tokens)
         for col in view.columns(tol):
             if len(col) >= 3 and _column_x(col) < cx - tol:
@@ -511,13 +524,15 @@ def _keywords_address_levels(params: dict) -> tuple[LevelFn, ...]:
     def is_keyword_text(norm: str) -> bool:
         return any(kw in norm for kw in singles)
 
+    def keyword_hits(view: DocumentView, tally: Tally) -> dict[str, list[Token]]:
+        return _keyword_hits(view, keywords, tally, tol)
+
     def level1(view: DocumentView, tally: Tally) -> float:
-        hits = _keyword_hits(view, keywords, tally, tol)
-        return min(1.0, len(hits) / 3.0)
+        return min(1.0, len(view.value(keyword_hits, tally)) / 3.0)
 
     def level2(view: DocumentView, tally: Tally) -> float:
         view.value(level1, tally)
-        hits = _keyword_hits(view, keywords, tally, tol)
+        hits = view.value(keyword_hits, tally)
         if not hits:
             return 0.0
         tally.charge(view.tokens)
@@ -566,8 +581,11 @@ def _text_block_levels(params: dict) -> tuple[LevelFn, ...]:
     tol = _param(params, "align_tol", ALIGN_TOL, least=0.0)
     min_rows = _param(params, "min_rows", 3, kind=int)
 
+    def best_run(view: DocumentView, tally: Tally) -> list[tuple[Token, ...]]:
+        return _best_run(view, tally, tol, min_rows)
+
     def level1(view: DocumentView, tally: Tally) -> float:
-        run = _best_run(view, tally, tol, min_rows)
+        run = view.value(best_run, tally)
         if not run:
             return 0.0
         kinds = [t.kind for row in run for t in row]
@@ -577,7 +595,7 @@ def _text_block_levels(params: dict) -> tuple[LevelFn, ...]:
         base = view.value(level1, tally)
         if base == 0.0:
             return 0.0
-        run = _best_run(view, tally, tol, min_rows)
+        run = view.value(best_run, tally)
         lefts = sorted(row[0].x for row in run)
         biggest = 0
         count = 1
@@ -724,8 +742,9 @@ def extract_all(
     values: dict[str, float] = {}
     levels: dict[str, int] = {}
     view = _as_view(doc)
+    tally = Tally()  # nothing reads the total, so one meter serves every element
     for name, extractor in extractors.items():
         level = overrides.get(name, 1)
-        values[name] = extractor.evaluate(view, level)
+        values[name] = extractor.evaluate(view, level, tally)
         levels[name] = level
     return ElementVector(values=values, level_used=levels)

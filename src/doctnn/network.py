@@ -131,6 +131,7 @@ def train_nn1(
     if np.any(ts < 0.0) or np.any(ts > 1.0):
         raise ValueError("targets must lie in [0, 1]")
     linked = net.linked_weight_count
+    width = len(net.output_names)
     passes = 0
     updates = 0
     mse = float("inf")
@@ -140,9 +141,14 @@ def train_nn1(
         for x, t in zip(xs, ts):
             s = net.forward(x)
             err = t - s
-            squared += float(np.mean(err * err))
+            # np.mean's sum and division, without its dispatch
+            squared += float(np.add.reduce(err * err)) / width
             delta = s * (1.0 - s) * err
-            net.weights += mu * np.outer(x, delta) * net.mask
+            # mu * outer(x, delta) * mask, each product rounded in the same order
+            g = np.multiply.outer(x, delta)
+            g *= mu
+            g *= net.mask
+            net.weights += g
             net.thresholds += mu * -1.0 * delta
             passes += 1
             updates += linked

@@ -104,18 +104,26 @@ def _abs_path_weights(model: TnnModel) -> np.ndarray:
 
 
 def blame_scores(
-    trace: ActivationTrace, model: TnnModel, top2_classes: Sequence[str]
+    trace: ActivationTrace,
+    model: TnnModel,
+    top2_classes: Sequence[str],
+    *,
+    paths: np.ndarray | None = None,
 ) -> dict[str, float]:
-    """Responsibility per element: uncertainty times path weight to the contenders."""
+    """Responsibility per element: uncertainty times path weight to the contenders.
+
+    ``paths`` is the model's ``_abs_path_weights``, computed here when not given.
+    """
     topo = model.topology
     class_index = {name: i for i, name in enumerate(topo.documents)}
     cols = [class_index[name] for name in top2_classes]
-    paths = _abs_path_weights(model)
+    if paths is None:
+        paths = _abs_path_weights(model)
+    reach = paths[:, cols].sum(axis=1).tolist()
     scores: dict[str, float] = {}
-    for i, name in enumerate(topo.elements):
-        act = trace.elements[name]
-        uncertainty = 1.0 - abs(2.0 * act - 1.0)
-        scores[name] = uncertainty * float(sum(paths[i, c] for c in cols))
+    for name, to_contenders in zip(topo.elements, reach):
+        uncertainty = 1.0 - abs(2.0 * trace.elements[name] - 1.0)
+        scores[name] = uncertainty * to_contenders
     return scores
 
 
@@ -126,13 +134,16 @@ def blame_elements(
     budget: int = 3,
     levels: Mapping[str, int] | None = None,
     max_levels: Mapping[str, int] | None = None,
+    *,
+    paths: np.ndarray | None = None,
 ) -> list[str]:
     """Pick the highest-responsibility elements that can still be refined.
 
     Without level information every element is considered refinable, which
-    gives the raw responsibility ranking.
+    gives the raw responsibility ranking. ``paths`` is passed to
+    ``blame_scores``.
     """
-    scores = blame_scores(trace, model, top2_classes)
+    scores = blame_scores(trace, model, top2_classes, paths=paths)
     order = {name: i for i, name in enumerate(model.topology.elements)}
     candidates = []
     for name, score in scores.items():
@@ -196,6 +207,7 @@ def recognize(
     has_evidence = bool(doc.tokens)
     # every pass re-evaluates all elements from this one reading of the document
     view = DocumentView(doc)
+    paths = None  # the model's path weights, computed at the first blame
     passes: list[PassRecord] = []
     for pass_no in range(1, params.max_passes + 1):
         overrides = {name: lvl for name, lvl in levels.items() if lvl > 1}
@@ -211,9 +223,11 @@ def recognize(
         )
         blamed: tuple[str, ...] = ()
         if not accepted and pass_no < params.max_passes:
+            if paths is None:
+                paths = _abs_path_weights(model)
             blamed = tuple(
                 blame_elements(trace, model, (top1, top2), params.blame_budget,
-                               levels, max_levels)
+                               levels, max_levels, paths=paths)
             )
         passes.append(PassRecord(levels=dict(levels), trace=trace, blamed=blamed))
         if accepted or not blamed:

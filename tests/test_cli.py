@@ -79,6 +79,10 @@ def write_broken_files(root):
     broken("tnn.model", "version_true.json", ("format_version",), True)
     broken("config.json", "extra_spec.json", ("extractors", "extra_one"),
            {"kind": "date_indicator"})
+    (root / "empty.json").write_text(json.dumps({"documents": []}))
+    # a baseline whose class layer names "notice" where the network has "letter"
+    renamed = (root / "mlp.model").read_text().replace('"letter"', '"notice"')
+    (root / "mlp_other_classes.json").write_text(renamed)
 
 
 def test_gen_corpus_writes_both_splits(tmp_path, capsys):
@@ -354,6 +358,13 @@ EVAL = ("--tnn", "{ws}/tnn.model", "--test", "{ws}/test.json")
          "--reuse-training-samples requires --mlp"),
         (("eval", *EVAL, "--train", "{tmp}/missing.json"),
          "--train is read only with --reuse-training-samples"),
+        (("eval", *EVAL, "--mlp", "{ws}/mlp_other_classes.json"),
+         "baseline classes ['invoice', 'form', 'notice'] differ from the transparent "
+         "network's ['invoice', 'form', 'letter']"),
+        (("recognize", "--model", "{ws}/tnn.model", "--doc", "{ws}/empty.json"),
+         "corpus holds no documents"),
+        (("inspect", "--model", "{ws}/tnn.model", "--doc", "{ws}/empty.json"),
+         "corpus holds no documents"),
     ],
 )
 def test_bad_input_gives_one_error_line(workspace, tmp_path, capsys, argv, message):

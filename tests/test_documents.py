@@ -1,6 +1,6 @@
 import hashlib
 import json
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, strategies as st
@@ -82,6 +82,15 @@ def test_token_kind_is_a_field_outside_equality_hash_and_repr(text, x, y, width,
         Token(*values, TokenKind.SYMBOL)
     with pytest.raises(FrozenInstanceError):
         token.kind = TokenKind.SYMBOL
+    # the right edge is a field computed the same way, once
+    assert token.right == x + width
+    assert [f.name for f in fields(Token) if f.init] == ["text", "x", "y", "width", "height"]
+    assert [f.name for f in fields(Token) if f.compare or f.repr or f.hash] == [
+        "text", "x", "y", "width", "height"]
+    with pytest.raises(TypeError):
+        Token(*values, right=x + width)
+    with pytest.raises(FrozenInstanceError):
+        token.right = 0.5
 
 
 @pytest.mark.parametrize(

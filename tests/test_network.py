@@ -234,6 +234,54 @@ def test_masked_weights_stay_zero_after_training():
     assert net.weights[1, 0] == 0.0
 
 
+def seed_train_nn1(net, xs, ts, mu, epsilon, max_epochs):
+    """The plain delta-rule loop train_nn1 must match bit for bit.
+
+    Two-branch sigmoid forward, np.mean for the sample error and
+    W += mu * np.outer(x, delta) * mask for the update.
+    """
+    passes = 0
+    mse = float("inf")
+    epoch = 0
+    for epoch in range(1, max_epochs + 1):
+        squared = 0.0
+        for x, t in zip(xs, ts):
+            s = two_branch_sigmoid(x @ net.weights - net.thresholds)
+            err = t - s
+            squared += float(np.mean(err * err))
+            delta = s * (1.0 - s) * err
+            net.weights += mu * np.outer(x, delta) * net.mask
+            net.thresholds += mu * -1.0 * delta
+            passes += 1
+        mse = squared / len(xs)
+        if mse < epsilon:
+            break
+    return epoch, passes, mse
+
+
+@pytest.mark.parametrize(
+    "mu, epsilon, max_epochs, stops_early",
+    [
+        (0.5, 0.0, 40, False),
+        (2.0, 0.15, 1000, True),
+    ],
+)
+def test_train_nn1_is_bit_identical_to_seed_loop(mu, epsilon, max_epochs, stops_early):
+    links = [("a", "x"), ("b", "x"), ("b", "y"), ("c", "y"), ("c", "z"), ("d", "z")]
+    nets = [LayerNetwork.create("abcd", "xyz", links, np.random.default_rng(5))
+            for _ in range(2)]
+    rng = np.random.default_rng(3)
+    xs = rng.uniform(0.0, 1.0, size=(6, 4))
+    ts = np.eye(3)[rng.integers(0, 3, size=6)]
+    stats = train_nn1(nets[0], list(zip(xs, ts)), mu=mu, epsilon=epsilon,
+                      max_epochs=max_epochs)
+    epochs, passes, mse = seed_train_nn1(nets[1], xs, ts, mu, epsilon, max_epochs)
+    assert (stats.epochs < max_epochs) is stops_early
+    assert (stats.epochs, stats.update_passes, stats.final_mse) == (epochs, passes, mse)
+    assert np.array_equal(nets[0].weights, nets[1].weights)
+    assert np.array_equal(nets[0].thresholds, nets[1].thresholds)
+
+
 def test_train_nn1_rejects_bad_input():
     net = single_link_net()
     with pytest.raises(ValueError, match="non-empty"):

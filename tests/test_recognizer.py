@@ -24,7 +24,7 @@ from doctnn import (
     train_mlp,
     train_tnn,
 )
-from doctnn import features
+from doctnn import features, recognizer
 from doctnn.features import DocumentView, ElementExtractor, Tally
 from doctnn.network import ActivationTrace
 
@@ -337,7 +337,46 @@ def evaluation_log(model, documents):
     return results, log
 
 
-def test_recognize_runs_each_level_once_per_call(desk_tnn):
+# the intermediate that two levels of an element share, by its function's name
+SHARED_INTERMEDIATES = {
+    "amount_area": "numeric_grid",
+    "code_area": "candidate_column",
+    "keywords_address": "keyword_hits",
+    "text_block": "best_run",
+}
+
+
+def shared_intermediates(extractors):
+    """The code object of each shared intermediate, found in its levels' closures."""
+    found = {}
+    for name, fn_name in SHARED_INTERMEDIATES.items():
+        for level in extractors[name].levels:
+            for cell in level.__closure__ or ():
+                fn = cell.cell_contents
+                if getattr(fn, "__name__", None) == fn_name:
+                    found[fn.__code__] = (name, fn_name)
+    assert sorted(found.values()) == sorted(SHARED_INTERMEDIATES.items())
+    return found
+
+
+def watched_runs(watched, call):
+    """``call()``'s result, and the name of each run of a watched code object
+    during it, in order."""
+    runs = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            runs.append(watched[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, runs
+
+
+def test_recognize_runs_each_level_once_per_call(desk_tnn, desk_corpora):
     fixture = generate_ambiguous(7, 24)
     extractors = desk_tnn.config.element_extractors
     level_of = {fn.__code__: (name, level)
@@ -345,24 +384,54 @@ def test_recognize_runs_each_level_once_per_call(desk_tnn):
                 for level, fn in enumerate(extractor.levels, start=1)}
     # each kind backs one element, so a level's code object names one function
     assert len(level_of) == sum(e.max_level for e in extractors.values())
+    intermediates = shared_intermediates(extractors)
+    level_of.update(intermediates)
     for document in fixture:
-        runs = []
-
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code in level_of:
-                runs.append(level_of[frame.f_code])
-
-        sys.setprofile(profile)
-        try:
-            result = recognize(desk_tnn, document)
-        finally:
-            sys.setprofile(None)
+        result, runs = watched_runs(level_of, lambda: recognize(desk_tnn, document))
         assert len(result.passes) == 3
         assert runs and len(set(runs)) == len(runs)
+    # blame never raises some elements past level 1 on the fixtures, so raise
+    # every element through all its levels, twice, on one view per document
+    _, test = desk_corpora
+    seen = set()
+    for document in test + fixture:
+        view = DocumentView(document)
+
+        def raise_all():
+            for _ in range(2):
+                for extractor in extractors.values():
+                    for level in range(1, extractor.max_level + 1):
+                        extractor.evaluate(view, level)
+
+        _, runs = watched_runs(level_of, raise_all)
+        assert len(set(runs)) == len(runs)
+        seen.update(runs)
+    # every level and shared intermediate ran, so no run-once check is vacuous
+    assert seen == set(level_of.values())
     # every evaluation is still asked for and charged as before
     _, log = evaluation_log(desk_tnn, fixture)
     assert len(log) == 720
     assert sum(visits for *_, visits in log) == 50_148
+
+
+def test_blame_with_precomputed_paths_matches(desk_tnn, desk_corpora):
+    _, test = desk_corpora
+    paths = recognizer._abs_path_weights(desk_tnn)
+    extractors = desk_tnn.config.element_extractors
+    max_levels = {name: e.max_level for name, e in extractors.items()}
+    blames = 0
+    for document in test + generate_ambiguous(7, 24):
+        for record in recognize(desk_tnn, document).passes:
+            contenders = recognizer._top_two(record.trace.documents,
+                                             desk_tnn.topology.documents)
+            args = (record.trace, desk_tnn, contenders)
+            assert blame_scores(*args, paths=paths) == blame_scores(*args)
+            blamed = blame_elements(*args, 3, record.levels, max_levels)
+            assert blame_elements(*args, 3, record.levels, max_levels, paths=paths) == blamed
+            if record.blamed:
+                assert list(record.blamed) == blamed
+                blames += 1
+    assert blames > 24
 
 
 def test_memo_matches_straight_through_levels(desk_tnn, desk_corpora):
