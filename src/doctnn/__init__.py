@@ -18,24 +18,17 @@ from .documents import (
     token_kind,
 )
 from .evaluation import (
-    ClassRow,
-    CostComparison,
     EvalReport,
-    StructureRow,
     build_report,
     compare_training_cost,
     evaluate_mlp,
     evaluate_tnn,
     render_report,
-    report_from_dict,
     report_to_dict,
 )
 from .features import (
     DocumentView,
-    ElementExtractor,
-    ElementVector,
     ExtractorSpec,
-    Tally,
     build_extractors,
     extract_all,
 )
@@ -51,7 +44,6 @@ from .mlp import (
     train_mlp_on_samples,
 )
 from .network import (
-    ActivationTrace,
     LayerNetwork,
     ModelFormatError,
     TnnModel,
@@ -65,10 +57,7 @@ from .network import (
     train_tnn,
 )
 from .recognizer import (
-    PassRecord,
-    RecognitionResult,
     RecognizerParams,
-    StructureHit,
     blame_elements,
     blame_scores,
     extract_structures,

@@ -51,8 +51,8 @@ class CostComparison:
     tnn_train_documents: int
     mlp_backward_passes: int
     mlp_train_documents: int
-    tnn_epochs: tuple[int, ...] = ()
-    mlp_epochs: int = 0
+    tnn_epochs: tuple[int, ...]
+    mlp_epochs: int
 
     @property
     def ratio(self) -> float | None:
@@ -283,41 +283,6 @@ def report_to_dict(report: EvalReport) -> dict:
     return payload
 
 
-def report_from_dict(payload: Mapping) -> EvalReport:
-    tnn = payload["tnn"]
-    mlp = payload.get("mlp")
-    cost = payload.get("cost")
-    return EvalReport(
-        tnn_classes=tuple(
-            ClassRow(r["name"], r["trained"], r["tested"], r["recognized"])
-            for r in tnn["classes"]
-        ),
-        tnn_structures=tuple(
-            StructureRow(r["name"], r["tested"], r["recognized"])
-            for r in tnn["structures"]
-        ),
-        tnn_confusion={k: dict(v) for k, v in tnn["confusion"].items()},
-        mlp_classes=tuple(
-            ClassRow(r["name"], r["trained"], r["tested"], r["recognized"])
-            for r in mlp["classes"]
-        )
-        if mlp
-        else (),
-        mlp_confusion={k: dict(v) for k, v in mlp["confusion"].items()} if mlp else {},
-        cost=CostComparison(
-            tnn_update_passes=cost["tnn_update_passes"],
-            tnn_weight_updates=cost["tnn_weight_updates"],
-            tnn_train_documents=cost["tnn_train_documents"],
-            mlp_backward_passes=cost["mlp_backward_passes"],
-            mlp_train_documents=cost["mlp_train_documents"],
-            tnn_epochs=tuple(cost.get("tnn_epochs", ())),
-            mlp_epochs=int(cost.get("mlp_epochs", 0)),
-        )
-        if cost
-        else None,
-    )
-
-
 def _fmt_rate(rate: float | None) -> str:
     return "n/a" if rate is None else f"{100.0 * rate:.2f}%"
 
@@ -375,7 +340,7 @@ def render_report(report: EvalReport) -> str:
     if report.cost is not None:
         lines.append("")
         lines.append("Training cost")
-        epochs = "+".join(str(e) for e in report.cost.tnn_epochs) or "0"
+        epochs = "+".join(str(e) for e in report.cost.tnn_epochs)
         lines.append(f"  network update passes:  {report.cost.tnn_update_passes} "
                      f"(epochs {epochs})")
         lines.append(f"  network weight updates: {report.cost.tnn_weight_updates}")

@@ -721,30 +721,23 @@ def build_extractors(specs: Mapping[str, ExtractorSpec]) -> dict[str, ElementExt
     return {name: build_extractor(name, spec) for name, spec in specs.items()}
 
 
-@dataclass(frozen=True)
-class ElementVector:
-    """Activation in [0, 1] per element, plus the refinement level that produced it."""
-
-    values: dict[str, float]
-    level_used: dict[str, int]
-
-
 def extract_all(
     extractors: Mapping[str, ElementExtractor],
     doc: DocumentInstance | DocumentView,
     level_overrides: Mapping[str, int] | None = None,
-) -> ElementVector:
-    """Evaluate every element at level 1 unless overridden, from one document view."""
+) -> dict[str, float]:
+    """Each element's activation in [0, 1], from one document view.
+
+    Every element is evaluated at level 1 unless ``level_overrides`` names
+    another level for it.
+    """
     overrides = dict(level_overrides or {})
     if not overrides.keys() <= extractors.keys():
         unknown = set(overrides) - set(extractors)
         raise ValueError(f"unknown element name(s) in overrides: {sorted(unknown)}")
-    values: dict[str, float] = {}
-    levels: dict[str, int] = {}
     view = _as_view(doc)
     tally = Tally()  # nothing reads the total, so one meter serves every element
-    for name, extractor in extractors.items():
-        level = overrides.get(name, 1)
-        values[name] = extractor.evaluate(view, level, tally)
-        levels[name] = level
-    return ElementVector(values=values, level_used=levels)
+    return {
+        name: extractor.evaluate(view, overrides.get(name, 1), tally)
+        for name, extractor in extractors.items()
+    }

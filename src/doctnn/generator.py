@@ -9,14 +9,13 @@ cheap level-1 evidence points two ways until the expensive gates settle it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .documents import DocumentInstance, GroundTruth, Token
+from .documents import DocumentInstance, GroundTruth, Token, expect_type, finite_number
 
 CHAR_WIDTH = 0.011
 TOKEN_HEIGHT = 0.016
@@ -59,12 +58,13 @@ class Noise:
     distort_rate: float = 0.0 # probability a keyword token is misspelled
 
     def __post_init__(self) -> None:
+        # a bool is not a number here, and a string is refused, not compared
         for name in ("drop_rate", "distort_rate"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if not 0.0 <= self.jitter < math.inf:
-            raise ValueError(f"jitter must be a finite number >= 0, got {self.jitter}")
+            if not finite_number(v) or not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} must be a number in [0, 1], got {v!r}")
+        if not finite_number(self.jitter) or self.jitter < 0.0:
+            raise ValueError(f"jitter must be a finite number >= 0, got {self.jitter!r}")
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,16 @@ class GenSpec:
     noise: Noise = field(default_factory=Noise)
 
     def __post_init__(self) -> None:
+        # numpy would read True as 1 and "3" as a seed, and refuse -1 only in generate
+        if expect_type(self.seed, int, ValueError, "seed") < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name, count in self.counts.items():
+            if name not in _BUILDERS:
+                raise ValueError(f"count for unknown class {name!r}; "
+                                 f"classes are {', '.join(_BUILDERS)}")
+            expect_type(count, int, ValueError, f"count for {name!r}")
             if count < 0:
-                raise ValueError(f"count for '{name}' must be >= 0, got {count}")
+                raise ValueError(f"count for {name!r} must be >= 0, got {count}")
 
 
 class _Page:
@@ -359,7 +366,7 @@ def generate(spec: GenSpec) -> list[DocumentInstance]:
     docs: list[DocumentInstance] = []
     index = 0
     for doc_class in ("invoice", "form", "letter"):
-        for seq in range(int(spec.counts.get(doc_class, 0))):
+        for seq in range(spec.counts.get(doc_class, 0)):
             rng = np.random.default_rng([spec.seed, index])
             dropped = _drops(rng, doc_class, spec.noise.drop_rate)
             tokens, structures, substructures = _BUILDERS[doc_class](

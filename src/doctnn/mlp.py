@@ -15,13 +15,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .documents import DocumentInstance, expect_type, read_json, write_json
-from .features import ElementVector, extract_all
+from .features import extract_all
 from .network import (
     MODEL_FORMAT_VERSION,
     ModelFormatError,
     _element_array,
     count_classes,
     model_config,
+    read_class_counts,
     read_matrix,
     read_number,
     read_seed,
@@ -77,7 +78,7 @@ def _forward_all(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return a1, a2, a3
 
 
-def forward_mlp(model: MlpModel, elements: ElementVector | Mapping[str, float]) -> np.ndarray:
+def forward_mlp(model: MlpModel, elements: Mapping[str, float]) -> np.ndarray:
     """Class activation vector, ordered like the topology's document layer."""
     x = _element_array(model.config.topology, elements)
     return _forward_all(model, x)[2]
@@ -206,16 +207,13 @@ def mlp_from_dict(payload: Mapping) -> MlpModel:
     if payload.get("training") is not None:
         raw_training = expect_type(payload["training"], Mapping, ModelFormatError,
                                    "model file 'training'")
-        counts = expect_type(raw_training.get("class_counts", {}), Mapping, ModelFormatError,
-                             "model training 'class_counts'")
         training = MlpTrainingStats(
             epochs=read_number(raw_training, "epochs", int, "model training"),
             samples=read_number(raw_training, "samples", int, "model training"),
             backward_passes=read_number(raw_training, "backward_passes", int, "model training"),
             final_mse=read_number(raw_training, "final_mse", float, "model training"),
-            class_counts={
-                k: read_number(counts, k, int, "training class_counts") for k in counts
-            },
+            class_counts=read_class_counts(raw_training.get("class_counts", {}),
+                                           config.topology),
         )
     return MlpModel(
         config=config,

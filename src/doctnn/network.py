@@ -29,7 +29,7 @@ from .documents import (
     require,
     write_json,
 )
-from .features import ElementExtractor, ElementVector, extract_all
+from .features import ElementExtractor, extract_all
 from .topology import NetworkConfig, Topology, config_from_dict, config_to_dict
 
 MODEL_FORMAT_VERSION = 1
@@ -59,6 +59,18 @@ def sigmoid(x):
     return float(out) if arr.ndim == 0 else out
 
 
+def link_mask(
+    input_names: Sequence[str], output_names: Sequence[str], links: Iterable[tuple[str, str]]
+) -> np.ndarray:
+    """Boolean (n_in, n_out) matrix, True where ``links`` joins input to output."""
+    in_index = {n: i for i, n in enumerate(input_names)}
+    out_index = {n: i for i, n in enumerate(output_names)}
+    mask = np.zeros((len(input_names), len(output_names)), dtype=bool)
+    for src, dst in links:
+        mask[in_index[src], out_index[dst]] = True
+    return mask
+
+
 @dataclass
 class LayerNetwork:
     """One input layer / output layer pair with a link mask."""
@@ -79,11 +91,7 @@ class LayerNetwork:
     ) -> "LayerNetwork":
         input_names = tuple(input_names)
         output_names = tuple(output_names)
-        in_index = {n: i for i, n in enumerate(input_names)}
-        out_index = {n: i for i, n in enumerate(output_names)}
-        mask = np.zeros((len(input_names), len(output_names)), dtype=bool)
-        for src, dst in links:
-            mask[in_index[src], out_index[dst]] = True
+        mask = link_mask(input_names, output_names, links)
         weights = rng.uniform(-0.5, 0.5, size=mask.shape) * mask
         thresholds = np.zeros(len(output_names))
         return cls(input_names, output_names, weights, thresholds, mask)
@@ -173,9 +181,6 @@ class ActivationTrace:
     structures: dict[str, float]
     documents: dict[str, float]
 
-    def layer(self, name: str) -> dict[str, float]:
-        return getattr(self, name)
-
 
 @dataclass(frozen=True)
 class TnnTrainingSummary:
@@ -228,8 +233,7 @@ class TnnModel:
         return model_to_dict(self) == model_to_dict(other)
 
 
-def _element_array(topology: Topology, vector: ElementVector | Mapping[str, float]) -> np.ndarray:
-    values = vector.values if isinstance(vector, ElementVector) else vector
+def _element_array(topology: Topology, values: Mapping[str, float]) -> np.ndarray:
     names = topology.elements
     # element names are unique, so equal sizes and no name missing mean the same keys
     if len(values) != len(names) or not all(name in values for name in names):
@@ -242,7 +246,7 @@ def _element_array(topology: Topology, vector: ElementVector | Mapping[str, floa
     return np.asarray([values[name] for name in names], dtype=float)
 
 
-def forward_tnn(model: TnnModel, elements: ElementVector | Mapping[str, float]) -> ActivationTrace:
+def forward_tnn(model: TnnModel, elements: Mapping[str, float]) -> ActivationTrace:
     """Propagate element activations up through the three networks."""
     x = _element_array(model.topology, elements)
     sub = model.nets[0].forward(x)
@@ -322,15 +326,29 @@ def _stats_to_dict(stats: TrainingStats) -> dict:
 
 
 def read_number(payload: object, key: str, kind: type, where: str) -> float | int:
-    """``payload[key]``, an integer (``kind`` int) or a finite number (float).
+    """``payload[key]``, an integer (``kind`` int) or a finite number (float), >= 0.
 
-    Raises ModelFormatError that names the key; nothing is converted.
+    Every number of a training record is a count or a squared error, so
+    none is negative. Raises ModelFormatError that names the key; nothing is
+    converted.
     """
     value = expect_type(require(payload, key, ModelFormatError, where), kind,
                         ModelFormatError, f"{where} {key!r}")
     if kind is float and not finite_number(value):
         raise ModelFormatError(f"{where} {key!r} must be a finite number, got {value!r}")
+    if value < 0:
+        raise ModelFormatError(f"{where} {key!r} must be >= 0, got {value!r}")
     return value
+
+
+def read_class_counts(counts: object, topology: Topology) -> dict[str, int]:
+    """A training record's documents per class; every key must be a class of ``topology``."""
+    counts = expect_type(counts, Mapping, ModelFormatError, "model training 'class_counts'")
+    unknown = [name for name in counts if name not in topology.documents]
+    if unknown:
+        raise ModelFormatError(f"model training 'class_counts' names classes the "
+                               f"topology does not have: {unknown}")
+    return {name: read_number(counts, name, int, "training class_counts") for name in counts}
 
 
 def read_matrix(payload: object, key: str, where: str) -> np.ndarray:
@@ -347,7 +365,9 @@ def read_matrix(payload: object, key: str, where: str) -> np.ndarray:
 
 def read_seed(payload: Mapping) -> int:
     """A model file's seed, 0 when absent."""
-    return read_number(payload, "seed", int, "model file") if "seed" in payload else 0
+    if "seed" not in payload:
+        return 0
+    return expect_type(payload["seed"], int, ModelFormatError, "model file 'seed'")
 
 
 def _stats_from_dict(payload: object, where: str) -> TrainingStats:
@@ -417,11 +437,7 @@ def model_from_dict(payload: Mapping) -> TnnModel:
                 f"matrix shape {weights.shape} disagrees with topology layers "
                 f"({len(inp)}, {len(out)})"
             )
-        in_index = {n: i for i, n in enumerate(inp)}
-        out_index = {n: i for i, n in enumerate(out)}
-        mask = np.zeros(weights.shape, dtype=bool)
-        for src, dst in config.topology.links_between(inp, out):
-            mask[in_index[src], out_index[dst]] = True
+        mask = link_mask(inp, out, config.topology.links_between(inp, out))
         if np.any(weights[~mask] != 0.0):
             raise ModelFormatError("non-zero weight on a pair the topology does not link")
         nets.append(LayerNetwork(inp, out, weights, thresholds, mask))
@@ -430,16 +446,17 @@ def model_from_dict(payload: Mapping) -> TnnModel:
         raw_training = payload["training"]
         raw_stats = expect_type(require(raw_training, "stats", ModelFormatError, "model training"),
                                 list, ModelFormatError, "model training 'stats'")
-        counts = expect_type(
-            require(raw_training, "class_counts", ModelFormatError, "model training"),
-            Mapping, ModelFormatError, "model training 'class_counts'")
+        # one record per layer network
+        if len(raw_stats) != len(pairs):
+            raise ModelFormatError(
+                f"expected {len(pairs)} training stats, found {len(raw_stats)}")
         training = TnnTrainingSummary(
             stats=tuple(
                 _stats_from_dict(s, f"training stats {i}") for i, s in enumerate(raw_stats)
             ),
-            class_counts={
-                k: read_number(counts, k, int, "training class_counts") for k in counts
-            },
+            class_counts=read_class_counts(
+                require(raw_training, "class_counts", ModelFormatError, "model training"),
+                config.topology),
         )
     return TnnModel(
         config=config,

@@ -20,13 +20,16 @@ from .features import DocumentView, ElementExtractor, extract_all
 from .network import ActivationTrace, TnnModel, forward_tnn
 
 
+# at most this many elements are raised one level after an ambiguous pass
+BLAME_BUDGET = 3
+
+
 @dataclass(frozen=True)
 class RecognizerParams:
     tau_accept: float = 0.6
     tau_margin: float = 0.15
     tau_struct: float = 0.5
     max_passes: int = 3
-    blame_budget: int = 3
 
     def __post_init__(self) -> None:
         # thresholds are not bounded to [0, 1]: a threshold above 1 rejects everything
@@ -34,10 +37,9 @@ class RecognizerParams:
             value = getattr(self, name)
             if not finite_number(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
-        for name, least in (("max_passes", 1), ("blame_budget", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, Integral) or isinstance(value, bool) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        value = self.max_passes
+        if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
+            raise ValueError(f"max_passes must be an integer >= 1, got {value!r}")
 
 
 DEFAULT_PARAMS = RecognizerParams()
@@ -107,18 +109,16 @@ def blame_scores(
     trace: ActivationTrace,
     model: TnnModel,
     top2_classes: Sequence[str],
-    *,
-    paths: np.ndarray | None = None,
+    paths: np.ndarray,
 ) -> dict[str, float]:
     """Responsibility per element: uncertainty times path weight to the contenders.
 
-    ``paths`` is the model's ``_abs_path_weights``, computed here when not given.
+    ``paths`` is the model's ``_abs_path_weights``, computed once per call of
+    ``recognize``.
     """
     topo = model.topology
     class_index = {name: i for i, name in enumerate(topo.documents)}
     cols = [class_index[name] for name in top2_classes]
-    if paths is None:
-        paths = _abs_path_weights(model)
     reach = paths[:, cols].sum(axis=1).tolist()
     scores: dict[str, float] = {}
     for name, to_contenders in zip(topo.elements, reach):
@@ -131,30 +131,24 @@ def blame_elements(
     trace: ActivationTrace,
     model: TnnModel,
     top2_classes: Sequence[str],
-    budget: int = 3,
-    levels: Mapping[str, int] | None = None,
-    max_levels: Mapping[str, int] | None = None,
-    *,
-    paths: np.ndarray | None = None,
+    levels: Mapping[str, int],
+    max_levels: Mapping[str, int],
+    paths: np.ndarray,
 ) -> list[str]:
-    """Pick the highest-responsibility elements that can still be refined.
+    """Pick up to ``BLAME_BUDGET`` elements to raise one level, most responsible first.
 
-    Without level information every element is considered refinable, which
-    gives the raw responsibility ranking. ``paths`` is passed to
-    ``blame_scores``.
+    An element with no responsibility, or already at its ``max_levels``
+    entry, is never picked; ties go to the topology's element order.
+    ``paths`` is passed to ``blame_scores``.
     """
-    scores = blame_scores(trace, model, top2_classes, paths=paths)
+    scores = blame_scores(trace, model, top2_classes, paths)
     order = {name: i for i, name in enumerate(model.topology.elements)}
-    candidates = []
-    for name, score in scores.items():
-        if score <= 0.0:
-            continue
-        if levels is not None and max_levels is not None:
-            if levels.get(name, 1) >= max_levels.get(name, 1):
-                continue
-        candidates.append(name)
+    candidates = [
+        name for name, score in scores.items()
+        if score > 0.0 and levels[name] < max_levels[name]
+    ]
     candidates.sort(key=lambda n: (-scores[n], order[n]))
-    return candidates[:budget]
+    return candidates[:BLAME_BUDGET]
 
 
 def extract_structures(
@@ -226,8 +220,7 @@ def recognize(
             if paths is None:
                 paths = _abs_path_weights(model)
             blamed = tuple(
-                blame_elements(trace, model, (top1, top2), params.blame_budget,
-                               levels, max_levels, paths=paths)
+                blame_elements(trace, model, (top1, top2), levels, max_levels, paths)
             )
         passes.append(PassRecord(levels=dict(levels), trace=trace, blamed=blamed))
         if accepted or not blamed:

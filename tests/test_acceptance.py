@@ -79,7 +79,7 @@ def test_criterion_3_cascade_equivalence():
             model.nets, ("substructures", "structures", "documents")
         ):
             x = net.forward(x)
-            if list(trace.layer(layer).values()) != x.tolist():
+            if list(getattr(trace, layer).values()) != x.tolist():
                 mismatches += 1
     assert mismatches == 0
     report("criterion 3: forward pass equals three-layer composition on 1000 models")
@@ -172,7 +172,7 @@ def test_criterion_9_property_suites(tmp_path, desk_corpora):
         model = TnnModel.create(config, seed=trial + 500)
         trace = forward_tnn(model, dict(zip(config.topology.elements, rng.uniform(0, 1, 10))))
         for layer in ("substructures", "structures", "documents"):
-            assert all(0.0 < v < 1.0 for v in trace.layer(layer).values())
+            assert all(0.0 < v < 1.0 for v in getattr(trace, layer).values())
 
     # link-mask invariance before and after training
     net = LayerNetwork.create(("a", "b"), ("x",), [("a", "x")], np.random.default_rng(2))

@@ -83,6 +83,15 @@ def write_broken_files(root):
     # a baseline whose class layer names "notice" where the network has "letter"
     renamed = (root / "mlp.model").read_text().replace('"letter"', '"notice"')
     (root / "mlp_other_classes.json").write_text(renamed)
+    broken("tnn.model", "no_stats.json", ("training", "stats"), [])
+    broken("tnn.model", "counts_other_class.json", ("training", "class_counts"),
+           {"receipt": 5, "invoice": -3})
+    broken("tnn.model", "counts_negative.json", ("training", "class_counts", "invoice"), -3)
+    broken("tnn.model", "epochs_negative.json", ("training", "stats", 0, "epochs"), -7)
+    broken("tnn.model", "mse_negative.json", ("training", "stats", 2, "final_mse"), -0.5)
+    broken("mlp.model", "mlp_epochs_negative.json", ("training", "epochs"), -7)
+    broken("mlp.model", "mlp_counts_other_class.json", ("training", "class_counts"),
+           {"receipt": 5})
 
 
 def test_gen_corpus_writes_both_splits(tmp_path, capsys):
@@ -239,6 +248,9 @@ def test_eval_prints_tables_and_writes_json(workspace, tmp_path, capsys):
     assert "dense baseline" in out
     payload = json.loads(out_json.read_text())
     assert payload["tnn"]["aggregate"]["tested"] == 24
+    assert payload["mlp"]["aggregate"]["tested"] == 24
+    assert payload["cost"]["mlp_epochs"] == 200
+    assert len(payload["cost"]["tnn_epochs"]) == 3
 
 
 def test_eval_empty_corpus_renders_na(workspace, tmp_path, capsys):
@@ -365,6 +377,20 @@ EVAL = ("--tnn", "{ws}/tnn.model", "--test", "{ws}/test.json")
          "corpus holds no documents"),
         (("inspect", "--model", "{ws}/tnn.model", "--doc", "{ws}/empty.json"),
          "corpus holds no documents"),
+        (("eval", "--tnn", "{ws}/no_stats.json", "--test", "{ws}/test.json"),
+         "expected 3 training stats, found 0"),
+        (("eval", "--tnn", "{ws}/counts_other_class.json", "--test", "{ws}/test.json"),
+         "'class_counts' names classes the topology does not have: ['receipt']"),
+        (("eval", "--tnn", "{ws}/counts_negative.json", "--test", "{ws}/test.json"),
+         "'invoice' must be >= 0, got -3"),
+        (("recognize", "--model", "{ws}/epochs_negative.json", "--doc", "{ws}/test.json"),
+         "training stats 0 'epochs' must be >= 0, got -7"),
+        (("eval", "--tnn", "{ws}/mse_negative.json", "--test", "{ws}/test.json"),
+         "training stats 2 'final_mse' must be >= 0, got -0.5"),
+        (("eval", *EVAL, "--mlp", "{ws}/mlp_epochs_negative.json"),
+         "model training 'epochs' must be >= 0, got -7"),
+        (("eval", *EVAL, "--mlp", "{ws}/mlp_counts_other_class.json"),
+         "'class_counts' names classes the topology does not have: ['receipt']"),
     ],
 )
 def test_bad_input_gives_one_error_line(workspace, tmp_path, capsys, argv, message):

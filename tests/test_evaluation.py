@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from doctnn import (
@@ -12,8 +10,6 @@ from doctnn import (
     evaluate_mlp,
     evaluate_tnn,
     render_report,
-    report_from_dict,
-    report_to_dict,
 )
 from doctnn.evaluation import ClassRow, StructureRow
 from doctnn.network import TnnTrainingSummary, TrainingStats
@@ -97,14 +93,6 @@ def test_compare_training_cost_ratio_arithmetic():
     summary = TnnTrainingSummary(stats=(stats, zero, zero), class_counts={})
     mlp = MlpTrainingStats(epochs=1, samples=1, backward_passes=10_000, final_mse=0.0)
     assert compare_training_cost(summary, mlp).ratio == 10.0
-
-
-def test_report_round_trip(desk_tnn, desk_mlp, desk_corpora):
-    _, test = desk_corpora
-    report = build_report(desk_tnn, test[:40], mlp_model=desk_mlp, mlp_test_docs=test[:40])
-    payload = report_to_dict(report)
-    recovered = report_from_dict(json.loads(json.dumps(payload)))
-    assert report_to_dict(recovered) == payload
 
 
 def test_render_report_handles_empty_denominators():

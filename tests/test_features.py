@@ -309,19 +309,23 @@ def test_isolated_block_gap_too_small():
 
 def test_extract_all_empty_document():
     vector = extract_all(EXTRACTORS, doc([]))
-    assert set(vector.values) == set(EXTRACTORS)
-    assert all(v == 0.0 for v in vector.values.values())
-    assert all(level == 1 for level in vector.level_used.values())
+    assert set(vector) == set(EXTRACTORS)
+    assert all(v == 0.0 for v in vector.values())
 
 
 def test_extract_all_numbers_column():
     vector = extract_all(EXTRACTORS, numbers_column())
-    assert vector.values["amount_area"] >= 0.5
+    assert vector["amount_area"] >= 0.5
 
 
 def test_extract_all_override_level():
-    vector = extract_all(EXTRACTORS, qp_amount_rows(), {"amount_area": 3})
-    assert vector.level_used["amount_area"] == 3
+    # aligned quantity, price and amount columns whose products are wrong:
+    # only the level-3 gate checks quantity * price = amount
+    d = qp_amount_rows(("8.0", "11"))
+    amount = EXTRACTORS["amount_area"]
+    assert amount.evaluate(d, 3) != amount.evaluate(d, 1)
+    assert extract_all(EXTRACTORS, d, {"amount_area": 3})["amount_area"] == amount.evaluate(d, 3)
+    assert extract_all(EXTRACTORS, d)["amount_area"] == amount.evaluate(d, 1)
 
 
 def test_extract_all_rejects_invalid_level():

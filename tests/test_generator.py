@@ -120,6 +120,26 @@ def test_rejects_negative_counts():
     for jitter in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="jitter"):
             Noise(jitter=jitter)
+    # a misspelt class and counts that only convert are refused, naming the key
+    for counts, key in (
+        ({"invoices": 5}, "invoices"),
+        ({"invoice": 2.5}, "invoice"),
+        ({"form": True}, "form"),
+        ({"letter": "3"}, "letter"),
+    ):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            GenSpec(seed=1, counts=counts)
+    for seed in (True, "3", 2.5, -1):
+        with pytest.raises(ValueError, match="seed"):
+            GenSpec(seed=seed)
+    for name, value in (
+        ("drop_rate", True),
+        ("distort_rate", "0.1"),
+        ("jitter", "a"),
+        ("jitter", False),
+    ):
+        with pytest.raises(ValueError, match=name):
+            Noise(**{name: value})
 
 
 def test_ambiguous_corpus_is_deterministic_and_labeled():

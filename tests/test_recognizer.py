@@ -59,15 +59,26 @@ def trace_for(model, elements):
     return forward_tnn(model, elements)
 
 
+def scores_for(model, trace):
+    return blame_scores(trace, model, ("d0", "d1"), recognizer._abs_path_weights(model))
+
+
+def first_pass_blame(model, trace):
+    """Blame as on a first pass: every element at level 1 and refinable to level 3."""
+    elements = model.topology.elements
+    return blame_elements(trace, model, ("d0", "d1"), dict.fromkeys(elements, 1),
+                          dict.fromkeys(elements, 3), recognizer._abs_path_weights(model))
+
+
 # --- blame -------------------------------------------------------------------
 
 def test_saturated_element_is_never_blamed_first():
     model = two_element_model()
     trace = trace_for(model, {"e0": 1.0, "e1": 0.6})
-    scores = blame_scores(trace, model, ("d0", "d1"))
+    scores = scores_for(model, trace)
     assert scores["e0"] == 0.0
     assert scores["e1"] > 0.0
-    assert blame_elements(trace, model, ("d0", "d1"))[0] == "e1"
+    assert first_pass_blame(model, trace)[0] == "e1"
 
 
 def test_element_without_path_to_contenders_scores_zero():
@@ -79,9 +90,9 @@ def test_element_without_path_to_contenders_scores_zero():
     ]
     model = toy_model(links, layers)
     trace = trace_for(model, {"e0": 0.5, "e2": 0.5})
-    scores = blame_scores(trace, model, ("d0", "d1"))
+    scores = scores_for(model, trace)
     assert scores["e2"] == 0.0
-    assert "e2" not in blame_elements(trace, model, ("d0", "d1"))
+    assert "e2" not in first_pass_blame(model, trace)
 
 
 def brute_force_paths(model, element, targets):
@@ -107,7 +118,7 @@ def brute_force_paths(model, element, targets):
 def test_blame_matches_brute_force_path_products():
     model = two_element_model()
     trace = trace_for(model, {"e0": 0.7, "e1": 0.4})
-    scores = blame_scores(trace, model, ("d0", "d1"))
+    scores = scores_for(model, trace)
     for name in ("e0", "e1"):
         uncertainty = 1.0 - abs(2.0 * trace.elements[name] - 1.0)
         expected = uncertainty * brute_force_paths(model, name, {"d0", "d1"})
@@ -121,6 +132,7 @@ def test_blame_skips_elements_without_unexploited_levels():
         trace, model, ("d0", "d1"),
         levels={"e0": 1, "e1": 2},
         max_levels={"e0": 1, "e1": 3},
+        paths=recognizer._abs_path_weights(model),
     )
     assert blamed == ["e1"]
 
@@ -422,14 +434,12 @@ def test_blame_with_precomputed_paths_matches(desk_tnn, desk_corpora):
     blames = 0
     for document in test + generate_ambiguous(7, 24):
         for record in recognize(desk_tnn, document).passes:
-            contenders = recognizer._top_two(record.trace.documents,
-                                             desk_tnn.topology.documents)
-            args = (record.trace, desk_tnn, contenders)
-            assert blame_scores(*args, paths=paths) == blame_scores(*args)
-            blamed = blame_elements(*args, 3, record.levels, max_levels)
-            assert blame_elements(*args, 3, record.levels, max_levels, paths=paths) == blamed
+            assert len(record.blamed) <= recognizer.BLAME_BUDGET
             if record.blamed:
-                assert list(record.blamed) == blamed
+                contenders = recognizer._top_two(record.trace.documents,
+                                                 desk_tnn.topology.documents)
+                assert list(record.blamed) == blame_elements(
+                    record.trace, desk_tnn, contenders, record.levels, max_levels, paths)
                 blames += 1
     assert blames > 24
 
