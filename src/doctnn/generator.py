@@ -77,15 +77,19 @@ class GenSpec:
 
     def __post_init__(self) -> None:
         # numpy would read True as 1 and "3" as a seed, and refuse -1 only in generate
-        if expect_type(self.seed, int, ValueError, "seed") < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _non_negative_int(self.seed, "seed")
         for name, count in self.counts.items():
             if name not in _BUILDERS:
                 raise ValueError(f"count for unknown class {name!r}; "
                                  f"classes are {', '.join(_BUILDERS)}")
-            expect_type(count, int, ValueError, f"count for {name!r}")
-            if count < 0:
-                raise ValueError(f"count for {name!r} must be >= 0, got {count}")
+            _non_negative_int(count, f"count for {name!r}")
+
+
+def _non_negative_int(value: object, what: str) -> int:
+    """``value`` if it is an int >= 0 (not a bool), else a ValueError naming ``what``."""
+    if expect_type(value, int, ValueError, what) < 0:
+        raise ValueError(f"{what} must be >= 0, got {value}")
+    return value
 
 
 class _Page:
@@ -392,8 +396,11 @@ def generate_ambiguous(seed: int, count: int) -> list[DocumentInstance]:
 
     The decoy numbers are aligned well enough to survive the cheap checks but
     fail the quantity * price = amount gate, so a single extraction pass sees
-    two plausible classes while a third pass does not.
+    two plausible classes while a third pass does not. ``seed`` and ``count``
+    must be ints >= 0, as in ``GenSpec``.
     """
+    _non_negative_int(seed, "seed")
+    _non_negative_int(count, "count")
     docs: list[DocumentInstance] = []
     for i in range(count):
         rng = np.random.default_rng([seed, 900000 + i])

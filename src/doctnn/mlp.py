@@ -72,9 +72,10 @@ class MlpModel:
 
 
 def _forward_all(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    a1 = sigmoid(x @ model.weights[0] + model.biases[0])
-    a2 = sigmoid(a1 @ model.weights[1] + model.biases[1])
-    a3 = sigmoid(a2 @ model.weights[2] + model.biases[2])
+    # ndarray.dot: the same products as @, with less dispatch per call
+    a1 = sigmoid(x.dot(model.weights[0]) + model.biases[0])
+    a2 = sigmoid(a1.dot(model.weights[1]) + model.biases[1])
+    a3 = sigmoid(a2.dot(model.weights[2]) + model.biases[2])
     return a1, a2, a3
 
 
@@ -94,8 +95,8 @@ def gradients(
     e = a3 - target
     loss = 0.5 * float(np.add.reduce(e * e))
     d3 = e * a3 * (1.0 - a3)
-    d2 = (model.weights[2] @ d3) * a2 * (1.0 - a2)
-    d1 = (model.weights[1] @ d2) * a1 * (1.0 - a1)
+    d2 = model.weights[2].dot(d3) * a2 * (1.0 - a2)
+    d1 = model.weights[1].dot(d2) * a1 * (1.0 - a1)
     outer = np.multiply.outer
     grad_w = [outer(x, d1), outer(a1, d2), outer(a2, d3)]
     grad_b = [d1, d2, d3]

@@ -36,6 +36,8 @@ MODEL_FORMAT_VERSION = 1
 
 _SIG_LO = np.nextafter(0.0, 1.0)
 _SIG_HI = np.nextafter(1.0, 0.0)
+# sigmoid skips its clamp when no |x| exceeds this (see sigmoid)
+SIGMOID_CLAMP_FREE = 30.0
 
 
 class ModelFormatError(ValueError):
@@ -47,15 +49,23 @@ def sigmoid(x):
 
     Branch-free form of the two stable branches: with e = exp(-|x|) it is
     1 / (1 + e) for x >= 0 and e / (1 + e) below, so exp never overflows.
+    The numerator exp(min(x, 0)) is exactly 1 for x >= 0 and exactly e below,
+    so one quotient gives both branches bit for bit. The clamp to
+    [nextafter(0, 1), nextafter(1, 0)] runs only when some |x| exceeds
+    ``SIGMOID_CLAMP_FREE`` (30): at or below it e >= exp(-30), about 9e-14,
+    so 1 + e rounds above 1 and e / (1 + e) above 0, and the clamp returns
+    every value unchanged. It first changes a value beyond |x| = 36.7, where
+    1 + e rounds to 1, and below x = -745, where e underflows to 0.
     """
     arr = np.asarray(x, dtype=float)
     a = np.abs(arr)
     # the max of |x| is NaN or inf exactly when some input is not finite
-    if a.size and not np.maximum.reduce(a, None) < np.inf:
+    top = np.maximum.reduce(a, None) if a.size else 0.0
+    if not top < np.inf:
         raise ValueError("sigmoid requires finite input")
-    e = np.exp(-a)
-    out = np.where(arr >= 0.0, 1.0, e) / (1.0 + e)
-    out = np.minimum(np.maximum(out, _SIG_LO), _SIG_HI)
+    out = np.exp(np.minimum(arr, 0.0)) / (1.0 + np.exp(-a))
+    if top > SIGMOID_CLAMP_FREE:
+        out = np.minimum(np.maximum(out, _SIG_LO), _SIG_HI)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -106,7 +116,8 @@ class LayerNetwork:
             raise ValueError(
                 f"dimension mismatch: got {inputs.shape}, expected ({len(self.input_names)},)"
             )
-        return sigmoid(inputs @ self.weights - self.thresholds)
+        # ndarray.dot: the same product as @, with less dispatch per call
+        return sigmoid(inputs.dot(self.weights) - self.thresholds)
 
 
 @dataclass(frozen=True)
@@ -139,6 +150,8 @@ def train_nn1(
     if np.any(ts < 0.0) or np.any(ts > 1.0):
         raise ValueError("targets must lie in [0, 1]")
     linked = net.linked_weight_count
+    # one factor for mu and the mask: rounds like scaling by mu, then masking
+    step = mu * net.mask
     width = len(net.output_names)
     passes = 0
     updates = 0
@@ -152,10 +165,9 @@ def train_nn1(
             # np.mean's sum and division, without its dispatch
             squared += float(np.add.reduce(err * err)) / width
             delta = s * (1.0 - s) * err
-            # mu * outer(x, delta) * mask, each product rounded in the same order
+            # mu * outer(x, delta) * mask: each entry is scaled by mu or by 0
             g = np.multiply.outer(x, delta)
-            g *= mu
-            g *= net.mask
+            g *= step
             net.weights += g
             net.thresholds += mu * -1.0 * delta
             passes += 1
@@ -458,6 +470,12 @@ def model_from_dict(payload: Mapping) -> TnnModel:
                 require(raw_training, "class_counts", ModelFormatError, "model training"),
                 config.topology),
         )
+        # every layer network trains once on each document of the corpus
+        for i, stats in enumerate(training.stats):
+            if stats.samples != training.trained_documents:
+                raise ModelFormatError(
+                    f"model training 'class_counts' total {training.trained_documents} "
+                    f"documents, but training stats {i} has {stats.samples} samples")
     return TnnModel(
         config=config,
         nets=tuple(nets),

@@ -92,6 +92,8 @@ def write_broken_files(root):
     broken("mlp.model", "mlp_epochs_negative.json", ("training", "epochs"), -7)
     broken("mlp.model", "mlp_counts_other_class.json", ("training", "class_counts"),
            {"receipt": 5})
+    broken("tnn.model", "counts_short.json", ("training", "class_counts"),
+           {"invoice": 1, "form": 0, "letter": 0})
 
 
 def test_gen_corpus_writes_both_splits(tmp_path, capsys):
@@ -391,6 +393,8 @@ EVAL = ("--tnn", "{ws}/tnn.model", "--test", "{ws}/test.json")
          "model training 'epochs' must be >= 0, got -7"),
         (("eval", *EVAL, "--mlp", "{ws}/mlp_counts_other_class.json"),
          "'class_counts' names classes the topology does not have: ['receipt']"),
+        (("eval", "--tnn", "{ws}/counts_short.json", "--test", "{ws}/test.json"),
+         "'class_counts' total 1 documents, but training stats 0 has 18 samples"),
     ],
 )
 def test_bad_input_gives_one_error_line(workspace, tmp_path, capsys, argv, message):

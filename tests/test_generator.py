@@ -142,6 +142,23 @@ def test_rejects_negative_counts():
             Noise(**{name: value})
 
 
+def test_ambiguous_refuses_what_genspec_refuses():
+    # a negative count gave an empty corpus, a fraction a bare TypeError, True seed 1
+    for seed, count, message in (
+        (7, -1, "count must be >= 0, got -1"),
+        (7, 2.5, "count must be an integer, got 2.5"),
+        (7, True, "count must be an integer, got True"),
+        (7, "2", "count must be an integer, got '2'"),
+        (True, 2, "seed must be an integer, got True"),
+        (-1, 2, "seed must be >= 0, got -1"),
+        (2.0, 2, "seed must be an integer, got 2.0"),
+    ):
+        with pytest.raises(ValueError) as caught:
+            generate_ambiguous(seed, count)
+        assert str(caught.value) == message
+    assert generate_ambiguous(0, 0) == []
+
+
 def test_ambiguous_corpus_is_deterministic_and_labeled():
     first = generate_ambiguous(7, 10)
     second = generate_ambiguous(7, 10)

@@ -15,12 +15,17 @@ from doctnn import (
     train_mlp,
     train_mlp_on_samples,
 )
+from doctnn import mlp, network
 from doctnn.evaluation import evaluate_mlp
 from conftest import dense_config, max_gradient_error, two_branch_sigmoid
 
 
 def make_model(sizes=(4, 3, 3, 2), seed=0, hyperparams=None):
     return MlpModel.create(dense_config(sizes, hyperparams), seed=seed)
+
+
+def test_baseline_shares_the_one_sigmoid():
+    assert mlp.sigmoid is network.sigmoid
 
 
 def test_zero_network_outputs_half():

@@ -61,17 +61,20 @@ def test_sigmoid_rejects_non_finite():
 
 
 # signed zeros, subnormals, where 1 + exp(-x) rounds to 1 (36.7), where exp
-# overflows or underflows (709, 745), and far beyond
+# overflows or underflows (709, 745), far beyond, and either side of the
+# |x| above which sigmoid clamps (30)
 SIGMOID_EDGES = (
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
     36.7, -36.7, 709.0, -709.0, 745.0, -745.0, 1e300, -1e300,
+    30.0, -30.0, np.nextafter(30.0, 0.0), np.nextafter(30.0, np.inf),
+    np.nextafter(-30.0, 0.0), np.nextafter(-30.0, -np.inf),
 )
 
 
 def test_sigmoid_is_bit_identical_to_two_branch_reference():
     edges = np.array(SIGMOID_EDGES)
     noise = np.random.default_rng(0).normal(0.0, 40.0, size=(50, 20))
-    for arr in (edges, edges.reshape(2, 7), noise, np.empty(0)):
+    for arr in (edges, edges.reshape(2, -1), noise, np.empty(0)):
         got = sigmoid(arr)
         assert isinstance(got, np.ndarray) and got.shape == arr.shape
         assert np.array_equal(got, two_branch_sigmoid(arr))
@@ -79,6 +82,14 @@ def test_sigmoid_is_bit_identical_to_two_branch_reference():
         got = sigmoid(x)
         assert type(got) is float
         assert got == two_branch_sigmoid(x)
+
+
+def test_sigmoid_matches_reference_entry_by_entry_across_the_clamp_range():
+    # one entry per call, so that entry's |x| alone decides whether sigmoid
+    # clamps: a clamp-free bound above 36.7 would return 1.0 at 37
+    for x in np.linspace(-800.0, 800.0, 6401):
+        arr = np.array([x])
+        assert sigmoid(arr)[0] == two_branch_sigmoid(arr)[0]
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -126,9 +137,13 @@ def test_forward_tnn_equals_composition():
     elements = dict(zip(config.topology.elements, rng.uniform(0, 1, 10)))
     trace = forward_tnn(model, elements)
     x = np.array([elements[n] for n in config.topology.elements])
-    sub = model.nets[0].forward(x)
-    struct = model.nets[1].forward(sub)
-    docs = model.nets[2].forward(struct)
+    # each layer from the reference sigmoid and @, not from LayerNetwork.forward
+    def layer(net, inputs):
+        return two_branch_sigmoid(inputs @ net.weights - net.thresholds)
+
+    sub = layer(model.nets[0], x)
+    struct = layer(model.nets[1], sub)
+    docs = layer(model.nets[2], struct)
     assert list(trace.substructures.values()) == sub.tolist()
     assert list(trace.structures.values()) == struct.tolist()
     assert list(trace.documents.values()) == docs.tolist()
