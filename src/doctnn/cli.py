@@ -12,7 +12,7 @@ from .evaluation import build_report, render_report, report_to_dict
 from .generator import GenSpec, Noise, generate
 from .mlp import MlpModel, load_mlp, save_mlp, train_mlp
 from .network import ModelFormatError, TnnModel, load_model, save_model, train_tnn
-from .recognizer import RecognitionResult, RecognizerParams, recognize
+from .recognizer import DEFAULT_PARAMS, RecognitionResult, RecognizerParams, recognize
 from .topology import NetworkConfig, TopologyError, default_config, load_config
 
 ERROR_PREFIX = "error:"
@@ -50,10 +50,10 @@ def _recognizer_params(args: argparse.Namespace) -> RecognizerParams:
 
 
 def _add_recognizer_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tau-accept", type=float, default=0.6)
-    parser.add_argument("--tau-margin", type=float, default=0.15)
-    parser.add_argument("--tau-struct", type=float, default=0.5)
-    parser.add_argument("--max-passes", type=int, default=3)
+    parser.add_argument("--tau-accept", type=float, default=DEFAULT_PARAMS.tau_accept)
+    parser.add_argument("--tau-margin", type=float, default=DEFAULT_PARAMS.tau_margin)
+    parser.add_argument("--tau-struct", type=float, default=DEFAULT_PARAMS.tau_struct)
+    parser.add_argument("--max-passes", type=int, default=DEFAULT_PARAMS.max_passes)
 
 
 def _pick_document(docs: list[DocumentInstance], doc_id: str | None) -> DocumentInstance:

@@ -102,6 +102,17 @@ def _require_labels(docs: Sequence[DocumentInstance]) -> None:
             raise ValueError(f"document '{doc.id}' has no labels; cannot evaluate")
 
 
+def _class_rows(confusion: Mapping[str, Mapping[str, int]],
+                training: TnnTrainingSummary | MlpTrainingStats | None) -> tuple[ClassRow, ...]:
+    """One row per true class: tested is its confusion row's sum, recognized its diagonal."""
+    counts = training.class_counts if training is not None else {}
+    return tuple(
+        ClassRow(name=n, trained=int(counts.get(n, 0)), tested=sum(row.values()),
+                 recognized=row[n])
+        for n, row in confusion.items()
+    )
+
+
 def evaluate_tnn(
     model: TnnModel,
     docs: Sequence[DocumentInstance],
@@ -111,8 +122,6 @@ def evaluate_tnn(
     count a labeled structure as recognized when it appears in the extracted set."""
     _require_labels(docs)
     topo = model.topology
-    tested = {name: 0 for name in topo.documents}
-    correct = {name: 0 for name in topo.documents}
     confusion = {
         name: {other: 0 for other in (*topo.documents, REJECT_LABEL)}
         for name in topo.documents
@@ -121,28 +130,19 @@ def evaluate_tnn(
     struct_correct = {name: 0 for name in topo.structures}
     for doc in docs:
         truth = doc.labels.document_class
-        tested[truth] += 1
         result = recognize(model, doc, params)
         predicted = result.winning_class if result.status == "recognized" else REJECT_LABEL
         confusion[truth][predicted] += 1
-        if predicted == truth:
-            correct[truth] += 1
         extracted = {hit.name for hit in result.structures}
         for name in doc.labels.structures:
             struct_tested[name] += 1
             if name in extracted:
                 struct_correct[name] += 1
-    counts = model.training.class_counts if model.training is not None else {}
-    class_rows = tuple(
-        ClassRow(name=n, trained=int(counts.get(n, 0)), tested=tested[n],
-                 recognized=correct[n])
-        for n in topo.documents
-    )
     struct_rows = tuple(
         StructureRow(name=n, tested=struct_tested[n], recognized=struct_correct[n])
         for n in topo.structures
     )
-    return class_rows, struct_rows, confusion
+    return _class_rows(confusion, model.training), struct_rows, confusion
 
 
 def evaluate_mlp(
@@ -151,30 +151,15 @@ def evaluate_mlp(
     """Plain argmax ranking against the class label; no structure metrics exist."""
     _require_labels(docs)
     topo = model.config.topology
-    tested = {name: 0 for name in topo.documents}
-    correct = {name: 0 for name in topo.documents}
     confusion = {
         name: {other: 0 for other in topo.documents} for name in topo.documents
     }
     for doc in docs:
         truth = doc.labels.document_class
-        tested[truth] += 1
         activations = forward_mlp(model, extract_all(model.config.element_extractors, doc))
         predicted = topo.documents[int(np.argmax(activations))]
         confusion[truth][predicted] += 1
-        if predicted == truth:
-            correct[truth] += 1
-    counts = model.training.class_counts if model.training is not None else {}
-    class_rows = tuple(
-        ClassRow(
-            name=n,
-            trained=int(counts.get(n, 0)),
-            tested=tested[n],
-            recognized=correct[n],
-        )
-        for n in topo.documents
-    )
-    return class_rows, confusion
+    return _class_rows(confusion, model.training), confusion
 
 
 def compare_training_cost(

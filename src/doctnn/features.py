@@ -2,9 +2,11 @@
 
 Every input neuron is backed by one extractor with up to three refinement
 levels. Level 1 is the cheapest scan and the least precise; higher levels
-re-run the cheaper level and tighten it with extra evidence, so for the
-gated extractors a refined value can only confirm or cancel what level 1
-saw, never invent new evidence.
+re-run the cheaper level and tighten it with extra evidence. A gated level
+is ``_gate(lower, holds)``: it keeps the level below's value where the
+predicate ``holds`` confirms it and is 0.0 elsewhere, so a refined value can
+only confirm or cancel what level 1 saw, never invent new evidence.
+``_gate`` is the one place that rule is enforced.
 
 Extractors read a document through a ``DocumentView``: one reading that
 folds keyword text and groups rows and columns once per alignment
@@ -52,25 +54,23 @@ DATE_PATTERN = re.compile(r"^(\d{2})([/-])(\d{2})\2(\d{2}|\d{4})$")
 
 LevelFn = Callable[["DocumentView", "Tally"], float]
 T = TypeVar("T")
+S = TypeVar("S", bound=Sized)
 Groups = tuple[tuple[Token, ...], ...]
 
 
 class Tally:
-    """Token-visit meter; every scan of a token sequence is charged here."""
+    """Token-visit meter: ``charge(tokens)`` adds one visit per token that a
+    level reads, scanned now or served from the document view's memory, and
+    returns ``tokens`` itself, so a scan can charge and iterate in one step."""
 
     __slots__ = ("visits",)
 
     def __init__(self) -> None:
         self.visits = 0
 
-    def scan(self, tokens: Sequence[Token]) -> list[Token]:
-        out = list(tokens)
-        self.visits += len(out)
-        return out
-
-    def charge(self, tokens: Sized) -> None:
-        """Charge a read of ``tokens`` that the document view served from memory."""
+    def charge(self, tokens: S) -> S:
         self.visits += len(tokens)
+        return tokens
 
 
 def _number(key: str, value: object, least: float | None = None, kind: type = float) -> float:
@@ -255,10 +255,23 @@ def _is_short_wordlike(tok: Token) -> bool:
     return len(tok.text) <= SHORT_TOKEN_LEN and tok.kind in _WORDLIKE
 
 
+def _gate(lower: LevelFn, holds: Callable[[DocumentView, Tally], bool]) -> LevelFn:
+    """A refined level: ``lower``'s value where ``holds`` confirms it, else 0.0.
+
+    ``holds`` runs only when the lower value is not 0.0, so a refinement
+    never pays for evidence that the level below already ruled out.
+    """
+    def gated(view: DocumentView, tally: Tally) -> float:
+        base = view.value(lower, tally)
+        return base if base != 0.0 and holds(view, tally) else 0.0
+
+    return gated
+
+
 # --- amount area ------------------------------------------------------------
 
 def _amount_region(view: DocumentView, tally: Tally, right_x: float) -> list[Token]:
-    return [t for t in tally.scan(view.tokens) if t.x >= right_x]
+    return [t for t in tally.charge(view.tokens) if t.x >= right_x]
 
 
 def _amount_levels(params: dict) -> tuple[LevelFn, ...]:
@@ -271,28 +284,21 @@ def _amount_levels(params: dict) -> tuple[LevelFn, ...]:
         """Columns and rows of the amount region's numeric tokens."""
         numeric = [t for t in _amount_region(view, tally, right_x)
                    if t.kind is _NUMERIC]
-        return _columns(tally.scan(numeric), tol), _rows(tally.scan(numeric), tol)
+        return _columns(tally.charge(numeric), tol), _rows(tally.charge(numeric), tol)
 
     def level1(view: DocumentView, tally: Tally) -> float:
         region = _amount_region(view, tally, right_x)
         if not region:
             return 0.0
-        numeric = [t for t in tally.scan(region) if t.kind is _NUMERIC]
+        numeric = [t for t in tally.charge(region) if t.kind is _NUMERIC]
         return len(numeric) / len(region)
 
-    def level2(view: DocumentView, tally: Tally) -> float:
-        base = view.value(level1, tally)
-        if base == 0.0:
-            return 0.0
+    def grid_aligned(view: DocumentView, tally: Tally) -> bool:
         columns, rows = view.value(numeric_grid, tally)
-        vertical_ok = any(len(g) >= 2 for g in columns)
-        wide_rows = sum(1 for r in rows if len(r) >= 2)
-        return base if vertical_ok and wide_rows >= 2 else 0.0
+        return (any(len(g) >= 2 for g in columns)
+                and sum(1 for r in rows if len(r) >= 2) >= 2)
 
-    def level3(view: DocumentView, tally: Tally) -> float:
-        base = view.value(level2, tally)
-        if base == 0.0:
-            return 0.0
+    def products_hold(view: DocumentView, tally: Tally) -> bool:
         columns, rows = view.value(numeric_grid, tally)
         cols = [g for g in columns if len(g) >= 2]
         cols.sort(key=_column_x)
@@ -321,10 +327,11 @@ def _amount_levels(params: dict) -> tuple[LevelFn, ...]:
                                         rel_tol=rel_tol, abs_tol=1e-9)
                     )
                     if ok * 2 >= len(shared):
-                        return base
-        return 0.0
+                        return True
+        return False
 
-    return (level1, level2, level3)
+    level2 = _gate(level1, grid_aligned)
+    return (level1, level2, _gate(level2, products_hold))
 
 
 # --- designation zone -------------------------------------------------------
@@ -337,7 +344,7 @@ def _designation_levels(params: dict) -> tuple[LevelFn, ...]:
     tol = _param(params, "align_tol", ALIGN_TOL, least=0.0)
 
     def band(view: DocumentView, tally: Tally) -> list[Token]:
-        return [t for t in tally.scan(view.tokens) if lo <= t.x < hi]
+        return [t for t in tally.charge(view.tokens) if lo <= t.x < hi]
 
     def level1(view: DocumentView, tally: Tally) -> float:
         tokens = band(view, tally)
@@ -348,17 +355,11 @@ def _designation_levels(params: dict) -> tuple[LevelFn, ...]:
         alnum = kinds.count(_ALPHANUMERIC)
         return (alpha + 0.5 * alnum) / len(tokens)
 
-    def level2(view: DocumentView, tally: Tally) -> float:
-        base = view.value(level1, tally)
-        if base == 0.0:
-            return 0.0
-        aligned = any(len(g) >= 3 for g in _columns(band(view, tally), tol))
-        return base if aligned else 0.0
+    def band_aligned(view: DocumentView, tally: Tally) -> bool:
+        return any(len(g) >= 3 for g in _columns(band(view, tally), tol))
 
-    def level3(view: DocumentView, tally: Tally) -> float:
-        base = view.value(level2, tally)
-        if base == 0.0:
-            return 0.0
+    def flanked(view: DocumentView, tally: Tally) -> bool:
+        """A short-code column left of the band and a numeric column right of it."""
         tokens = band(view, tally)
         band_lo = min(t.x for t in tokens)
         band_hi = max(t.x for t in tokens)
@@ -373,9 +374,10 @@ def _designation_levels(params: dict) -> tuple[LevelFn, ...]:
                 code_left = True
             if cx > band_hi + tol and all(t.kind is _NUMERIC for t in col):
                 numeric_right = True
-        return base if code_left and numeric_right else 0.0
+        return code_left and numeric_right
 
-    return (level1, level2, level3)
+    level2 = _gate(level1, band_aligned)
+    return (level1, level2, _gate(level2, flanked))
 
 
 # --- code area ----------------------------------------------------------------
@@ -385,11 +387,11 @@ def _code_levels(params: dict) -> tuple[LevelFn, ...]:
     tol = _param(params, "align_tol", ALIGN_TOL, least=0.0)
 
     def band(view: DocumentView, tally: Tally) -> list[Token]:
-        return [t for t in tally.scan(view.tokens) if t.x <= left_x]
+        return [t for t in tally.charge(view.tokens) if t.x <= left_x]
 
     def candidate_column(view: DocumentView, tally: Tally) -> list[Token]:
         short = [t for t in band(view, tally) if _is_short_wordlike(t)]
-        groups = [g for g in _columns(tally.scan(short), tol) if len(g) >= 3]
+        groups = [g for g in _columns(tally.charge(short), tol) if len(g) >= 3]
         return max(groups, key=len) if groups else []
 
     def level1(view: DocumentView, tally: Tally) -> float:
@@ -398,24 +400,17 @@ def _code_levels(params: dict) -> tuple[LevelFn, ...]:
             return 0.0
         return len([t for t in tokens if _is_short_wordlike(t)]) / len(tokens)
 
-    def level2(view: DocumentView, tally: Tally) -> float:
-        base = view.value(level1, tally)
-        if base == 0.0:
-            return 0.0
-        return base if view.value(candidate_column, tally) else 0.0
+    def has_candidate(view: DocumentView, tally: Tally) -> bool:
+        return bool(view.value(candidate_column, tally))
 
-    def level3(view: DocumentView, tally: Tally) -> float:
-        base = view.value(level2, tally)
-        if base == 0.0:
-            return 0.0
+    def candidate_leftmost(view: DocumentView, tally: Tally) -> bool:
         cx = _column_x(view.value(candidate_column, tally))
         tally.charge(view.tokens)
-        for col in view.columns(tol):
-            if len(col) >= 3 and _column_x(col) < cx - tol:
-                return 0.0
-        return base
+        return not any(len(col) >= 3 and _column_x(col) < cx - tol
+                       for col in view.columns(tol))
 
-    return (level1, level2, level3)
+    level2 = _gate(level1, has_candidate)
+    return (level1, level2, _gate(level2, candidate_leftmost))
 
 
 # --- alignment --------------------------------------------------------------
@@ -591,10 +586,8 @@ def _text_block_levels(params: dict) -> tuple[LevelFn, ...]:
         kinds = [t.kind for row in run for t in row]
         return kinds.count(_ALPHABETIC) / len(kinds)
 
-    def level2(view: DocumentView, tally: Tally) -> float:
-        base = view.value(level1, tally)
-        if base == 0.0:
-            return 0.0
+    def rows_left_aligned(view: DocumentView, tally: Tally) -> bool:
+        """At least 80% of the run's rows start at one left edge."""
         run = view.value(best_run, tally)
         lefts = sorted(row[0].x for row in run)
         biggest = 0
@@ -603,30 +596,28 @@ def _text_block_levels(params: dict) -> tuple[LevelFn, ...]:
             count = count + 1 if cur - prev <= tol else 1
             biggest = max(biggest, count)
         biggest = max(biggest, 1)
-        return base if biggest / len(run) >= 0.8 else 0.0
+        return biggest / len(run) >= 0.8
 
-    return (level1, level2)
+    return (level1, _gate(level1, rows_left_aligned))
 
 
 # --- date indicator -------------------------------------------------------------
 
 def _date_levels(params: dict) -> tuple[LevelFn, ...]:
     def level1(view: DocumentView, tally: Tally) -> float:
-        for tok in tally.scan(view.tokens):
+        for tok in tally.charge(view.tokens):
             if DATE_PATTERN.match(tok.text):
                 return 1.0
         return 0.0
 
-    def level2(view: DocumentView, tally: Tally) -> float:
-        if view.value(level1, tally) == 0.0:
-            return 0.0
-        for tok in tally.scan(view.tokens):
+    def valid_date(view: DocumentView, tally: Tally) -> bool:
+        for tok in tally.charge(view.tokens):
             m = DATE_PATTERN.match(tok.text)
             if m and 1 <= int(m.group(1)) <= 31 and 1 <= int(m.group(3)) <= 12:
-                return 1.0
-        return 0.0
+                return True
+        return False
 
-    return (level1, level2)
+    return (level1, _gate(level1, valid_date))
 
 
 # --- isolated bottom cluster -----------------------------------------------------
@@ -637,7 +628,7 @@ def _isolated_levels(params: dict) -> tuple[LevelFn, ...]:
     min_gap = _param(params, "min_gap", ISOLATED_MIN_GAP)
 
     def level1(view: DocumentView, tally: Tally) -> float:
-        tokens = tally.scan(view.tokens)
+        tokens = tally.charge(view.tokens)
         cluster = [t for t in tokens if t.y > band_y]
         if not cluster or len(cluster) > max_tokens:
             return 0.0
@@ -696,12 +687,6 @@ class ElementExtractor:
         value = _as_view(doc).value(self.levels[level - 1],
                                     tally if tally is not None else Tally())
         return min(1.0, max(0.0, float(value)))
-
-    def measure(self, doc: DocumentInstance | DocumentView, level: int) -> tuple[float, int]:
-        """Evaluate and report the token-visit cost of doing so."""
-        tally = Tally()
-        value = self.evaluate(doc, level, tally)
-        return value, tally.visits
 
 
 def build_extractor(name: str, spec: ExtractorSpec) -> ElementExtractor:

@@ -61,10 +61,6 @@ class MlpModel:
         biases = [np.zeros(sizes[i + 1]) for i in range(3)]
         return cls(config=config, weights=weights, biases=biases, seed=seed)
 
-    @property
-    def class_names(self) -> tuple[str, ...]:
-        return self.config.topology.documents
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MlpModel):
             return NotImplemented
@@ -139,9 +135,9 @@ def train_mlp_on_samples(
     for epoch in range(1, hp.max_epochs + 1):
         squared = 0.0
         for x, t in zip(xs, ts):
-            grad_w, grad_b, y, _ = gradients(model, x, t)
-            r = t - y
-            squared += float(np.add.reduce(r * r)) / r.size
+            grad_w, grad_b, _, loss = gradients(model, x, t)
+            # loss is half the squared error; doubling it is exact
+            squared += 2.0 * loss / t.size
             # the gradients are fresh arrays: scale them in place, then subtract,
             # which rounds exactly like W -= mu * g
             for p, g in zip(params, grad_w + grad_b):

@@ -19,7 +19,7 @@ from doctnn import (
     train_mlp,
     train_tnn,
 )
-from doctnn.features import _norm
+from doctnn.features import Tally, _norm
 
 # the frozen desk-scale run: corpus sizes and noise mirror the reported
 # experiment; seeds are pinned so every criterion is reproducible
@@ -59,6 +59,12 @@ def dense_config(sizes, hyperparams=None):
         extractors=extractors,
         hyperparams=hyperparams or Hyperparams(),
     )
+
+
+def measure(extractor, document, level):
+    """``extractor``'s value at ``level`` on ``document``, and the token visits it charged."""
+    tally = Tally()
+    return extractor.evaluate(document, level, tally), tally.visits
 
 
 def two_branch_sigmoid(x):

@@ -27,6 +27,7 @@ from conftest import (
     DESK_MODEL_SEED,
     dense_config,
     max_gradient_error,
+    measure,
 )
 
 AMBIGUOUS_SEED = 7
@@ -194,7 +195,7 @@ def test_criterion_9_property_suites(tmp_path, desk_corpora):
     for document in train[:40]:
         for extractor in extractors.values():
             visits = [
-                extractor.measure(document, level)[1]
+                measure(extractor, document, level)[1]
                 for level in range(1, extractor.max_level + 1)
             ]
             assert all(b >= a for a, b in zip(visits, visits[1:]))

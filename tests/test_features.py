@@ -19,10 +19,10 @@ from doctnn.features import (
     TOTAL_KEYWORDS_EXTENDED,
     Tally,
 )
-from conftest import DESK_NOISE, doc, reference_best_run, reference_keyword_hits, tok
+from conftest import DESK_NOISE, doc, measure, reference_best_run, reference_keyword_hits, tok
 
 EXTRACTORS = build_extractors(default_config().extractors)
-GATED = ("amount_area", "designation_zone", "code_area", "text_block")
+GATED = ("amount_area", "designation_zone", "code_area", "text_block", "date_indicator")
 
 
 def value(name, document, level=1):
@@ -378,7 +378,26 @@ def test_gated_extractors_tighten_monotonically(document):
         extractor = EXTRACTORS[name]
         values = [extractor.evaluate(document, lvl) for lvl in range(1, extractor.max_level + 1)]
         for cheap, precise in zip(values, values[1:]):
-            assert precise <= cheap
+            assert precise in (0.0, cheap)
+
+
+@pytest.mark.parametrize("lower_value", [0.0, 0.4, 1.0])
+@pytest.mark.parametrize("verdict", [False, True])
+def test_gate_keeps_or_cancels_the_lower_value(lower_value, verdict):
+    asked = []
+
+    def lower(view, tally):
+        return lower_value
+
+    def holds(view, tally):
+        asked.append(view)
+        return verdict
+
+    view = DocumentView(qp_amount_rows())
+    gated = features._gate(lower, holds)
+    assert gated(view, Tally()) == (lower_value if verdict else 0.0)
+    # a cancelled lower value is never refined, so the predicate is not asked
+    assert asked == ([] if lower_value == 0.0 else [view])
 
 
 # a visit is the modelled cost of a level: reads the shared view serves from
@@ -400,7 +419,7 @@ QP_AMOUNT_ROWS_VISITS = {
 def test_visits_per_level_on_qp_amount_rows():
     document = qp_amount_rows()
     visits = {
-        (name, level): extractor.measure(document, level)[1]
+        (name, level): measure(extractor, document, level)[1]
         for name, extractor in EXTRACTORS.items()
         for level in range(1, extractor.max_level + 1)
     }
@@ -416,7 +435,7 @@ def generated_documents(seed, ambiguous):
 
 def all_measures(document):
     return {
-        (name, level): extractor.measure(document, level)
+        (name, level): measure(extractor, document, level)
         for name, extractor in EXTRACTORS.items()
         for level in range(1, extractor.max_level + 1)
     }
@@ -437,7 +456,7 @@ def test_shared_view_matches_plain_document(seed, ambiguous):
                     for level in reversed(levels) if descending else levels:
                         for _ in range(2):
                             assert extractor.evaluate(view, level) == plain[name, level][0]
-                            assert extractor.measure(view, level) == plain[name, level]
+                            assert measure(extractor, view, level) == plain[name, level]
 
 
 def anchor_ids(hits):
@@ -486,7 +505,7 @@ def test_keyword_hits_and_best_run_match_references(seed, ambiguous, extra):
 def test_cost_ordering_by_token_visits(document):
     for extractor in EXTRACTORS.values():
         visits = [
-            extractor.measure(document, level)[1]
+            measure(extractor, document, level)[1]
             for level in range(1, extractor.max_level + 1)
         ]
         for cheap, precise in zip(visits, visits[1:]):

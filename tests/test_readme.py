@@ -1,6 +1,8 @@
 import re
 from pathlib import Path
 
+from doctnn.cli import build_parser
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -11,3 +13,16 @@ def test_readme_library_example_runs(capsys):
     exec(compile(code, "README.md (## Library)", "exec"), {})
     winning_class, *_ = capsys.readouterr().out.split()
     assert winning_class in ("invoice", "form", "letter")
+
+
+def test_readme_commands_parse():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [line.split()[1:] for line in lines if line.startswith("doctnn ")]
+    assert len(commands) == 6
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        assert args.command == argv[0]

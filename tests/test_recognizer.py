@@ -358,12 +358,25 @@ SHARED_INTERMEDIATES = {
 }
 
 
+# every gated level is the same inner function of features._gate
+GATE_CODE = features._gate(None, None).__code__
+
+
+def level_work(level_fn):
+    """The function that does a level's own work: a gated level's predicate."""
+    if level_fn.__code__ is not GATE_CODE:
+        return level_fn
+    cells = dict(zip(GATE_CODE.co_freevars, level_fn.__closure__))
+    return cells["holds"].cell_contents
+
+
 def shared_intermediates(extractors):
-    """The code object of each shared intermediate, found in its levels' closures."""
+    """The code object of each shared intermediate, found in the closures of
+    its levels' own work."""
     found = {}
     for name, fn_name in SHARED_INTERMEDIATES.items():
         for level in extractors[name].levels:
-            for cell in level.__closure__ or ():
+            for cell in level_work(level).__closure__ or ():
                 fn = cell.cell_contents
                 if getattr(fn, "__name__", None) == fn_name:
                     found[fn.__code__] = (name, fn_name)
@@ -391,7 +404,7 @@ def watched_runs(watched, call):
 def test_recognize_runs_each_level_once_per_call(desk_tnn, desk_corpora):
     fixture = generate_ambiguous(7, 24)
     extractors = desk_tnn.config.element_extractors
-    level_of = {fn.__code__: (name, level)
+    level_of = {level_work(fn).__code__: (name, level)
                 for name, extractor in extractors.items()
                 for level, fn in enumerate(extractor.levels, start=1)}
     # each kind backs one element, so a level's code object names one function
