@@ -4,7 +4,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .documents import CorpusError, DocumentInstance, load_corpus, save_corpus, write_json
@@ -13,7 +13,7 @@ from .generator import GenSpec, Noise, generate
 from .mlp import MlpModel, load_mlp, save_mlp, train_mlp
 from .network import ModelFormatError, TnnModel, load_model, save_model, train_tnn
 from .recognizer import DEFAULT_PARAMS, RecognitionResult, RecognizerParams, recognize
-from .topology import NetworkConfig, TopologyError, default_config, load_config
+from .topology import Hyperparams, NetworkConfig, TopologyError, default_config, load_config
 
 ERROR_PREFIX = "error:"
 
@@ -96,20 +96,10 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _load_config_arg(args.config)
-    if args.mu is not None or args.epsilon is not None or args.max_epochs is not None:
-        hp = replace(
-            config.hyperparams,
-            **{
-                k: v
-                for k, v in (
-                    ("mu", args.mu),
-                    ("epsilon", args.epsilon),
-                    ("max_epochs", args.max_epochs),
-                )
-                if v is not None
-            },
-        )
-        config = NetworkConfig(config.topology, config.extractors, hp)
+    # each Hyperparams field has a flag of its name; a flag left out keeps the config's value
+    overrides = {f.name: getattr(args, f.name) for f in fields(Hyperparams)
+                 if getattr(args, f.name) is not None}
+    config = replace(config, hyperparams=replace(config.hyperparams, **overrides))
     docs = load_corpus(args.corpus, config.topology)
     if args.network == "tnn":
         model = TnnModel.create(config, seed=args.seed)
@@ -142,21 +132,17 @@ def cmd_recognize(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    # only the baseline reads the training samples, and only when asked to:
-    # a flag that would be read for nothing is refused before any file is read
-    if args.reuse_training_samples and not args.train:
-        return _fail("--reuse-training-samples requires --train")
+    # only the baseline reads the training samples: without --mlp they would
+    # be read for nothing, so the flag is refused before any file is read
     if args.reuse_training_samples and not args.mlp:
         return _fail("--reuse-training-samples requires --mlp")
-    if args.train and not args.reuse_training_samples:
-        return _fail("--train is read only with --reuse-training-samples")
     params = _recognizer_params(args)
     tnn_model = load_model(args.tnn)
     mlp_model = load_mlp(args.mlp) if args.mlp else None
     test_docs = load_corpus(args.test, tnn_model.topology)
     mlp_test_docs = list(test_docs)
     if args.reuse_training_samples:
-        train_docs = load_corpus(args.train, tnn_model.topology)
+        train_docs = load_corpus(args.reuse_training_samples, tnn_model.topology)
         mlp_test_docs = train_docs + [
             DocumentInstance(id=f"test-{d.id}", tokens=d.tokens, labels=d.labels)
             for d in test_docs
@@ -209,10 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="doctnn",
         description="Recognize administrative document classes and structure "
         "from token layouts.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-corpus", help="write synthetic train/test corpus files")
+    p = sub.add_parser("gen-corpus", help="write synthetic train/test corpus files",
+                       allow_abbrev=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--train", type=_counts, default="40,36,26",
                    help="invoice,form,letter counts")
@@ -223,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen_corpus)
 
-    p = sub.add_parser("train", help="train a model on a labeled corpus")
+    p = sub.add_parser("train", help="train a model on a labeled corpus",
+                       allow_abbrev=False)
     p.add_argument("network", choices=("tnn", "mlp"))
     p.add_argument("--corpus", required=True)
     p.add_argument("--config", default=None)
@@ -234,28 +223,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("recognize", help="classify one document and print the result")
+    p = sub.add_parser("recognize", help="classify one document and print the result",
+                       allow_abbrev=False)
     p.add_argument("--model", required=True)
     p.add_argument("--doc", required=True, help="corpus file holding the document")
     p.add_argument("--id", default=None)
     _add_recognizer_flags(p)
     p.set_defaults(func=cmd_recognize)
 
-    p = sub.add_parser("eval", help="evaluate trained models on a test corpus")
+    p = sub.add_parser("eval", help="evaluate trained models on a test corpus",
+                       allow_abbrev=False)
     p.add_argument("--tnn", required=True)
     p.add_argument("--mlp", default=None)
     p.add_argument("--test", required=True)
-    p.add_argument("--train", default=None)
     p.add_argument(
         "--reuse-training-samples",
-        action="store_true",
-        help="also feed the training documents to the baseline at test time",
+        default=None,
+        metavar="TRAIN_CORPUS",
+        help="also feed this corpus's documents to the baseline at test time",
     )
     p.add_argument("--json-out", default=None)
     _add_recognizer_flags(p)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("inspect", help="show the pass-by-pass trace for one document")
+    p = sub.add_parser("inspect", help="show the pass-by-pass trace for one document",
+                       allow_abbrev=False)
     p.add_argument("--model", required=True)
     p.add_argument("--doc", required=True)
     p.add_argument("--id", default=None)

@@ -7,7 +7,7 @@ matrices with an explicit reject column, and the backward-pass cost ratio.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -217,32 +217,17 @@ def build_report(
 
 # --- serialization and rendering ---------------------------------------------
 
-def _class_row_dict(row: ClassRow) -> dict:
-    return {
-        "name": row.name,
-        "trained": row.trained,
-        "tested": row.tested,
-        "recognized": row.recognized,
-        "rate": row.rate,
-    }
-
-
-def _struct_row_dict(row: StructureRow) -> dict:
-    return {
-        "name": row.name,
-        "tested": row.tested,
-        "recognized": row.recognized,
-        "rate": row.rate,
-    }
+def _row_dict(row: ClassRow | StructureRow) -> dict:
+    return {**asdict(row), "rate": row.rate}
 
 
 def report_to_dict(report: EvalReport) -> dict:
     payload = {
         "tnn": {
-            "classes": [_class_row_dict(r) for r in report.tnn_classes],
-            "aggregate": _class_row_dict(report.tnn_aggregate),
-            "structures": [_struct_row_dict(r) for r in report.tnn_structures],
-            "structure_aggregate": _struct_row_dict(report.structure_aggregate),
+            "classes": [_row_dict(r) for r in report.tnn_classes],
+            "aggregate": _row_dict(report.tnn_aggregate),
+            "structures": [_row_dict(r) for r in report.tnn_structures],
+            "structure_aggregate": _row_dict(report.structure_aggregate),
             "confusion": report.tnn_confusion,
         },
         "mlp": None,
@@ -250,19 +235,14 @@ def report_to_dict(report: EvalReport) -> dict:
     }
     if report.mlp_classes:
         payload["mlp"] = {
-            "classes": [_class_row_dict(r) for r in report.mlp_classes],
-            "aggregate": _class_row_dict(report.mlp_aggregate),
+            "classes": [_row_dict(r) for r in report.mlp_classes],
+            "aggregate": _row_dict(report.mlp_aggregate),
             "confusion": report.mlp_confusion,
         }
     if report.cost is not None:
         payload["cost"] = {
-            "tnn_update_passes": report.cost.tnn_update_passes,
-            "tnn_weight_updates": report.cost.tnn_weight_updates,
-            "tnn_train_documents": report.cost.tnn_train_documents,
+            **asdict(report.cost),
             "tnn_epochs": list(report.cost.tnn_epochs),
-            "mlp_backward_passes": report.cost.mlp_backward_passes,
-            "mlp_train_documents": report.cost.mlp_train_documents,
-            "mlp_epochs": report.cost.mlp_epochs,
             "ratio": report.cost.ratio,
         }
     return payload

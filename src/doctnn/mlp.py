@@ -8,7 +8,7 @@ output and no refinement hook.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -37,7 +37,8 @@ class MlpTrainingStats:
     samples: int
     backward_passes: int
     final_mse: float
-    class_counts: Mapping[str, int] = field(default_factory=dict)
+    # a dict, not any Mapping: mlp_to_dict writes the record with dataclasses.asdict
+    class_counts: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -171,13 +172,7 @@ def mlp_to_dict(model: MlpModel) -> dict:
         "training": None,
     }
     if model.training is not None:
-        payload["training"] = {
-            "epochs": model.training.epochs,
-            "samples": model.training.samples,
-            "backward_passes": model.training.backward_passes,
-            "final_mse": model.training.final_mse,
-            "class_counts": dict(model.training.class_counts),
-        }
+        payload["training"] = asdict(model.training)
     return payload
 
 

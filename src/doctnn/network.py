@@ -14,7 +14,7 @@ never updated, which is what keeps every neuron's meaning intact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -30,7 +30,7 @@ from .documents import (
     write_json,
 )
 from .features import ElementExtractor, extract_all
-from .topology import NetworkConfig, Topology, config_from_dict, config_to_dict
+from .topology import Hyperparams, NetworkConfig, Topology, config_from_dict, config_to_dict
 
 MODEL_FORMAT_VERSION = 1
 
@@ -132,9 +132,9 @@ class TrainingStats:
 def train_nn1(
     net: LayerNetwork,
     samples: Sequence[tuple[Sequence[float], Sequence[float]]],
-    mu: float = 0.5,
-    epsilon: float = 0.01,
-    max_epochs: int = 1000,
+    mu: float = Hyperparams.mu,
+    epsilon: float = Hyperparams.epsilon,
+    max_epochs: int = Hyperparams.max_epochs,
 ) -> TrainingStats:
     """Online delta-rule training of one monolayer network.
 
@@ -327,16 +327,6 @@ def train_tnn(model: TnnModel, docs: Sequence[DocumentInstance]) -> TnnTrainingS
 
 # --- serialization -----------------------------------------------------------
 
-def _stats_to_dict(stats: TrainingStats) -> dict:
-    return {
-        "epochs": stats.epochs,
-        "samples": stats.samples,
-        "update_passes": stats.update_passes,
-        "weight_updates": stats.weight_updates,
-        "final_mse": stats.final_mse,
-    }
-
-
 def read_number(payload: object, key: str, kind: type, where: str) -> float | int:
     """``payload[key]``, an integer (``kind`` int) or a finite number (float), >= 0.
 
@@ -412,7 +402,7 @@ def model_to_dict(model: TnnModel) -> dict:
     if model.training is not None:
         payload["training"] = {
             "class_counts": dict(model.training.class_counts),
-            "stats": [_stats_to_dict(s) for s in model.training.stats],
+            "stats": [asdict(s) for s in model.training.stats],
         }
     return payload
 

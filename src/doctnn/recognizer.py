@@ -9,7 +9,7 @@ document itself is rejected.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from numbers import Integral
 from typing import Mapping, Sequence
 
@@ -74,24 +74,12 @@ class RecognitionResult:
             "winning_class": self.winning_class,
             "confidence": self.confidence,
             "margin": self.margin,
-            "structures": [
-                {
-                    "name": s.name,
-                    "activation": s.activation,
-                    "linked_to_winner": s.linked_to_winner,
-                }
-                for s in self.structures
-            ],
+            "structures": [asdict(s) for s in self.structures],
             "passes": [
                 {
                     "levels": dict(p.levels),
                     "blamed": list(p.blamed),
-                    "activations": {
-                        "elements": dict(p.trace.elements),
-                        "substructures": dict(p.trace.substructures),
-                        "structures": dict(p.trace.structures),
-                        "documents": dict(p.trace.documents),
-                    },
+                    "activations": asdict(p.trace),
                 }
                 for p in self.passes
             ],

@@ -9,7 +9,7 @@ class can also learn counter-evidence (a totals line argues against
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral
 from pathlib import Path
 from types import MappingProxyType
@@ -235,22 +235,14 @@ def default_config() -> NetworkConfig:
 def config_to_dict(config: NetworkConfig) -> dict:
     return {
         "format_version": CONFIG_FORMAT_VERSION,
-        "layers": {
-            "elements": list(config.topology.elements),
-            "substructures": list(config.topology.substructures),
-            "structures": list(config.topology.structures),
-            "documents": list(config.topology.documents),
-        },
+        "layers": {name: list(names)
+                   for name, names in zip(LAYER_NAMES, config.topology.layers())},
         "links": sorted([src, dst] for src, dst in config.topology.links),
         "extractors": {
             name: {"kind": spec.kind, "params": dict(spec.params)}
             for name, spec in sorted(config.extractors.items())
         },
-        "hyperparams": {
-            "mu": config.hyperparams.mu,
-            "epsilon": config.hyperparams.epsilon,
-            "max_epochs": config.hyperparams.max_epochs,
-        },
+        "hyperparams": asdict(config.hyperparams),
     }
 
 
@@ -284,8 +276,8 @@ def config_from_dict(payload: Mapping) -> NetworkConfig:
     # Hyperparams checks the JSON types itself: a string, a bool or a
     # fractional max_epochs is refused, never converted
     try:
-        hyperparams = Hyperparams(**{key: hp[key] for key in ("mu", "epsilon", "max_epochs")
-                                     if key in hp})
+        hyperparams = Hyperparams(**{f.name: hp[f.name] for f in fields(Hyperparams)
+                                     if f.name in hp})
     except TopologyError as exc:
         raise TopologyError(f"config hyperparams: {exc}") from exc
     return NetworkConfig(topology=topology, extractors=extractors, hyperparams=hyperparams)

@@ -122,6 +122,14 @@ def test_gen_corpus_negative_count_is_usage_error(tmp_path):
     assert excinfo.value.code == 2
 
 
+def test_flag_prefix_is_usage_error(workspace, tmp_path):
+    # a prefix of a flag is not the flag: --json is not --json-out
+    with pytest.raises(SystemExit) as excinfo:
+        main(["eval", "--tnn", str(workspace / "tnn.model"),
+              "--test", str(workspace / "test.json"), "--json", str(tmp_path / "r.json")])
+    assert excinfo.value.code == 2
+
+
 def test_train_reports_stats_line(workspace, capsys, tmp_path):
     code, out, _ = run(
         capsys, "train", "tnn", "--corpus", str(workspace / "train.json"),
@@ -265,22 +273,12 @@ def test_eval_empty_corpus_renders_na(workspace, tmp_path, capsys):
     assert "n/a" in out
 
 
-def test_eval_reuse_flag_requires_train(workspace, capsys):
-    code, _, err = run(
-        capsys, "eval", "--tnn", str(workspace / "tnn.model"),
-        "--mlp", str(workspace / "mlp.model"), "--test", str(workspace / "test.json"),
-        "--reuse-training-samples",
-    )
-    assert code == 1
-    assert "requires --train" in err
-
-
 def test_eval_reuse_flag_extends_baseline_test_set(workspace, tmp_path, capsys):
     out_json = tmp_path / "report.json"
     code, _, _ = run(
         capsys, "eval", "--tnn", str(workspace / "tnn.model"),
         "--mlp", str(workspace / "mlp.model"), "--test", str(workspace / "test.json"),
-        "--train", str(workspace / "train.json"), "--reuse-training-samples",
+        "--reuse-training-samples", str(workspace / "train.json"),
         "--json-out", str(out_json),
     )
     assert code == 0
@@ -368,10 +366,10 @@ EVAL = ("--tnn", "{ws}/tnn.model", "--test", "{ws}/test.json")
          "format_version True"),
         (("train", "tnn", "--corpus", "{ws}/train.json", "--config", "{ws}/extra_spec.json",
           "--out", "{tmp}/m.json"), "non-element name(s): ['extra_one']"),
-        (("eval", *EVAL, "--train", "{ws}/train.json", "--reuse-training-samples"),
+        (("eval", *EVAL, "--reuse-training-samples", "{ws}/train.json"),
          "--reuse-training-samples requires --mlp"),
-        (("eval", *EVAL, "--train", "{tmp}/missing.json"),
-         "--train is read only with --reuse-training-samples"),
+        (("eval", *EVAL, "--mlp", "{ws}/mlp.model", "--reuse-training-samples",
+          "{tmp}/missing.json"), "missing.json"),
         (("eval", *EVAL, "--mlp", "{ws}/mlp_other_classes.json"),
          "baseline classes ['invoice', 'form', 'notice'] differ from the transparent "
          "network's ['invoice', 'form', 'letter']"),

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from doctnn import (
     CorpusError,
     DocumentInstance,
+    EvalReport,
     ExtractorSpec,
     GroundTruth,
     MlpModel,
@@ -24,13 +25,16 @@ from doctnn import (
     default_topology,
     load_config,
     load_corpus,
+    report_to_dict,
     save_config,
     save_corpus,
     token_kind,
 )
 from doctnn.documents import corpus_to_dict
+from doctnn.evaluation import ClassRow, CostComparison, StructureRow
 from doctnn.mlp import mlp_from_dict, mlp_to_dict
-from doctnn.network import model_from_dict, model_to_dict
+from doctnn.network import ActivationTrace, model_from_dict, model_to_dict
+from doctnn.recognizer import PassRecord, RecognitionResult, StructureHit
 from doctnn.topology import config_from_dict, config_to_dict
 from conftest import dense_config
 
@@ -388,3 +392,54 @@ def test_loaders_refuse_wrong_json_types_with_their_own_error(payload, load, sav
             if (last, value) not in FILLED_IN:
                 saved = json.loads(json.dumps(save(loaded)))
                 assert same_json(saved, mutant), f"{path} set to {value!r} loads as {saved}"
+
+
+# --- the layout of each written record -----------------------------------------------
+
+def test_written_record_keys_are_pinned():
+    # the writers take each record's fields from its dataclass, so a field
+    # added to a record enters the files; this makes that a visible change
+    report = EvalReport(
+        tnn_classes=(ClassRow("invoice", 2, 3, 1),),
+        tnn_structures=(StructureRow("total", 3, 2),),
+        tnn_confusion={},
+        mlp_classes=(ClassRow("invoice", 2, 3, 3),),
+        cost=CostComparison(tnn_update_passes=6, tnn_weight_updates=12, tnn_train_documents=2,
+                            mlp_backward_passes=9, mlp_train_documents=2, tnn_epochs=(1, 1, 1),
+                            mlp_epochs=3),
+    )
+    trace = ActivationTrace({"e": 0.5}, {"s": 0.5}, {"t": 0.5}, {"d": 0.5})
+    result = RecognitionResult(
+        status="recognized", winning_class="d", confidence=0.5, margin=0.5,
+        structures=(StructureHit("t", 0.5, True),),
+        passes=(PassRecord(levels={"e": 1}, trace=trace, blamed=()),),
+    )
+    class_row = {"name", "trained", "tested", "recognized", "rate"}
+    structure_row = {"name", "tested", "recognized", "rate"}
+    written = report_to_dict(report)
+    for rows, keys in (
+        ([*written["tnn"]["classes"], written["tnn"]["aggregate"],
+          *written["mlp"]["classes"], written["mlp"]["aggregate"]], class_row),
+        ([*written["tnn"]["structures"], written["tnn"]["structure_aggregate"]], structure_row),
+    ):
+        for row in rows:
+            assert row.keys() == keys
+    assert written["cost"].keys() == {
+        "tnn_update_passes", "tnn_weight_updates", "tnn_train_documents", "tnn_epochs",
+        "mlp_backward_passes", "mlp_train_documents", "mlp_epochs", "ratio",
+    }
+    written = result.to_dict()
+    assert written["structures"][0].keys() == {"name", "activation", "linked_to_winner"}
+    assert written["passes"][0].keys() == {"levels", "blamed", "activations"}
+    assert written["passes"][0]["activations"].keys() == {
+        "elements", "substructures", "structures", "documents",
+    }
+    training = tnn_payload()["training"]
+    assert training.keys() == {"class_counts", "stats"}
+    for stats in training["stats"]:
+        assert stats.keys() == {"epochs", "samples", "update_passes", "weight_updates",
+                                "final_mse"}
+    assert mlp_payload()["training"].keys() == {
+        "epochs", "samples", "backward_passes", "final_mse", "class_counts",
+    }
+    assert config_payload()["hyperparams"].keys() == {"mu", "epsilon", "max_epochs"}
