@@ -1,6 +1,12 @@
 """Token-layout document model, the labeled-corpus file format, and the JSON
 encoding that every doctnn file (corpus, config, model, eval report) shares.
 
+``write_json`` writes config, model and report files. Corpus files, by far the
+largest, have their own writer, ``save_corpus``, which produces the same bytes
+as ``write_json`` would: ``json.dumps`` runs in pure Python whenever it is
+asked to indent, so the corpus writer fills one text template per token
+instead.
+
 A document is a flat list of text tokens with normalized bounding boxes
 (page fractions, top-left origin). Ground-truth labels, when present, name
 the document class plus the structures and substructures that were actually
@@ -44,9 +50,12 @@ def read_json(path: str | Path, error: type[Exception]) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise error(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"parse error in {path}: {exc}") from exc
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # json's decoder recurses once per nesting level, so a deep file exhausts the stack
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise error(f"parse error in {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise error(f"parse error in {path}: expected a JSON object")
@@ -207,26 +216,28 @@ def _validate_labels(labels: GroundTruth, doc_id: str, topology: "Topology") -> 
             raise CorpusError(f"document '{doc_id}' field 'substructures': unknown name '{name}'")
 
 
+_TOKEN_FIELDS = frozenset(("text", "x", "y", "w", "h"))
+
+
 def _parse_token(raw: object, doc_id: str, index: int) -> Token:
+    # the cheap tests run for every token; the messages are built only on failure
     if not isinstance(raw, dict):
         raise CorpusError(f"document '{doc_id}' token {index}: expected an object")
-    missing = {"text", "x", "y", "w", "h"} - raw.keys()
-    if missing:
-        raise CorpusError(
-            f"document '{doc_id}' token {index}: missing field(s) {sorted(missing)}"
-        )
+    if not _TOKEN_FIELDS <= raw.keys():
+        missing = sorted(_TOKEN_FIELDS - raw.keys())
+        raise CorpusError(f"document '{doc_id}' token {index}: missing field(s) {missing}")
     text = raw["text"]
     box = (raw["x"], raw["y"], raw["w"], raw["h"])
-    where = f"document '{doc_id}' token {index}"
-    # one cheap test per token; expect_type then names the field that fails it
     if type(text) is not str or not _JSON_NUMBERS.issuperset(map(type, box)):
+        # expect_type names the field that fails
+        where = f"document '{doc_id}' token {index}"
         expect_type(text, str, CorpusError, f"{where} field 'text'")
         for key, value in zip(("x", "y", "w", "h"), box):
             expect_type(value, float, CorpusError, f"{where} field '{key}'")
     try:
         return Token(text, *box)
     except ValueError as exc:
-        raise CorpusError(f"{where}: {exc}") from exc
+        raise CorpusError(f"document '{doc_id}' token {index}: {exc}") from exc
 
 
 def _parse_document(raw: object, topology: "Topology") -> DocumentInstance:
@@ -289,6 +300,78 @@ def corpus_to_dict(docs: Iterable[DocumentInstance]) -> dict:
     return {"documents": entries}
 
 
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_value(value: object, depth: int) -> str:
+    """``value`` as ``write_json`` writes it for a key or list item ``depth`` levels deep.
+
+    A str and a finite float take the shortcut; ``json.dumps`` writes anything
+    else, so ``0`` stays ``0``, ``False`` stays ``false``, and NaN or an
+    infinity raises json's ValueError.
+    """
+    if type(value) is float and value - value == 0.0:  # NaN and infinities give NaN
+        return repr(value)
+    if type(value) is str:
+        return _json_string(value)
+    text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+    return text.replace("\n", "\n" + "  " * depth)
+
+
+def _json_list(items: list[str], depth: int) -> str:
+    """Encoded ``items`` as a JSON list that is the value of a key ``depth`` levels deep."""
+    if not items:
+        return "[]"
+    indent = "\n" + "  " * depth
+    item_indent = indent + "  "
+    return "[" + item_indent + ("," + item_indent).join(items) + indent + "]"
+
+
+# the layout write_json gives corpus_to_dict(docs): keys sorted, two spaces per level
+_TOKEN = """{
+          "h": %s,
+          "text": %s,
+          "w": %s,
+          "x": %s,
+          "y": %s
+        }"""
+_LABELS = """
+      "labels": {
+        "class": %s,
+        "structures": %s,
+        "substructures": %s
+      },"""
+_DOCUMENT = """{
+      "id": %s,%s
+      "tokens": %s
+    }"""
+
+
 def save_corpus(docs: Iterable[DocumentInstance], path: str | Path) -> None:
-    """Write the corpus file format; loading it back yields an equal corpus."""
-    write_json(corpus_to_dict(docs), path)
+    """Write the corpus file format; loading it back yields an equal corpus.
+
+    The file holds the same bytes as ``write_json(corpus_to_dict(docs), path)``.
+    NaN and infinities raise ValueError before anything is written.
+    """
+    entries = []
+    for doc in docs:
+        tokens = [
+            _TOKEN % (
+                _json_value(t.height, 5),
+                _json_value(t.text, 5),
+                _json_value(t.width, 5),
+                _json_value(t.x, 5),
+                _json_value(t.y, 5),
+            )
+            for t in doc.tokens
+        ]
+        labels = ""
+        if doc.labels is not None:
+            labels = _LABELS % (
+                _json_value(doc.labels.document_class, 4),
+                _json_list([_json_value(n, 5) for n in sorted(doc.labels.structures)], 4),
+                _json_list([_json_value(n, 5) for n in sorted(doc.labels.substructures)], 4),
+            )
+        entries.append(_DOCUMENT % (_json_value(doc.id, 3), labels, _json_list(tokens, 3)))
+    text = '{\n  "documents": %s\n}\n' % _json_list(entries, 1)
+    Path(path).write_text(text, encoding="utf-8")

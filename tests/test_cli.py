@@ -94,6 +94,7 @@ def write_broken_files(root):
            {"receipt": 5})
     broken("tnn.model", "counts_short.json", ("training", "class_counts"),
            {"invoice": 1, "form": 0, "letter": 0})
+    (root / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
 
 
 def test_gen_corpus_writes_both_splits(tmp_path, capsys):
@@ -393,6 +394,8 @@ EVAL = ("--tnn", "{ws}/tnn.model", "--test", "{ws}/test.json")
          "'class_counts' names classes the topology does not have: ['receipt']"),
         (("eval", "--tnn", "{ws}/counts_short.json", "--test", "{ws}/test.json"),
          "'class_counts' total 1 documents, but training stats 0 has 18 samples"),
+        (("recognize", "--model", "{ws}/deep.json", "--doc", "{ws}/deep.json"),
+         "deep.json: maximum recursion depth exceeded"),
     ],
 )
 def test_bad_input_gives_one_error_line(workspace, tmp_path, capsys, argv, message):

@@ -1,9 +1,10 @@
 import hashlib
 import json
+import re
 from dataclasses import FrozenInstanceError, fields
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from doctnn import (
     CorpusError,
@@ -23,14 +24,17 @@ from doctnn import (
     TrainingStats,
     default_config,
     default_topology,
+    generate_ambiguous,
     load_config,
     load_corpus,
+    load_mlp,
+    load_model,
     report_to_dict,
     save_config,
     save_corpus,
     token_kind,
 )
-from doctnn.documents import corpus_to_dict
+from doctnn.documents import corpus_to_dict, write_json
 from doctnn.evaluation import ClassRow, CostComparison, StructureRow
 from doctnn.mlp import mlp_from_dict, mlp_to_dict
 from doctnn.network import ActivationTrace, model_from_dict, model_to_dict
@@ -183,12 +187,31 @@ def test_load_rejects_missing_file(tmp_path):
 
 
 def test_save_corpus_refuses_non_finite_values(tmp_path):
-    token = Token("Total", 0.5, 0.5, 0.08, 0.02)
-    object.__setattr__(token, "x", float("nan"))  # past Token's own validation
     path = tmp_path / "corpus.json"
-    with pytest.raises(ValueError, match="not JSON compliant"):
-        save_corpus([DocumentInstance(id="d", tokens=(token,))], path)
-    assert not path.exists()
+    for field in ("x", "y", "width", "height"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            token = Token("Total", 0.5, 0.5, 0.08, 0.02)
+            object.__setattr__(token, field, value)  # past Token's own validation
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                save_corpus([DocumentInstance(id="d", tokens=(token,))], path)
+            assert not path.exists()
+
+
+@pytest.mark.parametrize("load, error", [
+    (lambda path: load_corpus(path, TOPOLOGY), CorpusError),
+    (load_config, TopologyError),
+    (load_model, ModelFormatError),
+    (load_mlp, ModelFormatError),
+], ids=["corpus", "config", "tnn", "mlp"])
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",  # not UTF-8
+    b"[" * 200_000 + b"]" * 200_000,  # deeper than json's decoder can recurse
+], ids=["not-utf8", "deep"])
+def test_loaders_refuse_unparsable_files_with_their_own_error(tmp_path, load, error, content):
+    path = tmp_path / "file.json"
+    path.write_bytes(content)
+    with pytest.raises(error, match=re.escape(f"parse error in {path}: ")):
+        load(path)
 
 
 def test_save_config_refuses_non_finite_values(tmp_path):
@@ -270,6 +293,49 @@ def test_save_corpus_bytes_are_pinned(desk_corpora, tmp_path):
         save_corpus(corpus, path)
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
     assert tuple(digests) == DESK_CORPUS_SHA256
+
+
+def assert_saved_as_write_json(docs, directory):
+    """``save_corpus`` writes the bytes ``write_json`` gives the corpus's dict."""
+    reference, saved = directory / "reference.json", directory / "saved.json"
+    write_json(corpus_to_dict(docs), reference)
+    save_corpus(docs, saved)
+    assert saved.read_bytes() == reference.read_bytes()
+
+
+def test_save_corpus_writes_what_write_json_writes(desk_corpora, tmp_path):
+    token = Token("Total", 0.5, 0.5, 0.08, 0.02)
+    listed = Token("Total", 0.5, 0.5, 0.08, 0.02)
+    object.__setattr__(listed, "text", ["To", "tal"])  # past Token's own validation
+    for docs in (
+        *desk_corpora,
+        generate_ambiguous(7, 24),
+        [],
+        [DocumentInstance("bare")],
+        [DocumentInstance("unnamed", (token,), GroundTruth("invoice"))],
+        # values that are not strings or floats come out as json.dumps writes them
+        [DocumentInstance("odd", (listed,), GroundTruth({"b": [1, 2.5], "a": None}))],
+    ):
+        assert_saved_as_write_json(docs, tmp_path)
+
+
+NAMES = st.text(min_size=1, max_size=8)  # unicode, quotes, backslashes, control characters
+# json writes an int or bool coordinate as it is: 0 as 0, False as false
+POSITION = st.floats(0.0, 0.5) | st.sampled_from([0, False])
+EXTENT = st.floats(0.001, 0.5)
+BOX = st.tuples(POSITION, POSITION, EXTENT, EXTENT) | st.sampled_from([(0, 0, 1, 1),
+                                                                       (False, 0, True, 1)])
+TOKENS = st.builds(lambda text, box: Token(text, *box), NAMES, BOX)
+LABELS = st.none() | st.builds(GroundTruth, NAMES, st.frozensets(NAMES, max_size=3),
+                               st.frozensets(NAMES, max_size=3))
+DOCUMENTS = st.builds(DocumentInstance, NAMES, st.lists(TOKENS, max_size=4).map(tuple), LABELS)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(DOCUMENTS, max_size=3))
+def test_save_corpus_writes_what_write_json_writes_for_any_text(tmp_path, docs):
+    # each example overwrites the same two files
+    assert_saved_as_write_json(docs, tmp_path)
 
 
 # --- fuzzing the file loaders -------------------------------------------------------
