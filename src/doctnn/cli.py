@@ -140,7 +140,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     tnn_model = load_model(args.tnn)
     mlp_model = load_mlp(args.mlp) if args.mlp else None
     test_docs = load_corpus(args.test, tnn_model.topology)
-    mlp_test_docs = list(test_docs)
+    # without the flag the baseline ranks the test documents
+    mlp_test_docs: list[DocumentInstance] | None = None
     if args.reuse_training_samples:
         train_docs = load_corpus(args.reuse_training_samples, tnn_model.topology)
         mlp_test_docs = train_docs + [
@@ -152,7 +153,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         test_docs,
         params,
         mlp_model=mlp_model,
-        mlp_test_docs=mlp_test_docs if mlp_model else None,
+        mlp_test_docs=mlp_test_docs,
     )
     print(render_report(report), end="")
     if args.json_out:

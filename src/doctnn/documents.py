@@ -163,20 +163,23 @@ class Token:
     def __post_init__(self) -> None:
         if not self.text:
             raise ValueError("field 'text': must be non-empty")
-        for name in ("x", "y"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"field '{name}': {v} outside [0, 1]")
-        for name in ("width", "height"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"field '{name}': {v} outside (0, 1]")
-        if self.x + self.width > 1.0 + _COORD_SLACK:
-            raise ValueError(f"field 'x': x+width = {self.x + self.width} exceeds 1")
-        if self.y + self.height > 1.0 + _COORD_SLACK:
-            raise ValueError(f"field 'y': y+height = {self.y + self.height} exceeds 1")
+        x, y, width, height = self.x, self.y, self.width, self.height
+        # every comparison with NaN is false, so NaN is refused
+        if not 0.0 <= x <= 1.0:
+            raise ValueError(f"field 'x': {x} outside [0, 1]")
+        if not 0.0 <= y <= 1.0:
+            raise ValueError(f"field 'y': {y} outside [0, 1]")
+        if not 0.0 < width <= 1.0:
+            raise ValueError(f"field 'width': {width} outside (0, 1]")
+        if not 0.0 < height <= 1.0:
+            raise ValueError(f"field 'height': {height} outside (0, 1]")
+        right = x + width
+        if right > 1.0 + _COORD_SLACK:
+            raise ValueError(f"field 'x': x+width = {right} exceeds 1")
+        if y + height > 1.0 + _COORD_SLACK:
+            raise ValueError(f"field 'y': y+height = {y + height} exceeds 1")
         object.__setattr__(self, "kind", token_kind(self.text))
-        object.__setattr__(self, "right", self.x + self.width)
+        object.__setattr__(self, "right", right)
 
     @property
     def bottom(self) -> float:

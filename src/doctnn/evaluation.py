@@ -4,6 +4,13 @@ Produces per-class document recognition rows for the transparent network
 and the dense baseline, per-structure extraction rows (the baseline has no
 structure output, so only the transparent network gets those), confusion
 matrices with an explicit reject column, and the backward-pass cost ratio.
+
+Both networks read the same level-1 element vector. When the baseline is
+evaluated on the transparent network's test documents and both configs
+declare equal extractor specs, ``build_report`` hands the baseline each
+document's first-pass element values from ``recognize``. Pass 1 raises no
+level, so those are the values ``extract_all`` gives, and each document is
+extracted once. Otherwise the baseline extracts its documents itself.
 """
 from __future__ import annotations
 
@@ -117,9 +124,14 @@ def evaluate_tnn(
     model: TnnModel,
     docs: Sequence[DocumentInstance],
     params: RecognizerParams = DEFAULT_PARAMS,
+    elements: list[dict[str, float]] | None = None,
 ) -> tuple[tuple[ClassRow, ...], tuple[StructureRow, ...], dict[str, dict[str, int]]]:
     """Count a document as recognized only when accepted with the right class;
-    count a labeled structure as recognized when it appears in the extracted set."""
+    count a labeled structure as recognized when it appears in the extracted set.
+
+    When ``elements`` is a list, each document's first-pass element values
+    are appended to it, in document order.
+    """
     _require_labels(docs)
     topo = model.topology
     confusion = {
@@ -131,6 +143,8 @@ def evaluate_tnn(
     for doc in docs:
         truth = doc.labels.document_class
         result = recognize(model, doc, params)
+        if elements is not None:
+            elements.append(result.passes[0].trace.elements)
         predicted = result.winning_class if result.status == "recognized" else REJECT_LABEL
         confusion[truth][predicted] += 1
         extracted = {hit.name for hit in result.structures}
@@ -146,17 +160,26 @@ def evaluate_tnn(
 
 
 def evaluate_mlp(
-    model: MlpModel, docs: Sequence[DocumentInstance]
+    model: MlpModel,
+    docs: Sequence[DocumentInstance],
+    elements: Sequence[Mapping[str, float]] | None = None,
 ) -> tuple[tuple[ClassRow, ...], dict[str, dict[str, int]]]:
-    """Plain argmax ranking against the class label; no structure metrics exist."""
+    """Plain argmax ranking against the class label; no structure metrics exist.
+
+    ``elements``, when given, holds each document's level-1 element values,
+    in document order, as ``extract_all`` with the model's extractors gives
+    them; no document is then extracted.
+    """
     _require_labels(docs)
     topo = model.config.topology
     confusion = {
         name: {other: 0 for other in topo.documents} for name in topo.documents
     }
-    for doc in docs:
+    vectors = elements if elements is not None else (
+        extract_all(model.config.element_extractors, doc) for doc in docs)
+    for doc, values in zip(docs, vectors, strict=True):
         truth = doc.labels.document_class
-        activations = forward_mlp(model, extract_all(model.config.element_extractors, doc))
+        activations = forward_mlp(model, values)
         predicted = topo.documents[int(np.argmax(activations))]
         confusion[truth][predicted] += 1
     return _class_rows(confusion, model.training), confusion
@@ -188,20 +211,30 @@ def build_report(
 
     A baseline must rank the transparent network's classes: one trained on
     other classes is refused before any document is evaluated.
+
+    Without ``mlp_test_docs`` the baseline ranks ``test_docs``. When both
+    configs also declare equal extractor specs, it reads each document's
+    first-pass element values from the transparent network's recognition,
+    which equal level-1 ``extract_all``, instead of extracting it again.
     """
+    shared: list[dict[str, float]] | None = None
     if mlp_model is not None:
         ours = tnn_model.topology.documents
         theirs = mlp_model.config.topology.documents
         if set(theirs) != set(ours):
             raise ValueError(f"baseline classes {list(theirs)} differ from the "
                              f"transparent network's {list(ours)}")
-    tnn_classes, tnn_structures, tnn_confusion = evaluate_tnn(tnn_model, test_docs, params)
+        if (mlp_test_docs is None
+                and mlp_model.config.extractors == tnn_model.config.extractors):
+            shared = []
+    tnn_classes, tnn_structures, tnn_confusion = evaluate_tnn(
+        tnn_model, test_docs, params, shared)
     mlp_classes: tuple[ClassRow, ...] = ()
     mlp_confusion: dict[str, dict[str, int]] = {}
     cost = None
     if mlp_model is not None:
         mlp_classes, mlp_confusion = evaluate_mlp(
-            mlp_model, mlp_test_docs if mlp_test_docs is not None else test_docs
+            mlp_model, mlp_test_docs if mlp_test_docs is not None else test_docs, shared
         )
         if tnn_model.training is not None and mlp_model.training is not None:
             cost = compare_training_cost(tnn_model.training, mlp_model.training)

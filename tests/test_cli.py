@@ -287,6 +287,25 @@ def test_eval_reuse_flag_extends_baseline_test_set(workspace, tmp_path, capsys):
     assert payload["mlp"]["aggregate"]["tested"] == 24 + 18
 
 
+@pytest.mark.parametrize("reuse, extracted", [(False, 0), (True, 18 + 24)])
+def test_eval_baseline_extracts_only_documents_it_cannot_share(
+        workspace, capsys, monkeypatch, reuse, extracted):
+    from doctnn import evaluation
+
+    calls = []
+    real = evaluation.extract_all
+    monkeypatch.setattr(evaluation, "extract_all",
+                        lambda extractors, doc: calls.append(doc) or real(extractors, doc))
+    flags = ["--reuse-training-samples", str(workspace / "train.json")] if reuse else []
+    code, out, _ = run(
+        capsys, "eval", "--tnn", str(workspace / "tnn.model"),
+        "--mlp", str(workspace / "mlp.model"), "--test", str(workspace / "test.json"), *flags,
+    )
+    assert code == 0
+    assert "dense baseline" in out
+    assert len(calls) == extracted
+
+
 def test_inspect_shows_passes(workspace, capsys):
     code, out, _ = run(
         capsys, "inspect", "--model", str(workspace / "tnn.model"),

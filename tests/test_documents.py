@@ -101,18 +101,26 @@ def test_token_kind_is_a_field_outside_equality_hash_and_repr(text, x, y, width,
         token.right = 0.5
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(text="a", x=1.2, y=0.1, width=0.1, height=0.1),
-        dict(text="a", x=0.1, y=-0.1, width=0.1, height=0.1),
-        dict(text="a", x=0.1, y=0.1, width=0.0, height=0.1),
-        dict(text="a", x=0.95, y=0.1, width=0.2, height=0.1),
-        dict(text="", x=0.1, y=0.1, width=0.1, height=0.1),
-    ],
-)
-def test_token_invariants(kwargs):
-    with pytest.raises(ValueError):
+TOKEN_ERRORS = [
+    (dict(text="a", x=1.2, y=0.1, width=0.1, height=0.1), "field 'x': 1.2 outside [0, 1]"),
+    (dict(text="a", x=0.1, y=-0.1, width=0.1, height=0.1), "field 'y': -0.1 outside [0, 1]"),
+    (dict(text="a", x=0.1, y=0.1, width=0.0, height=0.1), "field 'width': 0.0 outside (0, 1]"),
+    (dict(text="a", x=0.95, y=0.1, width=0.2, height=0.1),
+     "field 'x': x+width = 1.15 exceeds 1"),
+    (dict(text="", x=0.1, y=0.1, width=0.1, height=0.1), "field 'text': must be non-empty"),
+    (dict(text="a", x=0.1, y=0.1, width=0.1, height=1.5), "field 'height': 1.5 outside (0, 1]"),
+    (dict(text="a", x=0.1, y=0.9, width=0.1, height=0.2),
+     "field 'y': y+height = 1.1 exceeds 1"),
+    (dict(text="a", x=0.1, y=float("nan"), width=0.1, height=0.1),
+     "field 'y': nan outside [0, 1]"),
+]
+
+
+# the ids name each case by its position, as the suite has always reported them
+@pytest.mark.parametrize("kwargs, message", TOKEN_ERRORS,
+                         ids=[f"kwargs{i}" for i in range(len(TOKEN_ERRORS))])
+def test_token_invariants(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Token(**kwargs)
 
 

@@ -1,17 +1,27 @@
+import dataclasses
+
 import pytest
 
 from doctnn import (
     EvalReport,
+    ExtractorSpec,
     MlpTrainingStats,
+    NetworkConfig,
     RecognizerParams,
     build_report,
     compare_training_cost,
     default_config,
     evaluate_mlp,
     evaluate_tnn,
+    extract_all,
+    generate_ambiguous,
+    recognize,
     render_report,
+    report_to_dict,
 )
+from doctnn import evaluation
 from doctnn.evaluation import ClassRow, StructureRow
+from doctnn.features import ALIGN_TOL
 from doctnn.network import TnnTrainingSummary, TrainingStats
 
 
@@ -112,3 +122,50 @@ def test_render_report_mentions_all_sections(desk_tnn, desk_mlp, desk_corpora):
     for needle in ("Document recognition", "Structure extraction", "Confusion",
                    "dense baseline", "Training cost"):
         assert needle in text
+
+
+def test_shared_baseline_is_fed_level_one_values(desk_tnn, desk_mlp, desk_corpora,
+                                                 monkeypatch):
+    _, test = desk_corpora
+    fixtures = generate_ambiguous(7, 24)
+    # every fixture is refined twice, so a later pass's values are not level 1's
+    assert all(len(recognize(desk_tnn, d).passes) == 3 for d in fixtures)
+    fed = []
+    real = evaluation.forward_mlp
+    monkeypatch.setattr(evaluation, "forward_mlp",
+                        lambda model, values: fed.append(values) or real(model, values))
+    extractors = desk_mlp.config.element_extractors
+    for docs in (test, fixtures):
+        fed.clear()
+        build_report(desk_tnn, docs, mlp_model=desk_mlp)
+        assert fed == [extract_all(extractors, d) for d in docs]
+
+
+def explicit_tol_baseline(mlp):
+    """``mlp`` with one extractor spec that names its default ``align_tol``."""
+    config = default_config()
+    extractors = dict(config.extractors)
+    extractors["horizontal_alignment"] = ExtractorSpec(
+        kind="horizontal_alignment", params={"align_tol": ALIGN_TOL})
+    other = NetworkConfig(topology=config.topology, extractors=extractors,
+                          hyperparams=config.hyperparams)
+    return dataclasses.replace(mlp, config=other)
+
+
+@pytest.mark.parametrize("case", ["shared", "other_spec", "mlp_test_docs"])
+def test_baseline_extracts_only_what_it_cannot_share(desk_tnn, desk_mlp, desk_corpora,
+                                                     monkeypatch, case):
+    _, test = desk_corpora
+    docs = test[:100]
+    mlp = explicit_tol_baseline(desk_mlp) if case == "other_spec" else desk_mlp
+    mlp_docs = docs[::-1] if case == "mlp_test_docs" else None
+    extracted = []
+    real = evaluation.extract_all
+    monkeypatch.setattr(evaluation, "extract_all",
+                        lambda extractors, doc: extracted.append(doc) or real(extractors, doc))
+    report = build_report(desk_tnn, docs, mlp_model=mlp, mlp_test_docs=mlp_docs)
+    assert len(extracted) == (0 if case == "shared" else len(docs))
+    # the report of separately called evaluations, in EvalReport's field order
+    expected = EvalReport(*evaluate_tnn(desk_tnn, docs), *evaluate_mlp(mlp, mlp_docs or docs),
+                          compare_training_cost(desk_tnn.training, mlp.training))
+    assert report_to_dict(report) == report_to_dict(expected)
