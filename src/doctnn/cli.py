@@ -12,7 +12,7 @@ from .evaluation import build_report, render_report, report_to_dict
 from .generator import GenSpec, Noise, generate
 from .mlp import MlpModel, load_mlp, save_mlp, train_mlp
 from .network import ModelFormatError, TnnModel, load_model, save_model, train_tnn
-from .recognizer import DEFAULT_PARAMS, RecognitionResult, RecognizerParams, recognize
+from .recognizer import RecognitionResult, RecognizerParams, recognize
 from .topology import Hyperparams, NetworkConfig, TopologyError, default_config, load_config
 
 ERROR_PREFIX = "error:"
@@ -41,19 +41,14 @@ def _load_config_arg(path: str | None) -> NetworkConfig:
 
 
 def _recognizer_params(args: argparse.Namespace) -> RecognizerParams:
-    return RecognizerParams(
-        tau_accept=args.tau_accept,
-        tau_margin=args.tau_margin,
-        tau_struct=args.tau_struct,
-        max_passes=args.max_passes,
-    )
+    return RecognizerParams(**{f.name: getattr(args, f.name) for f in fields(RecognizerParams)})
 
 
 def _add_recognizer_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tau-accept", type=float, default=DEFAULT_PARAMS.tau_accept)
-    parser.add_argument("--tau-margin", type=float, default=DEFAULT_PARAMS.tau_margin)
-    parser.add_argument("--tau-struct", type=float, default=DEFAULT_PARAMS.tau_struct)
-    parser.add_argument("--max-passes", type=int, default=DEFAULT_PARAMS.max_passes)
+    # each RecognizerParams field has a flag of its name, typed and defaulted by the field
+    for f in fields(RecognizerParams):
+        parser.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default),
+                            default=f.default)
 
 
 def _pick_document(docs: list[DocumentInstance], doc_id: str | None) -> DocumentInstance:
@@ -140,14 +135,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     tnn_model = load_model(args.tnn)
     mlp_model = load_mlp(args.mlp) if args.mlp else None
     test_docs = load_corpus(args.test, tnn_model.topology)
-    # without the flag the baseline ranks the test documents
+    # without the flag the baseline ranks the test documents; with it, the
+    # test documents stay the same objects, so the baseline shares their values
     mlp_test_docs: list[DocumentInstance] | None = None
     if args.reuse_training_samples:
-        train_docs = load_corpus(args.reuse_training_samples, tnn_model.topology)
-        mlp_test_docs = train_docs + [
-            DocumentInstance(id=f"test-{d.id}", tokens=d.tokens, labels=d.labels)
-            for d in test_docs
-        ]
+        mlp_test_docs = load_corpus(args.reuse_training_samples, tnn_model.topology) + test_docs
     report = build_report(
         tnn_model,
         test_docs,

@@ -95,6 +95,23 @@ def expect_type(value: object, kind: type, error: type[Exception], what: str):
     return value
 
 
+def expect_number(value: object, kind: type, error: type[Exception], what: str,
+                  least: float | None = None):
+    """``value``, raising ``error`` unless it is a number of the JSON type ``kind``.
+
+    ``kind`` is int (a Python int, not a bool) or float (an int or a float,
+    not a bool, that is finite). With ``least`` given, a smaller value is
+    refused. Every number the library takes from outside is checked here, so
+    a numpy integer or a numeric string is refused like a bool, never converted.
+    """
+    expect_type(value, kind, error, what)
+    if kind is float and not finite_number(value):
+        raise error(f"{what} must be a finite number, got {value!r}")
+    if least is not None and value < least:
+        raise error(f"{what} must be >= {least:g}, got {value!r}")
+    return value
+
+
 def finite_number(value: object) -> bool:
     """Whether ``value`` is a number, not a bool, that a float holds finitely."""
     if not isinstance(value, Real) or isinstance(value, bool):

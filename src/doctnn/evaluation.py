@@ -5,17 +5,17 @@ and the dense baseline, per-structure extraction rows (the baseline has no
 structure output, so only the transparent network gets those), confusion
 matrices with an explicit reject column, and the backward-pass cost ratio.
 
-Both networks read the same level-1 element vector. When the baseline is
-evaluated on the transparent network's test documents and both configs
-declare equal extractor specs, ``build_report`` hands the baseline each
-document's first-pass element values from ``recognize``. Pass 1 raises no
-level, so those are the values ``extract_all`` gives, and each document is
-extracted once. Otherwise the baseline extracts its documents itself.
+Both networks read the same level-1 element vector. When both configs
+declare equal extractor specs, ``build_report`` hands the baseline the
+first-pass element values from ``recognize`` of every document it ranks
+that is one of the transparent network's test documents. Pass 1 raises no
+level, so those are the values ``extract_all`` gives, and each such document
+is extracted once. The baseline extracts any other document itself.
 """
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -162,13 +162,13 @@ def evaluate_tnn(
 def evaluate_mlp(
     model: MlpModel,
     docs: Sequence[DocumentInstance],
-    elements: Sequence[Mapping[str, float]] | None = None,
+    elements: Iterable[Mapping[str, float]] | None = None,
 ) -> tuple[tuple[ClassRow, ...], dict[str, dict[str, int]]]:
     """Plain argmax ranking against the class label; no structure metrics exist.
 
-    ``elements``, when given, holds each document's level-1 element values,
+    ``elements``, when given, yields each document's level-1 element values,
     in document order, as ``extract_all`` with the model's extractors gives
-    them; no document is then extracted.
+    them; ``evaluate_mlp`` then extracts no document itself.
     """
     _require_labels(docs)
     topo = model.config.topology
@@ -212,10 +212,11 @@ def build_report(
     A baseline must rank the transparent network's classes: one trained on
     other classes is refused before any document is evaluated.
 
-    Without ``mlp_test_docs`` the baseline ranks ``test_docs``. When both
-    configs also declare equal extractor specs, it reads each document's
-    first-pass element values from the transparent network's recognition,
-    which equal level-1 ``extract_all``, instead of extracting it again.
+    The baseline ranks ``mlp_test_docs``, or ``test_docs`` without them. When
+    both configs declare equal extractor specs, a baseline document that is
+    one of ``test_docs`` (the same object) reads its first-pass element values
+    from the transparent network's recognition, which equal level-1
+    ``extract_all``, instead of being extracted again; any other is extracted.
     """
     shared: list[dict[str, float]] | None = None
     if mlp_model is not None:
@@ -224,8 +225,7 @@ def build_report(
         if set(theirs) != set(ours):
             raise ValueError(f"baseline classes {list(theirs)} differ from the "
                              f"transparent network's {list(ours)}")
-        if (mlp_test_docs is None
-                and mlp_model.config.extractors == tnn_model.config.extractors):
+        if mlp_model.config.extractors == tnn_model.config.extractors:
             shared = []
     tnn_classes, tnn_structures, tnn_confusion = evaluate_tnn(
         tnn_model, test_docs, params, shared)
@@ -233,9 +233,14 @@ def build_report(
     mlp_confusion: dict[str, dict[str, int]] = {}
     cost = None
     if mlp_model is not None:
-        mlp_classes, mlp_confusion = evaluate_mlp(
-            mlp_model, mlp_test_docs if mlp_test_docs is not None else test_docs, shared
-        )
+        mlp_docs = test_docs if mlp_test_docs is None else mlp_test_docs
+        elements = None
+        if shared is not None:
+            first_pass = {id(doc): values for doc, values in zip(test_docs, shared)}
+            extractors = mlp_model.config.element_extractors
+            elements = (first_pass[id(doc)] if id(doc) in first_pass
+                        else extract_all(extractors, doc) for doc in mlp_docs)
+        mlp_classes, mlp_confusion = evaluate_mlp(mlp_model, mlp_docs, elements)
         if tnn_model.training is not None and mlp_model.training is not None:
             cost = compare_training_cost(tnn_model.training, mlp_model.training)
     return EvalReport(

@@ -34,7 +34,7 @@ from functools import lru_cache
 from operator import attrgetter, sub
 from typing import Callable, Mapping, Sequence, Sized, TypeVar
 
-from .documents import DocumentInstance, Token, TokenKind, expect_type, finite_number
+from .documents import DocumentInstance, Token, TokenKind, expect_number
 
 ALIGN_TOL = 0.01            # page fraction, shared by row and column grouping
 RIGHT_REGION_X = 0.5        # tokens with left edge here or beyond form the amount region
@@ -73,22 +73,11 @@ class Tally:
         return tokens
 
 
-def _number(key: str, value: object, least: float | None = None, kind: type = float) -> float:
-    """An extractor param: a finite number, or an integer when ``kind`` is int,
-    at least ``least`` when given. A bool, a string or a fraction where an
-    integer belongs is refused, never converted."""
-    expect_type(value, kind, ValueError, f"param '{key}'")
-    if not finite_number(value) or (least is not None and value < least):
-        bound = "" if least is None else f" >= {least:g}"
-        raise ValueError(f"param '{key}' must be a finite number{bound}, got {value!r}")
-    return value
-
-
 # A kind's builder pops each param it reads from its own copy of the spec's
 # params, so whatever is left over is a param the kind does not know.
 def _param(params: dict, key: str, default: float, least: float | None = None,
            kind: type = float) -> float:
-    return _number(key, params.pop(key, default), least, kind)
+    return expect_number(params.pop(key, default), kind, ValueError, f"param '{key}'", least)
 
 
 def _words(params: dict, key: str, default: tuple[str, ...]) -> tuple[str, ...]:
@@ -340,7 +329,7 @@ def _designation_levels(params: dict) -> tuple[LevelFn, ...]:
     band_edges = params.pop("middle_band", MIDDLE_BAND)
     if isinstance(band_edges, str) or not isinstance(band_edges, Sequence) or len(band_edges) != 2:
         raise ValueError(f"param 'middle_band' must be two numbers, got {band_edges!r}")
-    lo, hi = (_number("middle_band", edge) for edge in band_edges)
+    lo, hi = (expect_number(edge, float, ValueError, "param 'middle_band'") for edge in band_edges)
     tol = _param(params, "align_tol", ALIGN_TOL, least=0.0)
 
     def band(view: DocumentView, tally: Tally) -> list[Token]:

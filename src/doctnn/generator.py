@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .documents import DocumentInstance, GroundTruth, Token, expect_type, finite_number
+from .documents import DocumentInstance, GroundTruth, Token, expect_number
 
 CHAR_WIDTH = 0.011
 TOKEN_HEIGHT = 0.016
@@ -58,13 +58,11 @@ class Noise:
     distort_rate: float = 0.0 # probability a keyword token is misspelled
 
     def __post_init__(self) -> None:
-        # a bool is not a number here, and a string is refused, not compared
         for name in ("drop_rate", "distort_rate"):
-            v = getattr(self, name)
-            if not finite_number(v) or not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be a number in [0, 1], got {v!r}")
-        if not finite_number(self.jitter) or self.jitter < 0.0:
-            raise ValueError(f"jitter must be a finite number >= 0, got {self.jitter!r}")
+            rate = expect_number(getattr(self, name), float, ValueError, name, 0)
+            if rate > 1:
+                raise ValueError(f"{name} must be <= 1, got {rate!r}")
+        expect_number(self.jitter, float, ValueError, "jitter", 0)
 
 
 @dataclass(frozen=True)
@@ -77,19 +75,12 @@ class GenSpec:
 
     def __post_init__(self) -> None:
         # numpy would read True as 1 and "3" as a seed, and refuse -1 only in generate
-        _non_negative_int(self.seed, "seed")
+        expect_number(self.seed, int, ValueError, "seed", 0)
         for name, count in self.counts.items():
             if name not in _BUILDERS:
                 raise ValueError(f"count for unknown class {name!r}; "
                                  f"classes are {', '.join(_BUILDERS)}")
-            _non_negative_int(count, f"count for {name!r}")
-
-
-def _non_negative_int(value: object, what: str) -> int:
-    """``value`` if it is an int >= 0 (not a bool), else a ValueError naming ``what``."""
-    if expect_type(value, int, ValueError, what) < 0:
-        raise ValueError(f"{what} must be >= 0, got {value}")
-    return value
+            expect_number(count, int, ValueError, f"count for {name!r}", 0)
 
 
 class _Page:
@@ -399,8 +390,8 @@ def generate_ambiguous(seed: int, count: int) -> list[DocumentInstance]:
     two plausible classes while a third pass does not. ``seed`` and ``count``
     must be ints >= 0, as in ``GenSpec``.
     """
-    _non_negative_int(seed, "seed")
-    _non_negative_int(count, "count")
+    expect_number(seed, int, ValueError, "seed", 0)
+    expect_number(count, int, ValueError, "count", 0)
     docs: list[DocumentInstance] = []
     for i in range(count):
         rng = np.random.default_rng([seed, 900000 + i])

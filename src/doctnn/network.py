@@ -23,6 +23,7 @@ import numpy as np
 from .documents import (
     DocumentInstance,
     check_version,
+    expect_number,
     expect_type,
     finite_number,
     read_json,
@@ -280,7 +281,8 @@ def _binary_targets(names: tuple[str, ...], present: frozenset[str]) -> list[flo
 def count_classes(docs: Sequence[DocumentInstance], topology: Topology) -> dict[str, int]:
     """Documents per class of a training corpus, in the topology's class order.
 
-    Refuses an empty corpus and a document without labels, naming it.
+    Refuses an empty corpus, and a document without labels or labelled with
+    a class the topology does not have, naming it.
     """
     if not docs:
         raise ValueError("training corpus is empty")
@@ -288,6 +290,9 @@ def count_classes(docs: Sequence[DocumentInstance], topology: Topology) -> dict[
     for doc in docs:
         if doc.labels is None:
             raise ValueError(f"document '{doc.id}' is missing labels")
+        if doc.labels.document_class not in counts:
+            raise ValueError(f"document '{doc.id}' has class {doc.labels.document_class!r}, "
+                             f"which the topology does not have")
         counts[doc.labels.document_class] += 1
     return counts
 
@@ -334,13 +339,8 @@ def read_number(payload: object, key: str, kind: type, where: str) -> float | in
     none is negative. Raises ModelFormatError that names the key; nothing is
     converted.
     """
-    value = expect_type(require(payload, key, ModelFormatError, where), kind,
-                        ModelFormatError, f"{where} {key!r}")
-    if kind is float and not finite_number(value):
-        raise ModelFormatError(f"{where} {key!r} must be a finite number, got {value!r}")
-    if value < 0:
-        raise ModelFormatError(f"{where} {key!r} must be >= 0, got {value!r}")
-    return value
+    return expect_number(require(payload, key, ModelFormatError, where), kind,
+                         ModelFormatError, f"{where} {key!r}", 0)
 
 
 def read_class_counts(counts: object, topology: Topology) -> dict[str, int]:
@@ -366,10 +366,10 @@ def read_matrix(payload: object, key: str, where: str) -> np.ndarray:
 
 
 def read_seed(payload: Mapping) -> int:
-    """A model file's seed, 0 when absent."""
+    """A model file's seed, 0 when absent; numpy refuses a negative one."""
     if "seed" not in payload:
         return 0
-    return expect_type(payload["seed"], int, ModelFormatError, "model file 'seed'")
+    return expect_number(payload["seed"], int, ModelFormatError, "model file 'seed'", 0)
 
 
 def _stats_from_dict(payload: object, where: str) -> TrainingStats:

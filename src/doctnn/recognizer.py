@@ -10,12 +10,11 @@ document itself is rejected.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from numbers import Integral
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .documents import DocumentInstance, finite_number
+from .documents import DocumentInstance, expect_number
 from .features import DocumentView, ElementExtractor, extract_all
 from .network import ActivationTrace, TnnModel, forward_tnn
 
@@ -34,12 +33,8 @@ class RecognizerParams:
     def __post_init__(self) -> None:
         # thresholds are not bounded to [0, 1]: a threshold above 1 rejects everything
         for name in ("tau_accept", "tau_margin", "tau_struct"):
-            value = getattr(self, name)
-            if not finite_number(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        value = self.max_passes
-        if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
-            raise ValueError(f"max_passes must be an integer >= 1, got {value!r}")
+            expect_number(getattr(self, name), float, ValueError, name)
+        expect_number(self.max_passes, int, ValueError, "max_passes", 1)
 
 
 DEFAULT_PARAMS = RecognizerParams()

@@ -10,7 +10,6 @@ class can also learn counter-evidence (a totals line argues against
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from numbers import Integral
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -18,8 +17,8 @@ from typing import Mapping
 from .documents import (
     check_version,
     expect_names,
+    expect_number,
     expect_type,
-    finite_number,
     read_json,
     require,
     write_json,
@@ -105,16 +104,10 @@ class Hyperparams:
     max_epochs: int = 1000
 
     def __post_init__(self) -> None:
-        if not (finite_number(self.mu) and self.mu > 0):
-            raise TopologyError(f"mu must be a finite number > 0, got {self.mu!r}")
-        if not (finite_number(self.epsilon) and self.epsilon >= 0):
-            raise TopologyError(f"epsilon must be a finite number >= 0, got {self.epsilon!r}")
-        if (
-            not isinstance(self.max_epochs, Integral)
-            or isinstance(self.max_epochs, bool)
-            or self.max_epochs < 1
-        ):
-            raise TopologyError(f"max_epochs must be an integer >= 1, got {self.max_epochs!r}")
+        if expect_number(self.mu, float, TopologyError, "mu") <= 0:
+            raise TopologyError(f"mu must be > 0, got {self.mu!r}")
+        expect_number(self.epsilon, float, TopologyError, "epsilon", 0)
+        expect_number(self.max_epochs, int, TopologyError, "max_epochs", 1)
 
 
 @dataclass(frozen=True)

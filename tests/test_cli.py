@@ -75,6 +75,7 @@ def write_broken_files(root):
     broken("test.json", "id_list.json", ("documents", 0, "id"), [])
     broken("test.json", "text_object.json", ("documents", 0, "tokens", 0, "text"), {"a": 1})
     broken("tnn.model", "seed_fraction.json", ("seed",), 2.9)
+    broken("tnn.model", "seed_negative.json", ("seed",), -1)
     broken("config.json", "epochs_fraction.json", ("hyperparams", "max_epochs"), 2.5)
     broken("tnn.model", "version_true.json", ("format_version",), True)
     broken("config.json", "extra_spec.json", ("extractors", "extra_one"),
@@ -287,7 +288,7 @@ def test_eval_reuse_flag_extends_baseline_test_set(workspace, tmp_path, capsys):
     assert payload["mlp"]["aggregate"]["tested"] == 24 + 18
 
 
-@pytest.mark.parametrize("reuse, extracted", [(False, 0), (True, 18 + 24)])
+@pytest.mark.parametrize("reuse, extracted", [(False, 0), (True, 18)])
 def test_eval_baseline_extracts_only_documents_it_cannot_share(
         workspace, capsys, monkeypatch, reuse, extracted):
     from doctnn import evaluation
@@ -415,6 +416,8 @@ EVAL = ("--tnn", "{ws}/tnn.model", "--test", "{ws}/test.json")
          "'class_counts' total 1 documents, but training stats 0 has 18 samples"),
         (("recognize", "--model", "{ws}/deep.json", "--doc", "{ws}/deep.json"),
          "deep.json: maximum recursion depth exceeded"),
+        (("recognize", "--model", "{ws}/seed_negative.json", "--doc", "{ws}/test.json"),
+         "model file 'seed' must be >= 0, got -1"),
     ],
 )
 def test_bad_input_gives_one_error_line(workspace, tmp_path, capsys, argv, message):

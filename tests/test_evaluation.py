@@ -152,19 +152,23 @@ def explicit_tol_baseline(mlp):
     return dataclasses.replace(mlp, config=other)
 
 
-@pytest.mark.parametrize("case", ["shared", "other_spec", "mlp_test_docs"])
+@pytest.mark.parametrize("case", ["shared", "other_spec", "mlp_test_docs", "same_objects"])
 def test_baseline_extracts_only_what_it_cannot_share(desk_tnn, desk_mlp, desk_corpora,
                                                      monkeypatch, case):
     _, test = desk_corpora
     docs = test[:100]
     mlp = explicit_tol_baseline(desk_mlp) if case == "other_spec" else desk_mlp
-    mlp_docs = docs[::-1] if case == "mlp_test_docs" else None
+    # equal copies are other objects, so only the same objects are shared
+    mlp_docs = {
+        "mlp_test_docs": [dataclasses.replace(d) for d in docs[::-1]],
+        "same_objects": docs[::-1],
+    }.get(case)
     extracted = []
     real = evaluation.extract_all
     monkeypatch.setattr(evaluation, "extract_all",
                         lambda extractors, doc: extracted.append(doc) or real(extractors, doc))
     report = build_report(desk_tnn, docs, mlp_model=mlp, mlp_test_docs=mlp_docs)
-    assert len(extracted) == (0 if case == "shared" else len(docs))
+    assert len(extracted) == (len(docs) if case in ("other_spec", "mlp_test_docs") else 0)
     # the report of separately called evaluations, in EvalReport's field order
     expected = EvalReport(*evaluate_tnn(desk_tnn, docs), *evaluate_mlp(mlp, mlp_docs or docs),
                           compare_training_cost(desk_tnn.training, mlp.training))
