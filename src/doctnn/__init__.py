@@ -40,6 +40,7 @@ from .mlp import (
     gradients,
     load_mlp,
     save_mlp,
+    split_flat,
     train_mlp,
     train_mlp_on_samples,
 )

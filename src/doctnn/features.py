@@ -563,7 +563,7 @@ def _best_run(view: DocumentView, tally: Tally, tol: float,
 
 def _text_block_levels(params: dict) -> tuple[LevelFn, ...]:
     tol = _param(params, "align_tol", ALIGN_TOL, least=0.0)
-    min_rows = _param(params, "min_rows", 3, kind=int)
+    min_rows = _param(params, "min_rows", 3, least=1, kind=int)
 
     def best_run(view: DocumentView, tally: Tally) -> list[tuple[Token, ...]]:
         return _best_run(view, tally, tol, min_rows)
@@ -613,8 +613,8 @@ def _date_levels(params: dict) -> tuple[LevelFn, ...]:
 
 def _isolated_levels(params: dict) -> tuple[LevelFn, ...]:
     band_y = _param(params, "bottom_band_y", BOTTOM_BAND_Y)
-    max_tokens = _param(params, "max_tokens", ISOLATED_MAX_TOKENS, kind=int)
-    min_gap = _param(params, "min_gap", ISOLATED_MIN_GAP)
+    max_tokens = _param(params, "max_tokens", ISOLATED_MAX_TOKENS, least=1, kind=int)
+    min_gap = _param(params, "min_gap", ISOLATED_MIN_GAP, least=0.0)
 
     def level1(view: DocumentView, tally: Tally) -> float:
         tokens = tally.charge(view.tokens)

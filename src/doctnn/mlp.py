@@ -9,6 +9,7 @@ output and no refinement hook.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -82,10 +83,59 @@ def forward_mlp(model: MlpModel, elements: Mapping[str, float]) -> np.ndarray:
     return _forward_all(model, x)[2]
 
 
+# the constant 1 that each bias gradient entry multiplies
+_ONE = np.ones(1)
+
+
+@lru_cache(maxsize=None)
+def _gather_index(sizes: tuple[int, int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays that lay the outer products out as one flat gradient.
+
+    With u = (x, a1, a2, 1) and d = (d1, d2, d3), entry k of the flat gradient
+    is u[left[k]] * d[right[k]]: W0, W1, W2 row-major, then b0, b1, b2.
+    """
+    n0, n1, n2, _ = sizes
+    u = np.arange(n0 + n1 + n2 + 1)
+    d = np.arange(sum(sizes[1:]))
+    # (rows, columns) of W0, W1, W2; the biases are d whole, each times the 1 at u[-1]
+    blocks = ((u[:n0], d[:n1]), (u[n0:n0 + n1], d[n1:n1 + n2]), (u[n0 + n1:-1], d[n1 + n2:]))
+    left = [np.repeat(rows, cols.size) for rows, cols in blocks] + [np.full(d.size, u[-1])]
+    right = [np.tile(cols, rows.size) for rows, cols in blocks] + [d]
+    left, right = np.concatenate(left), np.concatenate(right)
+    # every caller shares the cached arrays
+    left.flags.writeable = right.flags.writeable = False
+    return left, right
+
+
+def split_flat(model: MlpModel, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Views of a flat parameter-shaped vector as (weights, biases) per layer.
+
+    The layout is the one ``gradients`` returns: W0, W1, W2 row-major, then
+    b0, b1, b2, shaped like ``model.weights`` and ``model.biases``.
+    """
+    weights = []
+    biases = []
+    start = 0
+    for w in model.weights:
+        weights.append(flat[start:start + w.size].reshape(w.shape))
+        start += w.size
+    for b in model.biases:
+        biases.append(flat[start:start + b.size])
+        start += b.size
+    return weights, biases
+
+
 def gradients(
     model: MlpModel, x: np.ndarray, target: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray, float]:
-    """One backward pass: dLoss/dW and dLoss/db for loss = 0.5 * sum((y - t)^2)."""
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """One backward pass for loss = 0.5 * sum((y - t)^2): (grad, output, loss).
+
+    ``grad`` is one fresh flat vector of dLoss/dW and dLoss/db laid out W0,
+    W1, W2 (row-major), then b0, b1, b2; ``split_flat`` gives its per-layer
+    views. Each weight entry is the single product x_i * d_j that
+    ``np.outer`` forms and each bias entry is d_j, so the flat vector holds
+    the per-layer gradients bit for bit.
+    """
     x = np.asarray(x, dtype=float)
     target = np.asarray(target, dtype=float)
     a1, a2, a3 = _forward_all(model, x)
@@ -94,10 +144,10 @@ def gradients(
     d3 = e * a3 * (1.0 - a3)
     d2 = model.weights[2].dot(d3) * a2 * (1.0 - a2)
     d1 = model.weights[1].dot(d2) * a1 * (1.0 - a1)
-    outer = np.multiply.outer
-    grad_w = [outer(x, d1), outer(a1, d2), outer(a2, d3)]
-    grad_b = [d1, d2, d3]
-    return grad_w, grad_b, a3, loss
+    left, right = _gather_index((x.size, a1.size, a2.size, a3.size))
+    grad = np.concatenate((x, a1, a2, _ONE)).take(left)
+    grad *= np.concatenate((d1, d2, d3)).take(right)
+    return grad, a3, loss
 
 
 def train_mlp(model: MlpModel, docs: Sequence[DocumentInstance]) -> MlpTrainingStats:
@@ -122,28 +172,34 @@ def train_mlp_on_samples(
     ts: np.ndarray,
     class_counts: Mapping[str, int] | None = None,
 ) -> MlpTrainingStats:
-    """Backpropagation over raw (input, target) rows; one backward pass per sample."""
+    """Backpropagation over raw (input, target) rows; one backward pass per sample.
+
+    The six weight and bias arrays are copied into one flat vector, laid out
+    like the gradient, and ``model.weights`` / ``model.biases`` are rebound to
+    views of it. Each sample then calls ``gradients`` exactly once and applies
+    its flat gradient with one in-place scale and one in-place subtract.
+    """
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
     if len(xs) == 0:
         raise ValueError("sample set is empty")
     hp = model.config.hyperparams
     mu = hp.mu
-    params = model.weights + model.biases
+    params = np.concatenate([w.ravel() for w in model.weights] + model.biases)
+    model.weights[:], model.biases[:] = split_flat(model, params)
     backward = 0
     mse = float("inf")
     epoch = 0
     for epoch in range(1, hp.max_epochs + 1):
         squared = 0.0
         for x, t in zip(xs, ts):
-            grad_w, grad_b, _, loss = gradients(model, x, t)
+            grad, _, loss = gradients(model, x, t)
             # loss is half the squared error; doubling it is exact
             squared += 2.0 * loss / t.size
-            # the gradients are fresh arrays: scale them in place, then subtract,
+            # the gradient is a fresh array: scale it in place, then subtract,
             # which rounds exactly like W -= mu * g
-            for p, g in zip(params, grad_w + grad_b):
-                g *= mu
-                p -= g
+            grad *= mu
+            params -= grad
             backward += 1
         mse = squared / len(xs)
         if mse < hp.epsilon:

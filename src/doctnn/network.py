@@ -57,17 +57,25 @@ def sigmoid(x):
     so 1 + e rounds above 1 and e / (1 + e) above 0, and the clamp returns
     every value unchanged. It first changes a value beyond |x| = 36.7, where
     1 + e rounds to 1, and below x = -745, where e underflows to 0.
+    The two fresh arrays it makes are reused in place for every later step.
     """
     arr = np.asarray(x, dtype=float)
+    if arr.ndim == 0:
+        return float(sigmoid(arr[None])[0])
     a = np.abs(arr)
     # the max of |x| is NaN or inf exactly when some input is not finite
     top = np.maximum.reduce(a, None) if a.size else 0.0
     if not top < np.inf:
         raise ValueError("sigmoid requires finite input")
-    out = np.exp(np.minimum(arr, 0.0)) / (1.0 + np.exp(-a))
+    out = np.minimum(arr, 0.0)
+    np.exp(out, out=out)
+    np.negative(a, out=a)
+    np.exp(a, out=a)
+    a += 1.0
+    out /= a
     if top > SIGMOID_CLAMP_FREE:
         out = np.minimum(np.maximum(out, _SIG_LO), _SIG_HI)
-    return float(out) if arr.ndim == 0 else out
+    return out
 
 
 def link_mask(

@@ -178,7 +178,7 @@ def finite_difference_gradients(model, x, t, h=1e-5):
     from doctnn.mlp import gradients
 
     def loss_at():
-        return gradients(model, x, t)[3]
+        return gradients(model, x, t)[2]
 
     grad_w = [np.zeros_like(w) for w in model.weights]
     grad_b = [np.zeros_like(b) for b in model.biases]
@@ -205,9 +205,9 @@ def finite_difference_gradients(model, x, t, h=1e-5):
 
 
 def max_gradient_error(model, x, t):
-    from doctnn.mlp import gradients
+    from doctnn.mlp import gradients, split_flat
 
-    analytic_w, analytic_b, _, _ = gradients(model, x, t)
+    analytic_w, analytic_b = split_flat(model, gradients(model, x, t)[0])
     numeric_w, numeric_b = finite_difference_gradients(model, x, t)
     worst = 0.0
     for a, n in zip(analytic_w + analytic_b, numeric_w + numeric_b):

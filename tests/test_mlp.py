@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -12,12 +13,14 @@ from doctnn import (
     gradients,
     load_mlp,
     save_mlp,
+    split_flat,
     train_mlp,
     train_mlp_on_samples,
 )
-from doctnn import mlp, network
+from doctnn import default_config, extract_all, mlp, network
 from doctnn.evaluation import evaluate_mlp
-from conftest import dense_config, max_gradient_error, two_branch_sigmoid
+from doctnn.network import _element_array
+from conftest import DESK_MODEL_SEED, dense_config, max_gradient_error, two_branch_sigmoid
 
 
 def make_model(sizes=(4, 3, 3, 2), seed=0, hyperparams=None):
@@ -37,13 +40,19 @@ def test_zero_network_outputs_half():
     assert np.all(out == 0.5)
 
 
-def test_hidden_permutation_symmetry():
-    model = make_model(seed=11)
+@pytest.mark.parametrize("trained", [False, True], ids=["created", "trained"])
+def test_hidden_permutation_symmetry(trained):
+    model = make_model(seed=11, hyperparams=Hyperparams(max_epochs=3))
+    if trained:
+        # training leaves the lists holding views of one flat vector
+        train_mlp_on_samples(model, np.eye(4), np.eye(4)[:, :2])
     x = {f"e{i}": v for i, v in enumerate((0.2, 0.9, 0.4, 0.1))}
     base = forward_mlp(model, x)
     perm = np.array([2, 0, 1])
     model.weights[0] = model.weights[0][:, perm]
     model.biases[0] = model.biases[0][perm]
+    # half a permutation moves the output, so forward reads the reassigned entries
+    assert not np.allclose(forward_mlp(model, x), base, rtol=0.0, atol=1e-6)
     model.weights[1] = model.weights[1][perm, :]
     assert forward_mlp(model, x) == pytest.approx(base, abs=1e-12)
 
@@ -78,7 +87,8 @@ def test_zero_error_sample_gives_zero_gradient():
     model = make_model(seed=8)
     x = np.array([0.4, 0.2, 0.9, 0.6])
     target = forward_mlp(model, {f"e{i}": v for i, v in enumerate(x)})
-    grad_w, grad_b, _, loss = gradients(model, x, target)
+    grad, _, loss = gradients(model, x, target)
+    grad_w, grad_b = split_flat(model, grad)
     assert loss == 0.0
     for g in grad_w + grad_b:
         assert np.all(g == 0.0)
@@ -157,6 +167,69 @@ def test_training_is_bit_identical_to_seed_loop(hyper, stops_early):
         assert np.array_equal(got, want)
 
 
+def test_training_calls_gradients_once_per_sample(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return gradients(*args)
+
+    # train_mlp_on_samples looks gradients up in the module on every sample
+    monkeypatch.setattr(mlp, "gradients", counting)
+    hyper = Hyperparams(mu=0.5, epsilon=0.0, max_epochs=7)
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(0.0, 1.0, size=(5, 4))
+    ts = np.eye(2)[rng.integers(0, 2, size=5)]
+    stats = train_mlp_on_samples(make_model(seed=1, hyperparams=hyper), xs, ts)
+    assert len(calls) == 7 * 5 == stats.backward_passes
+
+
+def desk_rows(docs, config):
+    topo = config.topology
+    xs = np.asarray([_element_array(topo, extract_all(config.element_extractors, d))
+                     for d in docs])
+    ts = np.eye(len(topo.documents))[
+        [topo.documents.index(d.labels.document_class) for d in docs]]
+    return xs, ts
+
+
+def test_desk_shape_training_is_bit_identical_to_seed_loop(desk_corpora):
+    train, _ = desk_corpora
+    config = dataclasses.replace(
+        default_config(), hyperparams=Hyperparams(mu=0.5, epsilon=0.0, max_epochs=20))
+    xs, ts = desk_rows(train, config)
+    model = MlpModel.create(config, seed=DESK_MODEL_SEED)
+    reference = MlpModel.create(config, seed=DESK_MODEL_SEED)
+    assert [w.shape for w in model.weights] == [(10, 7), (7, 7), (7, 3)]
+    stats = train_mlp_on_samples(model, xs, ts)
+    epochs, backward, mse = seed_train_mlp_on_samples(reference, xs, ts)
+    assert (stats.epochs, stats.backward_passes, stats.final_mse) == (epochs, backward, mse)
+    assert (epochs, backward) == (20, 20 * len(train))
+    for got, want in zip(model.weights + model.biases, reference.weights + reference.biases):
+        assert np.array_equal(got, want)
+
+
+def test_desk_shape_flat_gradient_holds_the_outer_products(desk_corpora):
+    train, _ = desk_corpora
+    config = default_config()
+    xs, ts = desk_rows(train[:10], config)
+    model = MlpModel.create(config, seed=DESK_MODEL_SEED)
+    w, b = model.weights, model.biases
+    for x, t in zip(xs, ts):
+        grad, y, _ = gradients(model, x, t)
+        assert grad.shape == (sum(p.size for p in w + b),)
+        a1 = two_branch_sigmoid(x @ w[0] + b[0])
+        a2 = two_branch_sigmoid(a1 @ w[1] + b[1])
+        assert np.array_equal(y, two_branch_sigmoid(a2 @ w[2] + b[2]))
+        d3 = (y - t) * y * (1.0 - y)
+        d2 = (w[2] @ d3) * a2 * (1.0 - a2)
+        d1 = (w[1] @ d2) * a1 * (1.0 - a1)
+        grad_w, grad_b = split_flat(model, grad)
+        for got, want in zip(grad_w + grad_b,
+                             [np.outer(x, d1), np.outer(a1, d2), np.outer(a2, d3), d1, d2, d3]):
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
 def test_runaway_step_still_trips_the_sigmoid_finiteness_check():
     hyper = Hyperparams(mu=1e300, epsilon=0.0, max_epochs=20)
     model = make_model(seed=2, hyperparams=hyper)
@@ -170,8 +243,6 @@ def test_runaway_step_still_trips_the_sigmoid_finiteness_check():
 
 def test_training_is_deterministic(tmp_path):
     corpus = generate(GenSpec(seed=12, counts={"invoice": 3, "form": 3, "letter": 3}))
-    from doctnn import default_config
-
     blobs = []
     for _ in range(2):
         model = MlpModel.create(default_config(), seed=5)
@@ -183,7 +254,7 @@ def test_training_is_deterministic(tmp_path):
 
 
 def test_train_rejects_empty_and_unlabeled():
-    from doctnn import DocumentInstance, default_config
+    from doctnn import DocumentInstance
 
     model = MlpModel.create(default_config(), seed=0)
     with pytest.raises(ValueError, match="empty"):
@@ -202,8 +273,6 @@ def test_black_box_interface_has_no_structure_surface():
 
 
 def test_untrained_model_near_chance_on_balanced_corpus():
-    from doctnn import default_config
-
     corpus = generate(GenSpec(seed=77, counts={"invoice": 100, "form": 100, "letter": 100}))
     rates = []
     for seed in range(5):
@@ -216,8 +285,6 @@ def test_untrained_model_near_chance_on_balanced_corpus():
 
 def test_mlp_round_trip(tmp_path):
     corpus = generate(GenSpec(seed=12, counts={"invoice": 2, "form": 2, "letter": 2}))
-    from doctnn import default_config
-
     model = MlpModel.create(default_config(), seed=5)
     train_mlp(model, corpus)
     path = tmp_path / "mlp.json"

@@ -49,13 +49,13 @@ SITES = [
     ("code_area.left_band_x", param("code_area", "left_band_x"), ValueError,
      "'left_band_x'", float, None),
     ("text_block.min_rows", param("text_block", "min_rows"), ValueError,
-     "'min_rows'", int, None),
+     "'min_rows'", int, 0),
     ("isolated_block.bottom_band_y", param("isolated_block", "bottom_band_y"), ValueError,
      "'bottom_band_y'", float, None),
     ("isolated_block.max_tokens", param("isolated_block", "max_tokens"), ValueError,
-     "'max_tokens'", int, None),
+     "'max_tokens'", int, 0),
     ("isolated_block.min_gap", param("isolated_block", "min_gap"), ValueError,
-     "'min_gap'", float, None),
+     "'min_gap'", float, -3.0),
     ("GenSpec.seed", lambda value: GenSpec(seed=value), ValueError, "seed", int, -1),
     ("GenSpec.counts", lambda value: GenSpec(seed=0, counts={"invoice": value}), ValueError,
      "count for 'invoice'", int, -1),
