@@ -19,6 +19,7 @@ from .documents import DocumentInstance, expect_type, read_json, write_json
 from .features import extract_all
 from .network import (
     MODEL_FORMAT_VERSION,
+    ONE0,
     ModelFormatError,
     _element_array,
     count_classes,
@@ -27,6 +28,8 @@ from .network import (
     read_matrix,
     read_number,
     read_seed,
+    require_finite_samples,
+    scalar_operand,
     sigmoid,
 )
 from .topology import NetworkConfig, config_to_dict
@@ -70,10 +73,18 @@ class MlpModel:
 
 
 def _forward_all(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # ndarray.dot: the same products as @, with less dispatch per call
-    a1 = sigmoid(x.dot(model.weights[0]) + model.biases[0])
-    a2 = sigmoid(a1.dot(model.weights[1]) + model.biases[1])
-    a3 = sigmoid(a2.dot(model.weights[2]) + model.biases[2])
+    # ndarray.dot: the same products as @, with less dispatch per call; each
+    # result is fresh, so the bias is added in place
+    w, b = model.weights, model.biases
+    z = x.dot(w[0])
+    z += b[0]
+    a1 = sigmoid(z)
+    z = a1.dot(w[1])
+    z += b[1]
+    a2 = sigmoid(z)
+    z = a2.dot(w[2])
+    z += b[2]
+    a3 = sigmoid(z)
     return a1, a2, a3
 
 
@@ -139,11 +150,18 @@ def gradients(
     x = np.asarray(x, dtype=float)
     target = np.asarray(target, dtype=float)
     a1, a2, a3 = _forward_all(model, x)
-    e = a3 - target
-    loss = 0.5 * float(np.add.reduce(e * e))
-    d3 = e * a3 * (1.0 - a3)
-    d2 = model.weights[2].dot(d3) * a2 * (1.0 - a2)
-    d1 = model.weights[1].dot(d2) * a1 * (1.0 - a1)
+    d3 = a3 - target
+    loss = 0.5 * float(np.add.reduce(d3 * d3))
+    # each delta is (W.dot(d) * a) * (1 - a), built in place on a fresh array
+    # in that left-to-right order
+    d3 *= a3
+    d3 *= ONE0 - a3
+    d2 = model.weights[2].dot(d3)
+    d2 *= a2
+    d2 *= ONE0 - a2
+    d1 = model.weights[1].dot(d2)
+    d1 *= a1
+    d1 *= ONE0 - a1
     left, right = _gather_index((x.size, a1.size, a2.size, a3.size))
     grad = np.concatenate((x, a1, a2, _ONE)).take(left)
     grad *= np.concatenate((d1, d2, d3)).take(right)
@@ -183,8 +201,10 @@ def train_mlp_on_samples(
     ts = np.asarray(ts, dtype=float)
     if len(xs) == 0:
         raise ValueError("sample set is empty")
+    require_finite_samples(xs, ts)
     hp = model.config.hyperparams
-    mu = hp.mu
+    # the step as a 0-d array: the per-sample scale skips a Python float's conversion
+    mu = scalar_operand(hp.mu)
     params = np.concatenate([w.ravel() for w in model.weights] + model.biases)
     model.weights[:], model.biases[:] = split_flat(model, params)
     backward = 0

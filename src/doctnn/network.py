@@ -14,6 +14,7 @@ never updated, which is what keeps every neuron's meaning intact.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -37,8 +38,27 @@ MODEL_FORMAT_VERSION = 1
 
 _SIG_LO = np.nextafter(0.0, 1.0)
 _SIG_HI = np.nextafter(1.0, 0.0)
-# sigmoid skips its clamp when no |x| exceeds this (see sigmoid)
+# sigmoid skips its finiteness reduce and its clamp when the norm of x is at
+# or below this (see sigmoid)
 SIGMOID_CLAMP_FREE = 30.0
+
+
+def scalar_operand(value: float) -> np.ndarray:
+    """``value`` as a read-only 0-d float64 array, for a per-sample ufunc operand.
+
+    numpy converts a Python float operand on every call, which costs about
+    as much as the operation itself on a vector of a few entries; a 0-d
+    array skips that, and the IEEE operation, so every result, is the same.
+    """
+    out = np.array(value, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+# the 0 of sigmoid's numerator exp(min(x, 0))
+ZERO0 = scalar_operand(0.0)
+# the 1 of sigmoid's 1 + exp(-|x|) and of every s * (1 - s) in training
+ONE0 = scalar_operand(1.0)
 
 
 class ModelFormatError(ValueError):
@@ -51,29 +71,42 @@ def sigmoid(x):
     Branch-free form of the two stable branches: with e = exp(-|x|) it is
     1 / (1 + e) for x >= 0 and e / (1 + e) below, so exp never overflows.
     The numerator exp(min(x, 0)) is exactly 1 for x >= 0 and exactly e below,
-    so one quotient gives both branches bit for bit. The clamp to
-    [nextafter(0, 1), nextafter(1, 0)] runs only when some |x| exceeds
-    ``SIGMOID_CLAMP_FREE`` (30): at or below it e >= exp(-30), about 9e-14,
-    so 1 + e rounds above 1 and e / (1 + e) above 0, and the clamp returns
-    every value unchanged. It first changes a value beyond |x| = 36.7, where
-    1 + e rounds to 1, and below x = -745, where e underflows to 0.
+    so one quotient gives both branches bit for bit.
+
+    The clamp to [nextafter(0, 1), nextafter(1, 0)] changes nothing while
+    every |x| is at most 36.7: there e >= exp(-36.7), so 1 + e rounds above
+    1 and e / (1 + e) above 0. It first changes a value beyond |x| = 36.7,
+    where 1 + e rounds to 1, and below x = -745, where e underflows to 0.
+    So the common path checks one number, the Euclidean norm of x from
+    ``math.hypot``, which costs a third of a numpy max-reduce on a few
+    entries: a norm at or below ``SIGMOID_CLAMP_FREE`` (30) bounds every |x|
+    by 30 and is finite only when every input is, so the finiteness reduce
+    and the clamp are skipped. Rounding may move the norm slightly either
+    side of 30, far from 36.7, so no result can change. Any larger norm, inf
+    or NaN takes the exact path: the max of |x| is NaN or inf exactly when
+    some input is not finite, and the clamp runs when that max exceeds 30.
+    ``math.hypot`` scales its inputs, so a norm beyond the float range is inf
+    without a warning; ``a.dot(a)`` would overflow there and warn.
     The two fresh arrays it makes are reused in place for every later step.
     """
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 0:
         return float(sigmoid(arr[None])[0])
     a = np.abs(arr)
-    # the max of |x| is NaN or inf exactly when some input is not finite
-    top = np.maximum.reduce(a, None) if a.size else 0.0
-    if not top < np.inf:
-        raise ValueError("sigmoid requires finite input")
-    out = np.minimum(arr, 0.0)
+    clamp = not math.hypot(*a.ravel().tolist()) <= SIGMOID_CLAMP_FREE
+    if clamp:
+        # a is not empty here: the norm of no entries is 0
+        top = np.maximum.reduce(a, None)
+        if not top < np.inf:
+            raise ValueError("sigmoid requires finite input")
+        clamp = top > SIGMOID_CLAMP_FREE
+    out = np.minimum(arr, ZERO0)
     np.exp(out, out=out)
     np.negative(a, out=a)
     np.exp(a, out=a)
-    a += 1.0
+    a += ONE0
     out /= a
-    if top > SIGMOID_CLAMP_FREE:
+    if clamp:
         out = np.minimum(np.maximum(out, _SIG_LO), _SIG_HI)
     return out
 
@@ -125,8 +158,11 @@ class LayerNetwork:
             raise ValueError(
                 f"dimension mismatch: got {inputs.shape}, expected ({len(self.input_names)},)"
             )
-        # ndarray.dot: the same product as @, with less dispatch per call
-        return sigmoid(inputs.dot(self.weights) - self.thresholds)
+        # ndarray.dot: the same product as @, with less dispatch per call;
+        # its result is fresh, so the threshold is subtracted in place
+        z = inputs.dot(self.weights)
+        z -= self.thresholds
+        return sigmoid(z)
 
 
 @dataclass(frozen=True)
@@ -136,6 +172,17 @@ class TrainingStats:
     update_passes: int    # one per sample per epoch
     weight_updates: int   # linked-weight applications, excludes thresholds
     final_mse: float
+
+
+def require_finite_samples(xs: np.ndarray, ts: np.ndarray) -> None:
+    """Refuse a NaN or infinite sample input or target before any update.
+
+    Training on one would turn every weight NaN before sigmoid's own
+    finiteness check could stop it.
+    """
+    for values, what in ((xs, "inputs"), (ts, "targets")):
+        if not np.isfinite(values).all():
+            raise ValueError(f"sample {what} must be finite, found NaN or infinity")
 
 
 def train_nn1(
@@ -156,11 +203,14 @@ def train_nn1(
     ts = np.asarray([t for _, t in samples], dtype=float)
     if xs.shape[1] != len(net.input_names) or ts.shape[1] != len(net.output_names):
         raise ValueError("sample dimensions do not match the network")
+    require_finite_samples(xs, ts)
     if np.any(ts < 0.0) or np.any(ts > 1.0):
         raise ValueError("targets must lie in [0, 1]")
     linked = net.linked_weight_count
     # one factor for mu and the mask: rounds like scaling by mu, then masking
     step = mu * net.mask
+    # the threshold's factor mu * -1 (its input is the constant -1)
+    threshold_step = scalar_operand(mu * -1.0)
     width = len(net.output_names)
     passes = 0
     updates = 0
@@ -173,12 +223,16 @@ def train_nn1(
             err = t - s
             # np.mean's sum and division, without its dispatch
             squared += float(np.add.reduce(err * err)) / width
-            delta = s * (1.0 - s) * err
+            # s * (1 - s) * err, built in place; a product of two is commutative
+            delta = ONE0 - s
+            delta *= s
+            delta *= err
             # mu * outer(x, delta) * mask: each entry is scaled by mu or by 0
             g = np.multiply.outer(x, delta)
             g *= step
             net.weights += g
-            net.thresholds += mu * -1.0 * delta
+            delta *= threshold_step
+            net.thresholds += delta
             passes += 1
             updates += linked
         mse = squared / len(xs)

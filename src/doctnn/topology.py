@@ -266,11 +266,15 @@ def config_from_dict(payload: Mapping) -> NetworkConfig:
         params = expect_type(entry.get("params", {}), Mapping, TopologyError, f"{where}: 'params'")
         extractors[name] = ExtractorSpec(kind=kind, params=dict(params))
     hp = expect_type(payload.get("hyperparams", {}), Mapping, TopologyError, "config 'hyperparams'")
+    known = {f.name for f in fields(Hyperparams)}
+    unknown = [key for key in hp if key not in known]
+    if unknown:
+        # a misspelt key would otherwise train with the default silently
+        raise TopologyError(f"config hyperparams: param '{unknown[0]}' is unknown")
     # Hyperparams checks the JSON types itself: a string, a bool or a
     # fractional max_epochs is refused, never converted
     try:
-        hyperparams = Hyperparams(**{f.name: hp[f.name] for f in fields(Hyperparams)
-                                     if f.name in hp})
+        hyperparams = Hyperparams(**hp)
     except TopologyError as exc:
         raise TopologyError(f"config hyperparams: {exc}") from exc
     return NetworkConfig(topology=topology, extractors=extractors, hyperparams=hyperparams)

@@ -175,6 +175,7 @@ def test_train_rejects_bad_hyperparams(workspace, tmp_path, capsys, network, fla
         ('{"epsilon": Infinity}', "epsilon"),
         ('{"mu": -1}', "mu"),
         ('{"mu": null}', "hyperparams"),
+        ('{"max_epoch": 10}', "param 'max_epoch' is unknown"),
         pytest.param('{"mu": 1%s}' % ("0" * 400), "mu", id="mu-beyond-float-range"),
     ],
 )

@@ -230,6 +230,41 @@ def test_desk_shape_flat_gradient_holds_the_outer_products(desk_corpora):
             assert got.shape == want.shape and np.array_equal(got, want)
 
 
+def test_backward_and_forward_write_into_no_caller_array():
+    model = make_model(seed=4)
+    rng = np.random.default_rng(6)
+    for b in model.biases:
+        b[:] = rng.uniform(-0.5, 0.5, b.size)
+    x = rng.uniform(0.0, 1.0, 4)
+    target = np.array([0.0, 1.0])
+    elements = {f"e{i}": v for i, v in enumerate(x.tolist())}
+    grad, y, loss = gradients(model, x, target)
+    out = forward_mlp(model, elements)
+    # an in-place write into any of them would raise
+    for array in [x, target] + model.weights + model.biases:
+        array.flags.writeable = False
+    got_grad, got_y, got_loss = gradients(model, x, target)
+    assert np.array_equal(got_grad, grad) and np.array_equal(got_y, y) and got_loss == loss
+    assert np.array_equal(forward_mlp(model, elements), out)
+
+
+@pytest.mark.parametrize("column", ["input", "target"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_training_refuses_a_non_finite_sample_before_any_update(column, bad):
+    model = make_model(seed=2)
+    rng = np.random.default_rng(3)
+    xs = rng.uniform(0.0, 1.0, size=(6, 4))
+    ts = np.eye(2)[rng.integers(0, 2, size=6)]
+    # the last sample is bad, after five the loop would learn from
+    (xs if column == "input" else ts)[-1, 1] = bad
+    before = [p.copy() for p in model.weights + model.biases]
+    with pytest.raises(ValueError, match=f"sample {column}s must be finite"):
+        train_mlp_on_samples(model, xs, ts)
+    for got, want in zip(model.weights + model.biases, before):
+        assert np.array_equal(got, want)
+    assert model.training is None
+
+
 def test_runaway_step_still_trips_the_sigmoid_finiteness_check():
     hyper = Hyperparams(mu=1e300, epsilon=0.0, max_epochs=20)
     model = make_model(seed=2, hyperparams=hyper)

@@ -97,6 +97,41 @@ def test_sigmoid_matches_reference_on_any_finite_scalar(x):
     assert sigmoid(x) == two_branch_sigmoid(x)
 
 
+@given(st.lists(st.floats(-50, 50), max_size=12))
+def test_sigmoid_matches_reference_on_vectors_either_side_of_the_norm_bound(values):
+    # a vector's norm, not its largest entry, picks sigmoid's path; vectors of
+    # up to 12 entries in [-50, 50] fall on both sides of 30 and of 36.7
+    arr = np.array(values, dtype=float)
+    assert np.array_equal(sigmoid(arr), two_branch_sigmoid(arr))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [20.0, -20.0, 20.0],        # norm above 30, every entry below it
+        [36.8] + [0.0] * 6,          # norm 36.8: 1 + e rounds to 1, so it must clamp
+        [1e308] * 7,                 # the norm overflows to inf, the entries are finite
+        [4.0] * 7,                   # norm 10.6: the path without reduce or clamp
+        [-36.8, 1.0, -745.5],        # e underflows to 0 at -745.5
+    ],
+    ids=["norm-above-entries-below", "one-entry-past-36.7", "norm-overflows",
+         "norm-below-bound", "underflow"],
+)
+def test_sigmoid_matches_reference_across_the_norm_bound(values):
+    arr = np.array(values)
+    assert np.array_equal(sigmoid(arr), two_branch_sigmoid(arr))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 3, 6])
+def test_sigmoid_refuses_a_non_finite_entry_among_finite_ones(bad, where):
+    for fill in (0.5, 1e308):
+        arr = np.full(7, fill)
+        arr[where] = bad
+        with pytest.raises(ValueError, match="^sigmoid requires finite input$"):
+            sigmoid(arr)
+
+
 # --- LayerNetwork.forward ---------------------------------------------------------
 
 def test_forward_layer_zero_network():
@@ -120,6 +155,19 @@ def test_forward_layer_mask_invariance():
     base = net.forward((0.4, 0.0))
     for b in (0.1, 0.5, 1.0):
         assert np.array_equal(net.forward((0.4, b)), base)
+
+
+def test_forward_layer_writes_into_no_caller_array():
+    rng = np.random.default_rng(2)
+    net = LayerNetwork.create("abcd", "xyz", [("a", "x"), ("b", "y"), ("d", "y"), ("c", "z")],
+                              rng)
+    net.thresholds[:] = rng.uniform(-1.0, 1.0, 3)
+    x = rng.uniform(0.0, 1.0, 4)
+    want = net.forward(x)
+    # an in-place write into any of them would raise
+    for array in (x, net.weights, net.thresholds):
+        array.flags.writeable = False
+    assert np.array_equal(net.forward(x), want)
 
 
 def test_forward_layer_dimension_mismatch():
@@ -303,6 +351,27 @@ def test_train_nn1_rejects_bad_input():
         train_nn1(net, [])
     with pytest.raises(ValueError, match="0, 1"):
         train_nn1(net, [((1.0,), (1.5,))])
+
+
+@pytest.mark.parametrize(
+    "sample, message",
+    [
+        (((0.5,), (np.nan,)), "targets must be finite"),
+        (((0.5,), (np.inf,)), "targets must be finite"),
+        (((np.nan,), (1.0,)), "inputs must be finite"),
+        (((-np.inf,), (1.0,)), "inputs must be finite"),
+        (((0.5,), (-0.25,)), r"targets must lie in \[0, 1\]"),
+    ],
+    ids=["nan-target", "inf-target", "nan-input", "inf-input", "target-below-0"],
+)
+def test_train_nn1_refuses_a_bad_sample_before_any_update(sample, message):
+    net = single_link_net()
+    weights, thresholds = net.weights.copy(), net.thresholds.copy()
+    # the bad sample comes last, after a good one the loop would learn from
+    with pytest.raises(ValueError, match=message):
+        train_nn1(net, [((1.0,), (1.0,)), sample])
+    assert np.array_equal(net.weights, weights)
+    assert np.array_equal(net.thresholds, thresholds)
 
 
 # --- whole-cascade training ---------------------------------------------------------------
