@@ -223,17 +223,29 @@ class DocumentInstance:
             raise ValueError("document id must be non-empty")
 
 
-def _validate_labels(labels: GroundTruth, doc_id: str, topology: "Topology") -> None:
-    if labels.document_class not in topology.documents:
-        raise CorpusError(
-            f"document '{doc_id}' field 'class': unknown name '{labels.document_class}'"
-        )
-    for name in sorted(labels.structures):
-        if name not in topology.structures:
-            raise CorpusError(f"document '{doc_id}' field 'structures': unknown name '{name}'")
-    for name in sorted(labels.substructures):
-        if name not in topology.substructures:
-            raise CorpusError(f"document '{doc_id}' field 'substructures': unknown name '{name}'")
+def _validate_labels(labels: GroundTruth, doc_id: str, topology: "Topology",
+                     error: type[Exception]) -> None:
+    for key, names, known in (("class", [labels.document_class], topology.documents),
+                              ("structures", sorted(labels.structures), topology.structures),
+                              ("substructures", sorted(labels.substructures),
+                               topology.substructures)):
+        for name in names:
+            if name not in known:
+                raise error(f"document '{doc_id}' field '{key}': unknown name '{name}'")
+
+
+def require_labels(docs: Iterable[DocumentInstance], topology: "Topology",
+                   error: type[Exception] = ValueError) -> None:
+    """Refuse a document without labels, or labelled with a name ``topology`` lacks.
+
+    Every path that takes labelled documents runs this one check: the corpus
+    loader on its labelled documents, both trainers and both evaluations.
+    ``error`` is raised with a message that names the document and the label.
+    """
+    for doc in docs:
+        if doc.labels is None:
+            raise error(f"document '{doc.id}' has no labels")
+        _validate_labels(doc.labels, doc.id, topology, error)
 
 
 _TOKEN_FIELDS = frozenset(("text", "x", "y", "w", "h"))
@@ -260,7 +272,7 @@ def _parse_token(raw: object, doc_id: str, index: int) -> Token:
         raise CorpusError(f"document '{doc_id}' token {index}: {exc}") from exc
 
 
-def _parse_document(raw: object, topology: "Topology") -> DocumentInstance:
+def _parse_document(raw: object) -> DocumentInstance:
     if not isinstance(raw, dict) or "id" not in raw:
         raise CorpusError("document entry missing 'id'")
     doc_id = expect_type(raw["id"], str, CorpusError, "document entry 'id'")
@@ -281,7 +293,6 @@ def _parse_document(raw: object, topology: "Topology") -> DocumentInstance:
             substructures=frozenset(expect_names(
                 lab.get("substructures", []), CorpusError, f"{where} 'substructures'")),
         )
-        _validate_labels(labels, doc_id, topology)
     return DocumentInstance(id=doc_id, tokens=tokens, labels=labels)
 
 
@@ -291,7 +302,8 @@ def load_corpus(path: str | Path, topology: "Topology") -> list[DocumentInstance
     if "documents" not in payload:
         raise CorpusError(f"parse error in {path}: top-level 'documents' key missing")
     raw_docs = expect_type(payload["documents"], list, CorpusError, f"{path} 'documents'")
-    docs = [_parse_document(raw, topology) for raw in raw_docs]
+    docs = [_parse_document(raw) for raw in raw_docs]
+    require_labels((doc for doc in docs if doc.labels is not None), topology, CorpusError)
     seen: set[str] = set()
     for doc in docs:
         if doc.id in seen:

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .documents import DocumentInstance
+from .documents import DocumentInstance, require_labels
 from .features import extract_all
 from .mlp import MlpModel, MlpTrainingStats, forward_mlp
 from .network import TnnModel, TnnTrainingSummary
@@ -103,12 +103,6 @@ def _aggregate_classes(rows: Sequence[ClassRow]) -> ClassRow:
     )
 
 
-def _require_labels(docs: Sequence[DocumentInstance]) -> None:
-    for doc in docs:
-        if doc.labels is None:
-            raise ValueError(f"document '{doc.id}' has no labels; cannot evaluate")
-
-
 def _class_rows(confusion: Mapping[str, Mapping[str, int]],
                 training: TnnTrainingSummary | MlpTrainingStats | None) -> tuple[ClassRow, ...]:
     """One row per true class: tested is its confusion row's sum, recognized its diagonal."""
@@ -132,8 +126,8 @@ def evaluate_tnn(
     When ``elements`` is a list, each document's first-pass element values
     are appended to it, in document order.
     """
-    _require_labels(docs)
     topo = model.topology
+    require_labels(docs, topo)
     confusion = {
         name: {other: 0 for other in (*topo.documents, REJECT_LABEL)}
         for name in topo.documents
@@ -170,8 +164,8 @@ def evaluate_mlp(
     in document order, as ``extract_all`` with the model's extractors gives
     them; ``evaluate_mlp`` then extracts no document itself.
     """
-    _require_labels(docs)
     topo = model.config.topology
+    require_labels(docs, topo)
     confusion = {
         name: {other: 0 for other in topo.documents} for name in topo.documents
     }

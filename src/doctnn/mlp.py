@@ -15,20 +15,22 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .documents import DocumentInstance, expect_type, read_json, write_json
+from .documents import DocumentInstance, expect_number, expect_type, read_json, write_json
 from .features import extract_all
 from .network import (
     MODEL_FORMAT_VERSION,
     ONE0,
     ModelFormatError,
     _element_array,
+    check_pass_count,
     count_classes,
+    label_rows,
     model_config,
     read_class_counts,
     read_matrix,
     read_number,
     read_seed,
-    require_finite_samples,
+    require_samples,
     scalar_operand,
     sigmoid,
 )
@@ -57,7 +59,7 @@ class MlpModel:
 
     @classmethod
     def create(cls, config: NetworkConfig, seed: int = 0) -> "MlpModel":
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(expect_number(seed, int, ValueError, "seed", 0))
         layers = config.topology.layers()
         sizes = [len(names) for names in layers]
         weights = [
@@ -177,10 +179,7 @@ def train_mlp(model: MlpModel, docs: Sequence[DocumentInstance]) -> MlpTrainingS
          for doc in docs],
         dtype=float,
     )
-    class_index = {name: i for i, name in enumerate(topo.documents)}
-    ts = np.zeros((len(docs), len(topo.documents)))
-    for row, doc in enumerate(docs):
-        ts[row, class_index[doc.labels.document_class]] = 1.0
+    ts = label_rows(topo.documents, ((doc.labels.document_class,) for doc in docs))
     return train_mlp_on_samples(model, xs, ts, class_counts=counts)
 
 
@@ -190,18 +189,14 @@ def train_mlp_on_samples(
     ts: np.ndarray,
     class_counts: Mapping[str, int] | None = None,
 ) -> MlpTrainingStats:
-    """Backpropagation over raw (input, target) rows; one backward pass per sample.
+    """Backpropagation over the rows ``require_samples`` accepts; one backward pass per sample.
 
     The six weight and bias arrays are copied into one flat vector, laid out
     like the gradient, and ``model.weights`` / ``model.biases`` are rebound to
     views of it. Each sample then calls ``gradients`` exactly once and applies
     its flat gradient with one in-place scale and one in-place subtract.
     """
-    xs = np.asarray(xs, dtype=float)
-    ts = np.asarray(ts, dtype=float)
-    if len(xs) == 0:
-        raise ValueError("sample set is empty")
-    require_finite_samples(xs, ts)
+    xs, ts = require_samples(xs, ts, model.weights[0].shape[0], model.biases[-1].size)
     hp = model.config.hyperparams
     # the step as a 0-d array: the per-sample scale skips a Python float's conversion
     mu = scalar_operand(hp.mu)
@@ -283,6 +278,7 @@ def mlp_from_dict(payload: Mapping) -> MlpModel:
             class_counts=read_class_counts(raw_training.get("class_counts", {}),
                                            config.topology),
         )
+        check_pass_count(raw_training, "backward_passes", "model training")
     return MlpModel(
         config=config,
         weights=weights,

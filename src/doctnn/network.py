@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .documents import (
     finite_number,
     read_json,
     require,
+    require_labels,
     write_json,
 )
 from .features import ElementExtractor, extract_all
@@ -174,38 +175,48 @@ class TrainingStats:
     final_mse: float
 
 
-def require_finite_samples(xs: np.ndarray, ts: np.ndarray) -> None:
-    """Refuse a NaN or infinite sample input or target before any update.
+def require_samples(xs: np.ndarray, ts: np.ndarray, n_in: int,
+                    n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Input and target rows as float arrays, refused before any update when unfit.
 
-    Training on one would turn every weight NaN before sigmoid's own
-    finiteness check could stop it.
+    Both trainers call this one check. It refuses an empty set, input and
+    target row counts that differ, a row width other than ``n_in`` inputs and
+    ``n_out`` targets, a NaN or infinity (training on one would turn every
+    weight NaN before sigmoid's own finiteness check could stop it) and a
+    target outside [0, 1].
     """
+    xs = np.asarray(xs, dtype=float)
+    ts = np.asarray(ts, dtype=float)
+    if xs.shape[:1] == (0,):
+        raise ValueError("sample list must be non-empty")
+    if xs.shape[:1] != ts.shape[:1]:
+        raise ValueError(f"sample inputs and targets differ in rows: shapes {xs.shape} "
+                         f"and {ts.shape}")
+    if xs.shape != xs.shape[:1] + (n_in,) or ts.shape != ts.shape[:1] + (n_out,):
+        raise ValueError(f"sample dimensions do not match the network: shapes {xs.shape} "
+                         f"and {ts.shape}, expected rows of {n_in} inputs and {n_out} targets")
     for values, what in ((xs, "inputs"), (ts, "targets")):
         if not np.isfinite(values).all():
             raise ValueError(f"sample {what} must be finite, found NaN or infinity")
+    if (ts < 0.0).any() or (ts > 1.0).any():
+        raise ValueError("sample targets must lie in [0, 1]")
+    return xs, ts
 
 
 def train_nn1(
     net: LayerNetwork,
-    samples: Sequence[tuple[Sequence[float], Sequence[float]]],
+    xs: np.ndarray,
+    ts: np.ndarray,
     mu: float = Hyperparams.mu,
     epsilon: float = Hyperparams.epsilon,
     max_epochs: int = Hyperparams.max_epochs,
 ) -> TrainingStats:
-    """Online delta-rule training of one monolayer network.
+    """Online delta-rule training of one monolayer network on rows ``require_samples`` accepts.
 
     Stops when an epoch's mean squared error drops below epsilon or the epoch
     cap is reached. Thresholds learn as bias weights on a constant -1 input.
     """
-    if not samples:
-        raise ValueError("sample list must be non-empty")
-    xs = np.asarray([x for x, _ in samples], dtype=float)
-    ts = np.asarray([t for _, t in samples], dtype=float)
-    if xs.shape[1] != len(net.input_names) or ts.shape[1] != len(net.output_names):
-        raise ValueError("sample dimensions do not match the network")
-    require_finite_samples(xs, ts)
-    if np.any(ts < 0.0) or np.any(ts > 1.0):
-        raise ValueError("targets must lie in [0, 1]")
+    xs, ts = require_samples(xs, ts, len(net.input_names), len(net.output_names))
     linked = net.linked_weight_count
     # one factor for mu and the mask: rounds like scaling by mu, then masking
     step = mu * net.mask
@@ -286,7 +297,7 @@ class TnnModel:
 
     @classmethod
     def create(cls, config: NetworkConfig, seed: int = 0) -> "TnnModel":
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(expect_number(seed, int, ValueError, "seed", 0))
         topology = config.topology
         nets = tuple(
             LayerNetwork.create(inp, out, topology.links_between(inp, out), rng)
@@ -336,27 +347,22 @@ def forward_tnn(model: TnnModel, elements: Mapping[str, float]) -> ActivationTra
     )
 
 
-def _binary_targets(names: tuple[str, ...], present: frozenset[str]) -> list[float]:
-    return [1.0 if name in present else 0.0 for name in names]
+def label_rows(names: Sequence[str], label_sets: Iterable[Collection[str]]) -> np.ndarray:
+    """One 0/1 row per label set: entry j is 1.0 when ``names[j]`` is in the set."""
+    return np.asarray([[1.0 if name in present else 0.0 for name in names]
+                       for present in label_sets])
 
 
 def count_classes(docs: Sequence[DocumentInstance], topology: Topology) -> dict[str, int]:
     """Documents per class of a training corpus, in the topology's class order.
 
-    Refuses an empty corpus, and a document without labels or labelled with
-    a class the topology does not have, naming it.
+    Refuses an empty corpus, and any document that ``require_labels`` refuses.
     """
     if not docs:
         raise ValueError("training corpus is empty")
-    counts = {name: 0 for name in topology.documents}
-    for doc in docs:
-        if doc.labels is None:
-            raise ValueError(f"document '{doc.id}' is missing labels")
-        if doc.labels.document_class not in counts:
-            raise ValueError(f"document '{doc.id}' has class {doc.labels.document_class!r}, "
-                             f"which the topology does not have")
-        counts[doc.labels.document_class] += 1
-    return counts
+    require_labels(docs, topology)
+    classes = [doc.labels.document_class for doc in docs]
+    return {name: classes.count(name) for name in topology.documents}
 
 
 def train_tnn(model: TnnModel, docs: Sequence[DocumentInstance]) -> TnnTrainingSummary:
@@ -368,24 +374,18 @@ def train_tnn(model: TnnModel, docs: Sequence[DocumentInstance]) -> TnnTrainingS
     """
     topo = model.topology
     counts = count_classes(docs, topo)
-    element_rows = [
-        _element_array(topo, extract_all(model.config.element_extractors, doc)).tolist()
-        for doc in docs
-    ]
-    sub_rows = [_binary_targets(topo.substructures, doc.labels.substructures) for doc in docs]
-    struct_rows = [_binary_targets(topo.structures, doc.labels.structures) for doc in docs]
-    class_rows = [
-        _binary_targets(topo.documents, frozenset([doc.labels.document_class]))
-        for doc in docs
-    ]
+    # one row array per layer: each is the targets of one network and the inputs of the next
+    layers = (
+        np.asarray([_element_array(topo, extract_all(model.config.element_extractors, doc))
+                    for doc in docs]),
+        label_rows(topo.substructures, (doc.labels.substructures for doc in docs)),
+        label_rows(topo.structures, (doc.labels.structures for doc in docs)),
+        label_rows(topo.documents, ((doc.labels.document_class,) for doc in docs)),
+    )
     hp = model.config.hyperparams
-    stats = (
-        train_nn1(model.nets[0], list(zip(element_rows, sub_rows)),
-                  hp.mu, hp.epsilon, hp.max_epochs),
-        train_nn1(model.nets[1], list(zip(sub_rows, struct_rows)),
-                  hp.mu, hp.epsilon, hp.max_epochs),
-        train_nn1(model.nets[2], list(zip(struct_rows, class_rows)),
-                  hp.mu, hp.epsilon, hp.max_epochs),
+    stats = tuple(
+        train_nn1(net, xs, ts, hp.mu, hp.epsilon, hp.max_epochs)
+        for net, xs, ts in zip(model.nets, layers, layers[1:])
     )
     summary = TnnTrainingSummary(stats=stats, class_counts=counts)
     model.training = summary
@@ -434,14 +434,29 @@ def read_seed(payload: Mapping) -> int:
     return expect_number(payload["seed"], int, ModelFormatError, "model file 'seed'", 0)
 
 
+def check_pass_count(payload: Mapping, key: str, where: str) -> None:
+    """Refuse a training record whose pass count ``payload[key]`` contradicts it.
+
+    Training runs at least one epoch, stops only at the end of one and makes
+    one pass per sample per epoch, so the count is epochs times samples.
+    """
+    epochs, samples, passes = payload["epochs"], payload["samples"], payload[key]
+    expect_number(epochs, int, ModelFormatError, f"{where} 'epochs'", 1)
+    if passes != epochs * samples:
+        raise ModelFormatError(f"{where} {key!r} is {passes}, but {epochs} epochs of "
+                               f"{samples} samples make {epochs * samples}")
+
+
 def _stats_from_dict(payload: object, where: str) -> TrainingStats:
-    return TrainingStats(
+    stats = TrainingStats(
         epochs=read_number(payload, "epochs", int, where),
         samples=read_number(payload, "samples", int, where),
         update_passes=read_number(payload, "update_passes", int, where),
         weight_updates=read_number(payload, "weight_updates", int, where),
         final_mse=read_number(payload, "final_mse", float, where),
     )
+    check_pass_count(payload, "update_passes", where)
+    return stats
 
 
 def model_to_dict(model: TnnModel) -> dict:

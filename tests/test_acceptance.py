@@ -50,7 +50,7 @@ def test_criterion_1_delta_rule_equation_fidelity():
     net = LayerNetwork.create(("j",), ("k",), [("j", "k")], rng)
     net.weights[:] = [[0.1]]
     net.thresholds[:] = [0.1]  # pre-activation 0.1*1 - 0.1 = 0, so S_k = 0.5
-    train_nn1(net, [((1.0,), (1.0,))], mu=0.5, epsilon=0.0, max_epochs=1)
+    train_nn1(net, [[1.0]], [[1.0]], mu=0.5, epsilon=0.0, max_epochs=1)
     assert net.weights[0, 0] == 0.1625
     report("criterion 1: delta-rule update yields W(t+1) = 0.1625 exactly")
 
@@ -177,7 +177,7 @@ def test_criterion_9_property_suites(tmp_path, desk_corpora):
 
     # link-mask invariance before and after training
     net = LayerNetwork.create(("a", "b"), ("x",), [("a", "x")], np.random.default_rng(2))
-    train_nn1(net, [((0.2, 0.9), (1.0,)), ((0.9, 0.2), (0.0,))], max_epochs=100)
+    train_nn1(net, [(0.2, 0.9), (0.9, 0.2)], [(1.0,), (0.0,)], max_epochs=100)
     assert net.weights[1, 0] == 0.0
     assert np.array_equal(net.forward((0.5, 0.0)), net.forward((0.5, 0.9)))
 

@@ -95,6 +95,13 @@ def write_broken_files(root):
            {"receipt": 5})
     broken("tnn.model", "counts_short.json", ("training", "class_counts"),
            {"invoice": 1, "form": 0, "letter": 0})
+    broken("tnn.model", "passes_short.json", ("training", "stats", 1, "update_passes"), 1)
+    broken("tnn.model", "epochs_zero.json", ("training", "stats", 2, "epochs"), 0)
+    broken("epochs_zero.json", "epochs_zero.json", ("training", "stats", 2, "update_passes"), 0)
+    broken("mlp.model", "mlp_passes_long.json", ("training", "backward_passes"), 10**9)
+    broken("mlp.model", "mlp_epochs_zero.json", ("training", "epochs"), 0)
+    broken("mlp_epochs_zero.json", "mlp_epochs_zero.json", ("training", "backward_passes"),
+           10**9)
     (root / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
 
 
@@ -419,6 +426,18 @@ EVAL = ("--tnn", "{ws}/tnn.model", "--test", "{ws}/test.json")
          "deep.json: maximum recursion depth exceeded"),
         (("recognize", "--model", "{ws}/seed_negative.json", "--doc", "{ws}/test.json"),
          "model file 'seed' must be >= 0, got -1"),
+        (("train", "tnn", "--corpus", "{ws}/train.json", "--seed", "-1", "--out",
+          "{tmp}/m.json"), "seed must be >= 0, got -1"),
+        (("train", "mlp", "--corpus", "{ws}/train.json", "--seed", "-1", "--out",
+          "{tmp}/m.json"), "seed must be >= 0, got -1"),
+        (("eval", "--tnn", "{ws}/passes_short.json", "--test", "{ws}/test.json"),
+         "training stats 1 'update_passes' is 1, but "),
+        (("recognize", "--model", "{ws}/epochs_zero.json", "--doc", "{ws}/test.json"),
+         "training stats 2 'epochs' must be >= 1, got 0"),
+        (("eval", *EVAL, "--mlp", "{ws}/mlp_passes_long.json"),
+         "model training 'backward_passes' is 1000000000, but "),
+        (("eval", *EVAL, "--mlp", "{ws}/mlp_epochs_zero.json"),
+         "model training 'epochs' must be >= 1, got 0"),
     ],
 )
 def test_bad_input_gives_one_error_line(workspace, tmp_path, capsys, argv, message):

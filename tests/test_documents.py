@@ -468,6 +468,34 @@ def test_loaders_refuse_wrong_json_types_with_their_own_error(payload, load, sav
                 assert same_json(saved, mutant), f"{path} set to {value!r} loads as {saved}"
 
 
+@pytest.mark.parametrize(
+    "payload, load, record, changes, message",
+    [
+        (tnn_payload, load_model, ("stats", 1), {"update_passes": 13},
+         "training stats 1 'update_passes' is 13, but 4 epochs of 3 samples make 12"),
+        (tnn_payload, load_model, ("stats", 0), {"epochs": 0, "update_passes": 0},
+         "training stats 0 'epochs' must be >= 1, got 0"),
+        (mlp_payload, load_mlp, (), {"backward_passes": 13},
+         "model training 'backward_passes' is 13, but 4 epochs of 3 samples make 12"),
+        (mlp_payload, load_mlp, (), {"epochs": 0, "backward_passes": 10**9},
+         "model training 'epochs' must be >= 1, got 0"),
+    ],
+    ids=["tnn-passes", "tnn-epochs", "mlp-passes", "mlp-epochs"],
+)
+def test_loaders_refuse_a_pass_count_the_record_contradicts(payload, load, record, changes,
+                                                             message, tmp_path):
+    # training makes one pass per sample per epoch and runs at least one epoch
+    payload = payload()
+    node = payload["training"]
+    for key in record:
+        node = node[key]
+    node.update(changes)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
+        load(path)
+
+
 # --- the layout of each written record -----------------------------------------------
 
 def test_written_record_keys_are_pinned():

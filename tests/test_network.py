@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from doctnn import (
     GenSpec,
     LayerNetwork,
+    MlpModel,
     ModelFormatError,
     TnnModel,
     default_config,
@@ -16,10 +17,11 @@ from doctnn import (
     load_model,
     save_model,
     sigmoid,
+    train_mlp_on_samples,
     train_nn1,
     train_tnn,
 )
-from conftest import two_branch_sigmoid
+from conftest import dense_config, two_branch_sigmoid
 
 
 def single_link_net(weight=0.1, threshold=0.1):
@@ -231,7 +233,7 @@ def test_single_update_matches_hand_oracle():
     # S_k = 0.5, desired 1, mu = 0.5, S_j = 1, W = 0.1:
     # delta = 0.25 * 0.5, dW = 0.5 * 1 * 0.125, W(t+1) = 0.1625
     net = single_link_net(weight=0.1, threshold=0.1)
-    train_nn1(net, [((1.0,), (1.0,))], mu=0.5, epsilon=0.0, max_epochs=1)
+    train_nn1(net, [[1.0]], [[1.0]], mu=0.5, epsilon=0.0, max_epochs=1)
     assert net.weights[0, 0] == 0.1625
     assert net.thresholds[0] == pytest.approx(0.1 - 0.0625)
 
@@ -240,7 +242,7 @@ def test_exact_targets_are_a_fixed_point():
     net = single_link_net(weight=0.0, threshold=0.0)
     before_w = net.weights.copy()
     before_t = net.thresholds.copy()
-    train_nn1(net, [((1.0,), (0.5,))], mu=0.5, epsilon=0.0, max_epochs=3)
+    train_nn1(net, [[1.0]], [[0.5]], mu=0.5, epsilon=0.0, max_epochs=3)
     assert np.array_equal(net.weights, before_w)
     assert np.array_equal(net.thresholds, before_t)
 
@@ -265,13 +267,14 @@ def reference_delta_rule(samples, mu, epochs):
 
 
 def test_and_task_converges_and_matches_reference_oracle():
-    samples = [((0.0, 0.0), (0.0,)), ((0.0, 1.0), (0.0,)), ((1.0, 0.0), (0.0,)), ((1.0, 1.0), (1.0,))]
+    xs = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+    ts = [(0.0,), (0.0,), (0.0,), (1.0,)]
     rng = np.random.default_rng(0)
     net = LayerNetwork.create(("a", "b"), ("k",), [("a", "k"), ("b", "k")], rng)
     net.weights[:] = 0.0
-    stats = train_nn1(net, samples, mu=0.5, epsilon=0.0, max_epochs=1000)
+    stats = train_nn1(net, xs, ts, mu=0.5, epsilon=0.0, max_epochs=1000)
     assert stats.final_mse < 0.05
-    ref_samples = [((x[0], x[1]), t[0]) for x, t in samples]
+    ref_samples = [((x[0], x[1]), t[0]) for x, t in zip(xs, ts)]
     ref_w, ref_theta, ref_mse = reference_delta_rule(ref_samples, 0.5, 1000)
     assert net.weights[:, 0] == pytest.approx(ref_w, abs=1e-9)
     assert net.thresholds[0] == pytest.approx(ref_theta, abs=1e-9)
@@ -281,8 +284,8 @@ def test_and_task_converges_and_matches_reference_oracle():
 def test_update_counter_bookkeeping():
     rng = np.random.default_rng(3)
     net = LayerNetwork.create(("a", "b"), ("x", "y"), [("a", "x"), ("b", "x"), ("b", "y")], rng)
-    samples = [((0.2, 0.4), (0.0, 1.0)), ((0.9, 0.1), (1.0, 0.0))]
-    stats = train_nn1(net, samples, mu=0.5, epsilon=0.0, max_epochs=17)
+    stats = train_nn1(net, [(0.2, 0.4), (0.9, 0.1)], [(0.0, 1.0), (1.0, 0.0)],
+                      mu=0.5, epsilon=0.0, max_epochs=17)
     assert stats.epochs == 17
     assert stats.update_passes == 17 * 2
     assert stats.weight_updates == 17 * 2 * 3
@@ -291,8 +294,7 @@ def test_update_counter_bookkeeping():
 def test_masked_weights_stay_zero_after_training():
     rng = np.random.default_rng(4)
     net = LayerNetwork.create(("a", "b"), ("x", "y"), [("a", "x"), ("b", "y")], rng)
-    samples = [((1.0, 1.0), (1.0, 0.0)), ((0.0, 1.0), (0.0, 1.0))]
-    train_nn1(net, samples, max_epochs=50)
+    train_nn1(net, [(1.0, 1.0), (0.0, 1.0)], [(1.0, 0.0), (0.0, 1.0)], max_epochs=50)
     assert net.weights[0, 1] == 0.0
     assert net.weights[1, 0] == 0.0
 
@@ -336,8 +338,7 @@ def test_train_nn1_is_bit_identical_to_seed_loop(mu, epsilon, max_epochs, stops_
     rng = np.random.default_rng(3)
     xs = rng.uniform(0.0, 1.0, size=(6, 4))
     ts = np.eye(3)[rng.integers(0, 3, size=6)]
-    stats = train_nn1(nets[0], list(zip(xs, ts)), mu=mu, epsilon=epsilon,
-                      max_epochs=max_epochs)
+    stats = train_nn1(nets[0], xs, ts, mu=mu, epsilon=epsilon, max_epochs=max_epochs)
     epochs, passes, mse = seed_train_nn1(nets[1], xs, ts, mu, epsilon, max_epochs)
     assert (stats.epochs < max_epochs) is stops_early
     assert (stats.epochs, stats.update_passes, stats.final_mse) == (epochs, passes, mse)
@@ -348,11 +349,29 @@ def test_train_nn1_is_bit_identical_to_seed_loop(mu, epsilon, max_epochs, stops_
 def test_train_nn1_rejects_bad_input():
     net = single_link_net()
     with pytest.raises(ValueError, match="non-empty"):
-        train_nn1(net, [])
+        train_nn1(net, [], [])
     with pytest.raises(ValueError, match="0, 1"):
-        train_nn1(net, [((1.0,), (1.5,))])
+        train_nn1(net, [[1.0]], [[1.5]])
 
 
+# each trainer of one input and one output gives (train(xs, ts), the arrays
+# training updates, the training record it leaves on the model)
+def nn1_trainer():
+    net = single_link_net()
+    return lambda xs, ts: train_nn1(net, xs, ts), [net.weights, net.thresholds], lambda: None
+
+
+def mlp_trainer():
+    model = MlpModel.create(dense_config((1, 2, 2, 1)), seed=0)
+    return (lambda xs, ts: train_mlp_on_samples(model, xs, ts), model.weights + model.biases,
+            lambda: model.training)
+
+
+both_trainers = pytest.mark.parametrize("trainer", [nn1_trainer, mlp_trainer],
+                                        ids=["train_nn1", "train_mlp_on_samples"])
+
+
+@both_trainers
 @pytest.mark.parametrize(
     "sample, message",
     [
@@ -361,17 +380,41 @@ def test_train_nn1_rejects_bad_input():
         (((np.nan,), (1.0,)), "inputs must be finite"),
         (((-np.inf,), (1.0,)), "inputs must be finite"),
         (((0.5,), (-0.25,)), r"targets must lie in \[0, 1\]"),
+        (((0.5,), (2.0,)), r"targets must lie in \[0, 1\]"),
     ],
-    ids=["nan-target", "inf-target", "nan-input", "inf-input", "target-below-0"],
+    ids=["nan-target", "inf-target", "nan-input", "inf-input", "target-below-0",
+         "target-above-1"],
 )
-def test_train_nn1_refuses_a_bad_sample_before_any_update(sample, message):
-    net = single_link_net()
-    weights, thresholds = net.weights.copy(), net.thresholds.copy()
+def test_train_nn1_refuses_a_bad_sample_before_any_update(trainer, sample, message):
+    train, params, record = trainer()
+    before = [p.copy() for p in params]
     # the bad sample comes last, after a good one the loop would learn from
     with pytest.raises(ValueError, match=message):
-        train_nn1(net, [((1.0,), (1.0,)), sample])
-    assert np.array_equal(net.weights, weights)
-    assert np.array_equal(net.thresholds, thresholds)
+        train([(1.0,), sample[0]], [(1.0,), sample[1]])
+    assert all(np.array_equal(p, b) for p, b in zip(params, before))
+    assert record() is None
+
+
+@both_trainers
+@pytest.mark.parametrize(
+    "xs, ts, message",
+    [
+        ([(0.5,)] * 5, [(1.0,)] * 4, "differ in rows"),
+        ([(0.5, 0.5)] * 2, [(1.0,)] * 2, "dimensions do not match"),
+        ([0.5, 0.5], [(1.0,)] * 2, "dimensions do not match"),
+        ([(0.5,)] * 2, [1.0, 1.0], "dimensions do not match"),
+        ([], [], "non-empty"),
+    ],
+    ids=["5-inputs-4-targets", "wide-rows", "1-d-inputs", "1-d-targets", "empty"],
+)
+def test_trainers_refuse_samples_of_the_wrong_shape_before_any_update(trainer, xs, ts,
+                                                                       message):
+    train, params, record = trainer()
+    before = [p.copy() for p in params]
+    with pytest.raises(ValueError, match=message):
+        train(xs, ts)
+    assert all(np.array_equal(p, b) for p, b in zip(params, before))
+    assert record() is None
 
 
 # --- whole-cascade training ---------------------------------------------------------------
@@ -465,7 +508,6 @@ def test_activations_strictly_inside_unit_interval(seed, values):
 def test_mask_invariance_survives_training():
     rng = np.random.default_rng(5)
     net = LayerNetwork.create(("a", "b"), ("x",), [("a", "x")], rng)
-    samples = [((0.2, 0.9), (1.0,)), ((0.8, 0.1), (0.0,))]
-    train_nn1(net, samples, max_epochs=200)
+    train_nn1(net, [(0.2, 0.9), (0.8, 0.1)], [(1.0,), (0.0,)], max_epochs=200)
     base = net.forward((0.5, 0.0))
     assert np.array_equal(net.forward((0.5, 0.77)), base)

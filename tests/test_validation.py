@@ -27,6 +27,7 @@ from doctnn import (
     train_mlp,
     train_tnn,
 )
+from doctnn.evaluation import evaluate_mlp, evaluate_tnn
 from doctnn.network import read_number, read_seed
 
 
@@ -89,6 +90,10 @@ SITES = [
      ModelFormatError, "'final_mse'", float, -0.5),
     ("read_seed", lambda value: read_seed({"seed": value}), ModelFormatError,
      "'seed'", int, -1),
+    ("TnnModel.create.seed", lambda value: TnnModel.create(default_config(), seed=value),
+     ValueError, "seed", int, -1),
+    ("MlpModel.create.seed", lambda value: MlpModel.create(default_config(), seed=value),
+     ValueError, "seed", int, -1),
 ]
 
 BAD_VALUES = {"bool": True, "string": "1", "nan": float("nan"), "numpy_int": np.int64(5)}
@@ -125,17 +130,28 @@ def test_noise_rates_refuse_values_above_one(name):
         Noise(**{name: 1.2})
 
 
-@pytest.mark.parametrize("create, train", [(TnnModel.create, train_tnn),
-                                           (MlpModel.create, train_mlp)], ids=["tnn", "mlp"])
-def test_training_refuses_a_class_the_topology_does_not_have(create, train):
+@pytest.mark.parametrize("create, run", [
+    (TnnModel.create, train_tnn),
+    (MlpModel.create, train_mlp),
+    (TnnModel.create, evaluate_tnn),
+    (MlpModel.create, evaluate_mlp),
+], ids=["tnn", "mlp", "evaluate_tnn", "evaluate_mlp"])
+@pytest.mark.parametrize("field, name", [
+    ("document_class", "receipt"),
+    ("structures", frozenset({"stamp"})),
+    ("substructures", frozenset({"stamp_line"})),
+], ids=["class", "structure", "substructure"])
+def test_training_and_evaluation_refuse_a_label_the_topology_does_not_have(
+        create, run, field, name):
     docs = generate(GenSpec(seed=3, counts={"invoice": 1, "form": 1, "letter": 0}))
-    receipt = dataclasses.replace(
-        docs[1], labels=GroundTruth(document_class="receipt"))
+    labels = dataclasses.replace(docs[1].labels, **{field: name})
+    foreign = dataclasses.replace(docs[1], labels=labels)
     with pytest.raises(ValueError) as info:
-        train(create(default_config(), seed=0), [docs[0], receipt])
+        run(create(default_config(), seed=0), [docs[0], foreign])
     message = str(info.value)
     assert "\n" not in message
-    assert f"'{receipt.id}'" in message and "'receipt'" in message
+    (label,) = [name] if isinstance(name, str) else name
+    assert f"'{foreign.id}'" in message and f"'{label}'" in message
 
 
 def test_only_documents_imports_numbers():
