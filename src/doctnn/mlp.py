@@ -22,13 +22,12 @@ from .network import (
     ONE0,
     ModelFormatError,
     _element_array,
-    check_pass_count,
     count_classes,
     label_rows,
     model_config,
     read_class_counts,
     read_matrix,
-    read_number,
+    read_run,
     read_seed,
     require_samples,
     scalar_operand,
@@ -202,9 +201,7 @@ def train_mlp_on_samples(
     mu = scalar_operand(hp.mu)
     params = np.concatenate([w.ravel() for w in model.weights] + model.biases)
     model.weights[:], model.biases[:] = split_flat(model, params)
-    backward = 0
-    mse = float("inf")
-    epoch = 0
+    # a config's Hyperparams allow no fewer than one epoch
     for epoch in range(1, hp.max_epochs + 1):
         squared = 0.0
         for x, t in zip(xs, ts):
@@ -215,17 +212,12 @@ def train_mlp_on_samples(
             # which rounds exactly like W -= mu * g
             grad *= mu
             params -= grad
-            backward += 1
         mse = squared / len(xs)
         if mse < hp.epsilon:
             break
-    stats = MlpTrainingStats(
-        epochs=epoch,
-        samples=len(xs),
-        backward_passes=backward,
-        final_mse=mse,
-        class_counts=dict(class_counts or {}),
-    )
+    # one backward pass per sample per epoch
+    stats = MlpTrainingStats(epochs=epoch, samples=len(xs), backward_passes=epoch * len(xs),
+                             final_mse=mse, class_counts=dict(class_counts or {}))
     model.training = stats
     return stats
 
@@ -271,14 +263,16 @@ def mlp_from_dict(payload: Mapping) -> MlpModel:
         raw_training = expect_type(payload["training"], Mapping, ModelFormatError,
                                    "model file 'training'")
         training = MlpTrainingStats(
-            epochs=read_number(raw_training, "epochs", int, "model training"),
-            samples=read_number(raw_training, "samples", int, "model training"),
-            backward_passes=read_number(raw_training, "backward_passes", int, "model training"),
-            final_mse=read_number(raw_training, "final_mse", float, "model training"),
+            **read_run(raw_training, "backward_passes", "model training"),
             class_counts=read_class_counts(raw_training.get("class_counts", {}),
                                            config.topology),
         )
-        check_pass_count(raw_training, "backward_passes", "model training")
+        # counts come with a corpus, whose every document the run trained on once;
+        # a run on bare sample rows records none
+        total = sum(training.class_counts.values())
+        if training.class_counts and total != training.samples:
+            raise ModelFormatError(f"model training 'class_counts' total {total} documents, "
+                                   f"but model training 'samples' is {training.samples}")
     return MlpModel(
         config=config,
         weights=weights,

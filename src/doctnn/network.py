@@ -179,14 +179,20 @@ def require_samples(xs: np.ndarray, ts: np.ndarray, n_in: int,
                     n_out: int) -> tuple[np.ndarray, np.ndarray]:
     """Input and target rows as float arrays, refused before any update when unfit.
 
-    Both trainers call this one check. It refuses an empty set, input and
-    target row counts that differ, a row width other than ``n_in`` inputs and
-    ``n_out`` targets, a NaN or infinity (training on one would turn every
-    weight NaN before sigmoid's own finiteness check could stop it) and a
-    target outside [0, 1].
+    Both trainers call this one check. It refuses an array that is not of
+    integers or floats (a float conversion would take a numeric string or a
+    bool for a number), a NaN or infinity (training on one would turn every
+    weight NaN before sigmoid's own finiteness check could stop it), an empty
+    set, input and target row counts that differ, a row width other than
+    ``n_in`` inputs and ``n_out`` targets and a target outside [0, 1].
     """
-    xs = np.asarray(xs, dtype=float)
-    ts = np.asarray(ts, dtype=float)
+    xs, ts = np.asarray(xs), np.asarray(ts)
+    for values, what in ((xs, "inputs"), (ts, "targets")):
+        if values.dtype.kind not in "iuf":
+            raise ValueError(f"sample {what} must be integer or float numbers, "
+                             f"found dtype {values.dtype}")
+        if not np.isfinite(values).all():
+            raise ValueError(f"sample {what} must be finite, found NaN or infinity")
     if xs.shape[:1] == (0,):
         raise ValueError("sample list must be non-empty")
     if xs.shape[:1] != ts.shape[:1]:
@@ -195,12 +201,9 @@ def require_samples(xs: np.ndarray, ts: np.ndarray, n_in: int,
     if xs.shape != xs.shape[:1] + (n_in,) or ts.shape != ts.shape[:1] + (n_out,):
         raise ValueError(f"sample dimensions do not match the network: shapes {xs.shape} "
                          f"and {ts.shape}, expected rows of {n_in} inputs and {n_out} targets")
-    for values, what in ((xs, "inputs"), (ts, "targets")):
-        if not np.isfinite(values).all():
-            raise ValueError(f"sample {what} must be finite, found NaN or infinity")
     if (ts < 0.0).any() or (ts > 1.0).any():
         raise ValueError("sample targets must lie in [0, 1]")
-    return xs, ts
+    return xs.astype(float, copy=False), ts.astype(float, copy=False)
 
 
 def train_nn1(
@@ -215,18 +218,16 @@ def train_nn1(
 
     Stops when an epoch's mean squared error drops below epsilon or the epoch
     cap is reached. Thresholds learn as bias weights on a constant -1 input.
+    ``mu``, ``epsilon`` and ``max_epochs`` must pass the rule of a config's
+    ``Hyperparams``, so at least one epoch runs.
     """
+    Hyperparams(mu, epsilon, max_epochs)
     xs, ts = require_samples(xs, ts, len(net.input_names), len(net.output_names))
-    linked = net.linked_weight_count
     # one factor for mu and the mask: rounds like scaling by mu, then masking
     step = mu * net.mask
     # the threshold's factor mu * -1 (its input is the constant -1)
     threshold_step = scalar_operand(mu * -1.0)
     width = len(net.output_names)
-    passes = 0
-    updates = 0
-    mse = float("inf")
-    epoch = 0
     for epoch in range(1, max_epochs + 1):
         squared = 0.0
         for x, t in zip(xs, ts):
@@ -244,18 +245,13 @@ def train_nn1(
             net.weights += g
             delta *= threshold_step
             net.thresholds += delta
-            passes += 1
-            updates += linked
         mse = squared / len(xs)
         if mse < epsilon:
             break
-    return TrainingStats(
-        epochs=epoch,
-        samples=len(xs),
-        update_passes=passes,
-        weight_updates=updates,
-        final_mse=mse,
-    )
+    # one update pass per sample per epoch, each applying every linked weight
+    passes = epoch * len(xs)
+    return TrainingStats(epochs=epoch, samples=len(xs), update_passes=passes,
+                         weight_updates=passes * net.linked_weight_count, final_mse=mse)
 
 
 @dataclass(frozen=True)
@@ -434,29 +430,22 @@ def read_seed(payload: Mapping) -> int:
     return expect_number(payload["seed"], int, ModelFormatError, "model file 'seed'", 0)
 
 
-def check_pass_count(payload: Mapping, key: str, where: str) -> None:
-    """Refuse a training record whose pass count ``payload[key]`` contradicts it.
+def read_run(payload: object, passes_key: str, where: str) -> dict:
+    """A training record's ``epochs``, ``samples``, pass count ``passes_key`` and ``final_mse``.
 
-    Training runs at least one epoch, stops only at the end of one and makes
-    one pass per sample per epoch, so the count is epochs times samples.
+    Training runs at least one epoch over at least one sample, stops only at
+    the end of an epoch and makes one pass per sample per epoch, so a record
+    with fewer, or whose pass count is not epochs times samples, is refused.
     """
-    epochs, samples, passes = payload["epochs"], payload["samples"], payload[key]
-    expect_number(epochs, int, ModelFormatError, f"{where} 'epochs'", 1)
+    run = {key: read_number(payload, key, int, where) for key in ("epochs", "samples", passes_key)}
+    run["final_mse"] = read_number(payload, "final_mse", float, where)
+    for key in ("epochs", "samples"):
+        expect_number(run[key], int, ModelFormatError, f"{where} {key!r}", 1)
+    epochs, samples, passes = run["epochs"], run["samples"], run[passes_key]
     if passes != epochs * samples:
-        raise ModelFormatError(f"{where} {key!r} is {passes}, but {epochs} epochs of "
+        raise ModelFormatError(f"{where} {passes_key!r} is {passes}, but {epochs} epochs of "
                                f"{samples} samples make {epochs * samples}")
-
-
-def _stats_from_dict(payload: object, where: str) -> TrainingStats:
-    stats = TrainingStats(
-        epochs=read_number(payload, "epochs", int, where),
-        samples=read_number(payload, "samples", int, where),
-        update_passes=read_number(payload, "update_passes", int, where),
-        weight_updates=read_number(payload, "weight_updates", int, where),
-        final_mse=read_number(payload, "final_mse", float, where),
-    )
-    check_pass_count(payload, "update_passes", where)
-    return stats
+    return run
 
 
 def model_to_dict(model: TnnModel) -> dict:
@@ -531,18 +520,28 @@ def model_from_dict(payload: Mapping) -> TnnModel:
                 f"expected {len(pairs)} training stats, found {len(raw_stats)}")
         training = TnnTrainingSummary(
             stats=tuple(
-                _stats_from_dict(s, f"training stats {i}") for i, s in enumerate(raw_stats)
+                TrainingStats(**read_run(s, "update_passes", f"training stats {i}"),
+                              weight_updates=read_number(s, "weight_updates", int,
+                                                         f"training stats {i}"))
+                for i, s in enumerate(raw_stats)
             ),
             class_counts=read_class_counts(
                 require(raw_training, "class_counts", ModelFormatError, "model training"),
                 config.topology),
         )
-        # every layer network trains once on each document of the corpus
-        for i, stats in enumerate(training.stats):
+        # every layer network trains once on each document of the corpus, and
+        # each update pass applies every linked weight of its network
+        for i, (stats, net) in enumerate(zip(training.stats, nets)):
             if stats.samples != training.trained_documents:
                 raise ModelFormatError(
                     f"model training 'class_counts' total {training.trained_documents} "
                     f"documents, but training stats {i} has {stats.samples} samples")
+            updates = stats.update_passes * net.linked_weight_count
+            if stats.weight_updates != updates:
+                raise ModelFormatError(
+                    f"training stats {i} 'weight_updates' is {stats.weight_updates}, but "
+                    f"{stats.update_passes} update passes over {net.linked_weight_count} "
+                    f"linked weights make {updates}")
     return TnnModel(
         config=config,
         nets=tuple(nets),

@@ -102,6 +102,12 @@ def write_broken_files(root):
     broken("mlp.model", "mlp_epochs_zero.json", ("training", "epochs"), 0)
     broken("mlp_epochs_zero.json", "mlp_epochs_zero.json", ("training", "backward_passes"),
            10**9)
+    broken("tnn.model", "samples_zero.json", ("training", "stats", 1, "samples"), 0)
+    broken("mlp.model", "mlp_samples_zero.json", ("training", "samples"), 0)
+    broken("tnn.model", "weight_updates_seven.json", ("training", "stats", 0, "weight_updates"),
+           7)
+    broken("mlp.model", "mlp_counts_short.json", ("training", "class_counts"),
+           {"invoice": 1, "form": 0, "letter": 0})
     (root / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
 
 
@@ -438,6 +444,14 @@ EVAL = ("--tnn", "{ws}/tnn.model", "--test", "{ws}/test.json")
          "model training 'backward_passes' is 1000000000, but "),
         (("eval", *EVAL, "--mlp", "{ws}/mlp_epochs_zero.json"),
          "model training 'epochs' must be >= 1, got 0"),
+        (("recognize", "--model", "{ws}/samples_zero.json", "--doc", "{ws}/test.json"),
+         "training stats 1 'samples' must be >= 1, got 0"),
+        (("eval", *EVAL, "--mlp", "{ws}/mlp_samples_zero.json"),
+         "model training 'samples' must be >= 1, got 0"),
+        (("eval", "--tnn", "{ws}/weight_updates_seven.json", "--test", "{ws}/test.json"),
+         "training stats 0 'weight_updates' is 7, but "),
+        (("eval", *EVAL, "--mlp", "{ws}/mlp_counts_short.json"),
+         "model training 'class_counts' total 1 documents, but model training 'samples' is 18"),
     ],
 )
 def test_bad_input_gives_one_error_line(workspace, tmp_path, capsys, argv, message):

@@ -383,9 +383,10 @@ def config_payload():
 
 def tnn_payload():
     model = TnnModel.create(dense_config((3, 2, 2, 2)), seed=1)
-    stats = TrainingStats(epochs=4, samples=3, update_passes=12, weight_updates=48,
-                          final_mse=0.01)
-    model.training = TnnTrainingSummary(stats=(stats,) * 3, class_counts={"d0": 2, "d1": 1})
+    # 12 update passes over the 6, 4 and 4 linked weights of the three networks
+    stats = tuple(TrainingStats(epochs=4, samples=3, update_passes=12, weight_updates=updates,
+                                final_mse=0.01) for updates in (72, 48, 48))
+    model.training = TnnTrainingSummary(stats=stats, class_counts={"d0": 2, "d1": 1})
     return model_to_dict(model)
 
 
@@ -479,12 +480,27 @@ def test_loaders_refuse_wrong_json_types_with_their_own_error(payload, load, sav
          "model training 'backward_passes' is 13, but 4 epochs of 3 samples make 12"),
         (mlp_payload, load_mlp, (), {"epochs": 0, "backward_passes": 10**9},
          "model training 'epochs' must be >= 1, got 0"),
+        (tnn_payload, load_model, (), {"class_counts": {"d0": 0, "d1": 0}, "stats": [
+            {"epochs": 3, "samples": 0, "update_passes": 0, "weight_updates": 0,
+             "final_mse": 0.01}] * 3},
+         "training stats 0 'samples' must be >= 1, got 0"),
+        (mlp_payload, load_mlp, (),
+         {"samples": 0, "backward_passes": 0, "class_counts": {"d0": 0, "d1": 0}},
+         "model training 'samples' must be >= 1, got 0"),
+        (tnn_payload, load_model, ("stats", 0), {"weight_updates": 7},
+         "training stats 0 'weight_updates' is 7, but 12 update passes over 6 linked "
+         "weights make 72"),
+        (mlp_payload, load_mlp, (), {"class_counts": {"d0": 1, "d1": 0}},
+         "model training 'class_counts' total 1 documents, but model training 'samples' is 3"),
     ],
-    ids=["tnn-passes", "tnn-epochs", "mlp-passes", "mlp-epochs"],
+    ids=["tnn-passes", "tnn-epochs", "mlp-passes", "mlp-epochs", "tnn-no-samples",
+         "mlp-no-samples", "tnn-weight-updates", "mlp-class-counts"],
 )
 def test_loaders_refuse_a_pass_count_the_record_contradicts(payload, load, record, changes,
                                                              message, tmp_path):
-    # training makes one pass per sample per epoch and runs at least one epoch
+    # training makes one pass per sample per epoch, runs at least one epoch on at
+    # least one sample, applies every linked weight on each update pass and trains
+    # once on each document its class counts name
     payload = payload()
     node = payload["training"]
     for key in record:

@@ -103,7 +103,7 @@ def test_gradient_matches_finite_differences():
         assert max_gradient_error(model, x, t) < 1e-4
 
 
-def test_xor_shaped_task_converges():
+def test_xor_shaped_task_converges(tmp_path):
     hyper = Hyperparams(mu=0.5, epsilon=0.05, max_epochs=10_000)
     model = MlpModel.create(dense_config((2, 4, 4, 1), hyper), seed=1)
     xs = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -111,6 +111,10 @@ def test_xor_shaped_task_converges():
     stats = train_mlp_on_samples(model, xs, ts)
     assert stats.final_mse < 0.05
     assert stats.epochs <= 10_000
+    # a run on bare sample rows records no class counts, and its record loads
+    save_mlp(model, tmp_path / "xor.json")
+    loaded = load_mlp(tmp_path / "xor.json")
+    assert loaded == model and loaded.training.class_counts == {}
 
 
 def seed_train_mlp_on_samples(model, xs, ts):

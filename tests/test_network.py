@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -371,28 +372,60 @@ both_trainers = pytest.mark.parametrize("trainer", [nn1_trainer, mlp_trainer],
                                         ids=["train_nn1", "train_mlp_on_samples"])
 
 
+def after_good(x, t):
+    """Inputs and targets whose bad last sample follows a good one the loop would learn from."""
+    return [(1.0,), x], [(1.0,), t]
+
+
 @both_trainers
 @pytest.mark.parametrize(
-    "sample, message",
+    "rows, message",
     [
-        (((0.5,), (np.nan,)), "targets must be finite"),
-        (((0.5,), (np.inf,)), "targets must be finite"),
-        (((np.nan,), (1.0,)), "inputs must be finite"),
-        (((-np.inf,), (1.0,)), "inputs must be finite"),
-        (((0.5,), (-0.25,)), r"targets must lie in \[0, 1\]"),
-        (((0.5,), (2.0,)), r"targets must lie in \[0, 1\]"),
+        (after_good((0.5,), (np.nan,)), "targets must be finite"),
+        (after_good((0.5,), (np.inf,)), "targets must be finite"),
+        (after_good((np.nan,), (1.0,)), "inputs must be finite"),
+        (after_good((-np.inf,), (1.0,)), "inputs must be finite"),
+        (after_good((0.5,), (-0.25,)), r"targets must lie in \[0, 1\]"),
+        (after_good((0.5,), (2.0,)), r"targets must lie in \[0, 1\]"),
+        (after_good(("0.5",), (1.0,)), "inputs must be integer or float numbers, found dtype <U"),
+        (after_good((0.5,), ("1",)), "targets must be integer or float numbers, found dtype <U"),
+        # numpy makes a list that mixes bools and floats a float array, so every row is a bool
+        (([(True,), (False,)], [(1.0,), (0.0,)]),
+         "inputs must be integer or float numbers, found dtype bool"),
+        (([(1.0,), (0.5,)], [(True,), (False,)]),
+         "targets must be integer or float numbers, found dtype bool"),
     ],
     ids=["nan-target", "inf-target", "nan-input", "inf-input", "target-below-0",
-         "target-above-1"],
+         "target-above-1", "string-input", "string-target", "bool-inputs", "bool-targets"],
 )
-def test_train_nn1_refuses_a_bad_sample_before_any_update(trainer, sample, message):
+def test_train_nn1_refuses_a_bad_sample_before_any_update(trainer, rows, message):
     train, params, record = trainer()
     before = [p.copy() for p in params]
-    # the bad sample comes last, after a good one the loop would learn from
     with pytest.raises(ValueError, match=message):
-        train([(1.0,), sample[0]], [(1.0,), sample[1]])
+        train(*rows)
     assert all(np.array_equal(p, b) for p, b in zip(params, before))
     assert record() is None
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"max_epochs": 0}, "max_epochs must be >= 1, got 0"),
+        ({"max_epochs": 2.5}, "max_epochs must be an integer, got 2.5"),
+        ({"mu": float("nan")}, "mu must be a finite number, got nan"),
+        ({"mu": 0.0}, "mu must be > 0, got 0.0"),
+        ({"epsilon": -0.5}, "epsilon must be >= 0, got -0.5"),
+    ],
+    ids=["no-epochs", "fractional-epochs", "nan-mu", "zero-mu", "negative-epsilon"],
+)
+def test_train_nn1_refuses_bad_hyperparams_before_any_update(setting, message):
+    # the rule of a config's Hyperparams
+    net = single_link_net()
+    before = [net.weights.copy(), net.thresholds.copy()]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        train_nn1(net, [(1.0,)], [(1.0,)], **setting)
+    assert np.array_equal(net.weights, before[0])
+    assert np.array_equal(net.thresholds, before[1])
 
 
 @both_trainers
