@@ -26,6 +26,7 @@ from .network import (
     label_rows,
     model_config,
     read_class_counts,
+    read_list,
     read_matrix,
     read_run,
     read_seed,
@@ -240,46 +241,31 @@ def mlp_to_dict(model: MlpModel) -> dict:
 
 
 def mlp_from_dict(payload: Mapping) -> MlpModel:
-    config = model_config(payload, "mlp")
-    sizes = [len(names) for names in config.topology.layers()]
-    raw_layers = expect_type(payload.get("layers", []), list, ModelFormatError,
-                             "model file 'layers'")
-    if len(raw_layers) != 3:
-        raise ModelFormatError(f"expected 3 dense layers, found {len(raw_layers)}")
-    weights = []
-    biases = []
+    """The model ``MlpModel.create`` builds from the file's config and seed, holding its arrays."""
+    model = MlpModel.create(model_config(payload, "mlp"), read_seed(payload))
+    raw_layers = read_list(payload, "layers", "model file", len(model.weights), "dense layers")
     for i, raw in enumerate(raw_layers):
-        w = read_matrix(raw, "weights", f"dense layer {i}")
-        b = read_matrix(raw, "biases", f"dense layer {i}")
-        if w.shape != (sizes[i], sizes[i + 1]) or b.shape != (sizes[i + 1],):
-            raise ModelFormatError(
-                f"matrix shape {w.shape} disagrees with topology layers "
-                f"({sizes[i]}, {sizes[i + 1]})"
-            )
-        weights.append(w)
-        biases.append(b)
-    training = None
-    if payload.get("training") is not None:
-        raw_training = expect_type(payload["training"], Mapping, ModelFormatError,
-                                   "model file 'training'")
-        training = MlpTrainingStats(
-            **read_run(raw_training, "backward_passes", "model training"),
-            class_counts=read_class_counts(raw_training.get("class_counts", {}),
-                                           config.topology),
-        )
-        # counts come with a corpus, whose every document the run trained on once;
-        # a run on bare sample rows records none
-        total = sum(training.class_counts.values())
-        if training.class_counts and total != training.samples:
-            raise ModelFormatError(f"model training 'class_counts' total {total} documents, "
-                                   f"but model training 'samples' is {training.samples}")
-    return MlpModel(
-        config=config,
-        weights=weights,
-        biases=biases,
-        seed=read_seed(payload),
-        training=training,
+        where = f"dense layer {i}"
+        model.weights[i] = read_matrix(raw, "weights", where, model.weights[i].shape)
+        model.biases[i] = read_matrix(raw, "biases", where, model.biases[i].shape)
+    if payload.get("training") is None:
+        return model
+    raw_training = expect_type(payload["training"], Mapping, ModelFormatError,
+                               "model file 'training'")
+    training = MlpTrainingStats(
+        **read_run(raw_training, "backward_passes", "model training",
+                   model.config.hyperparams),
+        class_counts=read_class_counts(raw_training.get("class_counts", {}),
+                                       model.config.topology),
     )
+    # counts come with a corpus, whose every document the run trained on once;
+    # a run on bare sample rows records none
+    total = sum(training.class_counts.values())
+    if training.class_counts and total != training.samples:
+        raise ModelFormatError(f"model training 'class_counts' total {total} documents, "
+                               f"but model training 'samples' is {training.samples}")
+    model.training = training
+    return model
 
 
 def save_mlp(model: MlpModel, path: str | Path) -> None:

@@ -112,18 +112,6 @@ def sigmoid(x):
     return out
 
 
-def link_mask(
-    input_names: Sequence[str], output_names: Sequence[str], links: Iterable[tuple[str, str]]
-) -> np.ndarray:
-    """Boolean (n_in, n_out) matrix, True where ``links`` joins input to output."""
-    in_index = {n: i for i, n in enumerate(input_names)}
-    out_index = {n: i for i, n in enumerate(output_names)}
-    mask = np.zeros((len(input_names), len(output_names)), dtype=bool)
-    for src, dst in links:
-        mask[in_index[src], out_index[dst]] = True
-    return mask
-
-
 @dataclass
 class LayerNetwork:
     """One input layer / output layer pair with a link mask."""
@@ -144,7 +132,12 @@ class LayerNetwork:
     ) -> "LayerNetwork":
         input_names = tuple(input_names)
         output_names = tuple(output_names)
-        mask = link_mask(input_names, output_names, links)
+        # True where ``links`` joins input to output
+        in_index = {n: i for i, n in enumerate(input_names)}
+        out_index = {n: i for i, n in enumerate(output_names)}
+        mask = np.zeros((len(input_names), len(output_names)), dtype=bool)
+        for src, dst in links:
+            mask[in_index[src], out_index[dst]] = True
         weights = rng.uniform(-0.5, 0.5, size=mask.shape) * mask
         thresholds = np.zeros(len(output_names))
         return cls(input_names, output_names, weights, thresholds, mask)
@@ -411,8 +404,8 @@ def read_class_counts(counts: object, topology: Topology) -> dict[str, int]:
     return {name: read_number(counts, name, int, "training class_counts") for name in counts}
 
 
-def read_matrix(payload: object, key: str, where: str) -> np.ndarray:
-    """``payload[key]`` as a float array, refusing NaN and infinities at load."""
+def read_matrix(payload: object, key: str, where: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``payload[key]`` as a float array of ``shape``, refusing NaN and infinities at load."""
     # a float conversion would accept a bool or a numeric string, so every
     # entry's JSON type is checked before it
     entries = np.asarray(require(payload, key, ModelFormatError, where), dtype=object)
@@ -420,7 +413,18 @@ def read_matrix(payload: object, key: str, where: str) -> np.ndarray:
         expect_type(entry, float, ModelFormatError, f"{where} {key!r} entry")
         if not finite_number(entry):
             raise ModelFormatError(f"{where} {key!r} holds a value that is not finite")
+    if entries.shape != shape:
+        raise ModelFormatError(f"{where} {key!r} has shape {entries.shape}, expected {shape}")
     return entries.astype(float)
+
+
+def read_list(payload: object, key: str, where: str, count: int, what: str) -> list:
+    """``payload[key]``, a list of ``count`` entries, one per ``what``."""
+    entries = expect_type(require(payload, key, ModelFormatError, where), list,
+                          ModelFormatError, f"{where} {key!r}")
+    if len(entries) != count:
+        raise ModelFormatError(f"expected {count} {what}, found {len(entries)}")
+    return entries
 
 
 def read_seed(payload: Mapping) -> int:
@@ -430,12 +434,15 @@ def read_seed(payload: Mapping) -> int:
     return expect_number(payload["seed"], int, ModelFormatError, "model file 'seed'", 0)
 
 
-def read_run(payload: object, passes_key: str, where: str) -> dict:
+def read_run(payload: object, passes_key: str, where: str, hyperparams: Hyperparams) -> dict:
     """A training record's ``epochs``, ``samples``, pass count ``passes_key`` and ``final_mse``.
 
     Training runs at least one epoch over at least one sample, stops only at
     the end of an epoch and makes one pass per sample per epoch, so a record
     with fewer, or whose pass count is not epochs times samples, is refused.
+    It stops at the first epoch whose error is below ``hyperparams.epsilon``
+    or at ``max_epochs``, so a record of more epochs, or of fewer whose
+    ``final_mse`` is not below epsilon, is refused too.
     """
     run = {key: read_number(payload, key, int, where) for key in ("epochs", "samples", passes_key)}
     run["final_mse"] = read_number(payload, "final_mse", float, where)
@@ -445,6 +452,13 @@ def read_run(payload: object, passes_key: str, where: str) -> dict:
     if passes != epochs * samples:
         raise ModelFormatError(f"{where} {passes_key!r} is {passes}, but {epochs} epochs of "
                                f"{samples} samples make {epochs * samples}")
+    cap, epsilon = hyperparams.max_epochs, hyperparams.epsilon
+    if epochs > cap:
+        raise ModelFormatError(f"{where} 'epochs' is {epochs}, but 'max_epochs' is {cap}")
+    if epochs < cap and not run["final_mse"] < epsilon:
+        raise ModelFormatError(f"{where} stopped after {epochs} of {cap} epochs, but its "
+                               f"'final_mse' {run['final_mse']!r} is not below 'epsilon' "
+                               f"{epsilon!r}")
     return run
 
 
@@ -484,70 +498,54 @@ def model_config(payload: Mapping, kind: str) -> NetworkConfig:
 
 
 def model_from_dict(payload: Mapping) -> TnnModel:
-    config = model_config(payload, "tnn")
-    raw_nets = expect_type(payload.get("layer_networks", []), list, ModelFormatError,
-                           "model file 'layer_networks'")
-    pairs = config.topology.layer_pairs()
-    if len(raw_nets) != len(pairs):
-        raise ModelFormatError(f"expected {len(pairs)} layer networks, found {len(raw_nets)}")
-    nets = []
-    for i, (raw, (inp, out)) in enumerate(zip(raw_nets, pairs)):
+    """The model ``TnnModel.create`` builds from the file's config and seed, holding its arrays."""
+    model = TnnModel.create(model_config(payload, "tnn"), read_seed(payload))
+    raw_nets = read_list(payload, "layer_networks", "model file", len(model.nets),
+                         "layer networks")
+    for i, (raw, net) in enumerate(zip(raw_nets, model.nets)):
         where = f"layer network {i}"
-        weights = read_matrix(raw, "weights", where)
-        thresholds = read_matrix(raw, "thresholds", where)
         inputs = require(raw, "inputs", ModelFormatError, where)
         outputs = require(raw, "outputs", ModelFormatError, where)
         # JSON gives lists; comparing with lists also refuses a name list of another type
-        if inputs != list(inp) or outputs != list(out):
+        if inputs != list(net.input_names) or outputs != list(net.output_names):
             raise ModelFormatError("layer network names disagree with the topology")
-        if weights.shape != (len(inp), len(out)) or thresholds.shape != (len(out),):
-            raise ModelFormatError(
-                f"matrix shape {weights.shape} disagrees with topology layers "
-                f"({len(inp)}, {len(out)})"
-            )
-        mask = link_mask(inp, out, config.topology.links_between(inp, out))
-        if np.any(weights[~mask] != 0.0):
+        net.weights = read_matrix(raw, "weights", where, net.weights.shape)
+        net.thresholds = read_matrix(raw, "thresholds", where, net.thresholds.shape)
+        if np.any(net.weights[~net.mask] != 0.0):
             raise ModelFormatError("non-zero weight on a pair the topology does not link")
-        nets.append(LayerNetwork(inp, out, weights, thresholds, mask))
-    training = None
-    if payload.get("training") is not None:
-        raw_training = payload["training"]
-        raw_stats = expect_type(require(raw_training, "stats", ModelFormatError, "model training"),
-                                list, ModelFormatError, "model training 'stats'")
-        # one record per layer network
-        if len(raw_stats) != len(pairs):
-            raise ModelFormatError(
-                f"expected {len(pairs)} training stats, found {len(raw_stats)}")
-        training = TnnTrainingSummary(
-            stats=tuple(
-                TrainingStats(**read_run(s, "update_passes", f"training stats {i}"),
-                              weight_updates=read_number(s, "weight_updates", int,
-                                                         f"training stats {i}"))
-                for i, s in enumerate(raw_stats)
-            ),
-            class_counts=read_class_counts(
-                require(raw_training, "class_counts", ModelFormatError, "model training"),
-                config.topology),
-        )
-        # every layer network trains once on each document of the corpus, and
-        # each update pass applies every linked weight of its network
-        for i, (stats, net) in enumerate(zip(training.stats, nets)):
-            if stats.samples != training.trained_documents:
-                raise ModelFormatError(
-                    f"model training 'class_counts' total {training.trained_documents} "
-                    f"documents, but training stats {i} has {stats.samples} samples")
-            updates = stats.update_passes * net.linked_weight_count
-            if stats.weight_updates != updates:
-                raise ModelFormatError(
-                    f"training stats {i} 'weight_updates' is {stats.weight_updates}, but "
-                    f"{stats.update_passes} update passes over {net.linked_weight_count} "
-                    f"linked weights make {updates}")
-    return TnnModel(
-        config=config,
-        nets=tuple(nets),
-        seed=read_seed(payload),
-        training=training,
+    if payload.get("training") is None:
+        return model
+    raw_training = payload["training"]
+    # one record per layer network
+    raw_stats = read_list(raw_training, "stats", "model training", len(model.nets),
+                          "training stats")
+    hyperparams = model.config.hyperparams
+    training = TnnTrainingSummary(
+        stats=tuple(
+            TrainingStats(**read_run(s, "update_passes", f"training stats {i}", hyperparams),
+                          weight_updates=read_number(s, "weight_updates", int,
+                                                     f"training stats {i}"))
+            for i, s in enumerate(raw_stats)
+        ),
+        class_counts=read_class_counts(
+            require(raw_training, "class_counts", ModelFormatError, "model training"),
+            model.topology),
     )
+    # every layer network trains once on each document of the corpus, and
+    # each update pass applies every linked weight of its network
+    for i, (stats, net) in enumerate(zip(training.stats, model.nets)):
+        if stats.samples != training.trained_documents:
+            raise ModelFormatError(
+                f"model training 'class_counts' total {training.trained_documents} "
+                f"documents, but training stats {i} has {stats.samples} samples")
+        updates = stats.update_passes * net.linked_weight_count
+        if stats.weight_updates != updates:
+            raise ModelFormatError(
+                f"training stats {i} 'weight_updates' is {stats.weight_updates}, but "
+                f"{stats.update_passes} update passes over {net.linked_weight_count} "
+                f"linked weights make {updates}")
+    model.training = training
+    return model
 
 
 def save_model(model: TnnModel, path: str | Path) -> None:

@@ -108,6 +108,20 @@ def write_broken_files(root):
            7)
     broken("mlp.model", "mlp_counts_short.json", ("training", "class_counts"),
            {"invoice": 1, "form": 0, "letter": 0})
+    # 5000 epochs under a cap of 1000, with pass counts that match them
+    stats = json.loads((root / "tnn.model").read_text())["training"]["stats"][0]
+    passes = 5000 * stats["samples"]
+    linked = stats["weight_updates"] // stats["update_passes"]
+    stats_0 = ("training", "stats", 0)
+    broken("tnn.model", "epochs_over_cap.json", (*stats_0, "epochs"), 5000)
+    broken("epochs_over_cap.json", "epochs_over_cap.json", (*stats_0, "update_passes"), passes)
+    broken("epochs_over_cap.json", "epochs_over_cap.json", (*stats_0, "weight_updates"),
+           passes * linked)
+    # a run that stopped after 2 epochs, its error far above epsilon
+    broken("mlp.model", "mlp_early_stop.json", ("training", "epochs"), 2)
+    broken("mlp_early_stop.json", "mlp_early_stop.json", ("training", "backward_passes"),
+           2 * 18)
+    broken("mlp_early_stop.json", "mlp_early_stop.json", ("training", "final_mse"), 0.9)
     (root / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
 
 
@@ -452,6 +466,11 @@ EVAL = ("--tnn", "{ws}/tnn.model", "--test", "{ws}/test.json")
          "training stats 0 'weight_updates' is 7, but "),
         (("eval", *EVAL, "--mlp", "{ws}/mlp_counts_short.json"),
          "model training 'class_counts' total 1 documents, but model training 'samples' is 18"),
+        (("eval", "--tnn", "{ws}/epochs_over_cap.json", "--test", "{ws}/test.json"),
+         "training stats 0 'epochs' is 5000, but 'max_epochs' is 1000"),
+        (("eval", *EVAL, "--mlp", "{ws}/mlp_early_stop.json"),
+         "model training stopped after 2 of 200 epochs, but its 'final_mse' 0.9 is not "
+         "below 'epsilon' 0.01"),
     ],
 )
 def test_bad_input_gives_one_error_line(workspace, tmp_path, capsys, argv, message):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 from dataclasses import FrozenInstanceError, fields
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -32,6 +33,8 @@ from doctnn import (
     report_to_dict,
     save_config,
     save_corpus,
+    save_mlp,
+    save_model,
     token_kind,
 )
 from doctnn.documents import corpus_to_dict, write_json
@@ -383,16 +386,17 @@ def config_payload():
 
 def tnn_payload():
     model = TnnModel.create(dense_config((3, 2, 2, 2)), seed=1)
-    # 12 update passes over the 6, 4 and 4 linked weights of the three networks
+    # 12 update passes over the 6, 4 and 4 linked weights of the three networks;
+    # stopping before the epoch cap, each ends below epsilon 0.01
     stats = tuple(TrainingStats(epochs=4, samples=3, update_passes=12, weight_updates=updates,
-                                final_mse=0.01) for updates in (72, 48, 48))
+                                final_mse=0.005) for updates in (72, 48, 48))
     model.training = TnnTrainingSummary(stats=stats, class_counts={"d0": 2, "d1": 1})
     return model_to_dict(model)
 
 
 def mlp_payload():
     model = MlpModel.create(dense_config((3, 2, 2, 2)), seed=1)
-    model.training = MlpTrainingStats(epochs=4, samples=3, backward_passes=12, final_mse=0.01,
+    model.training = MlpTrainingStats(epochs=4, samples=3, backward_passes=12, final_mse=0.005,
                                       class_counts={"d0": 2, "d1": 1})
     return mlp_to_dict(model)
 
@@ -510,6 +514,68 @@ def test_loaders_refuse_a_pass_count_the_record_contradicts(payload, load, recor
     path.write_text(json.dumps(payload))
     with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
         load(path)
+
+
+DROP = object()
+
+
+@pytest.mark.parametrize(
+    "payload, load, path, value, message",
+    [
+        # amount_area feeds no address block in the default topology
+        (lambda: model_to_dict(TnnModel.create(default_config(), seed=1)), model_from_dict,
+         ("layer_networks", 0, "weights", 0, 2), 0.5,
+         "non-zero weight on a pair the topology does not link"),
+        (tnn_payload, model_from_dict, ("layer_networks", 2, "weights", 1), DROP,
+         "layer network 2 'weights' has shape (1, 2), expected (2, 2)"),
+        (tnn_payload, model_from_dict, ("layer_networks", 1, "thresholds", 0), DROP,
+         "layer network 1 'thresholds' has shape (1,), expected (2,)"),
+        (tnn_payload, model_from_dict, ("layer_networks", 0), DROP,
+         "expected 3 layer networks, found 2"),
+        (tnn_payload, model_from_dict, ("layer_networks",), [],
+         "expected 3 layer networks, found 0"),
+        (tnn_payload, model_from_dict, ("layer_networks",), DROP,
+         "model file missing 'layer_networks'"),
+        (mlp_payload, mlp_from_dict, ("layers", 2), DROP, "expected 3 dense layers, found 2"),
+        (mlp_payload, mlp_from_dict, ("layers", 0, "weights", 0), DROP,
+         "dense layer 0 'weights' has shape (2, 2), expected (3, 2)"),
+        (mlp_payload, mlp_from_dict, ("layers", 1, "biases"), [0.0, 0.0, 0.0],
+         "dense layer 1 'biases' has shape (3,), expected (2,)"),
+        (mlp_payload, mlp_from_dict, ("layers",), DROP, "model file missing 'layers'"),
+    ],
+    ids=["tnn-unlinked-weight", "tnn-weight-shape", "tnn-threshold-shape", "tnn-layer-count",
+         "tnn-no-layers", "tnn-layers-missing", "mlp-layer-count", "mlp-weight-shape",
+         "mlp-bias-shape", "mlp-layers-missing"],
+)
+def test_loaders_refuse_layers_the_config_contradicts(payload, load, path, value, message):
+    # each layer must have the names, shape and links of the model that
+    # ``create`` builds from the file's config
+    payload = payload()
+    *parents, last = path
+    node = payload
+    for key in parents:
+        node = node[key]
+    if value is DROP:
+        del node[last]
+    else:
+        node[last] = value
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
+        load(payload)
+
+
+# the desk pair as the trainers wrote it at format version 1 (README's gen-corpus
+# command, both networks --seed 1)
+MODEL_FILES_V1 = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name, load, save", [("desk_tnn_v1.json", load_model, save_model),
+                                              ("desk_mlp_v1.json", load_mlp, save_mlp)])
+def test_version_1_model_files_load_and_save_byte_for_byte(name, load, save, tmp_path):
+    # every other round trip saves and loads in one session, which a reader and
+    # writer changed together would pass; these files were written once
+    written = MODEL_FILES_V1 / name
+    save(load(written), tmp_path / name)
+    assert (tmp_path / name).read_bytes() == written.read_bytes()
 
 
 # --- the layout of each written record -----------------------------------------------
