@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
 from numbers import Real
@@ -76,10 +76,6 @@ _JSON_TYPES = {
     int: ("an integer", int),
     float: ("a number", (int, float)),
 }
-
-
-# the types json.loads gives a JSON number; bool is not one of them
-_JSON_NUMBERS = frozenset((int, float))
 
 
 def expect_type(value: object, kind: type, error: type[Exception], what: str):
@@ -160,13 +156,14 @@ def token_kind(text: str) -> TokenKind:
     return TokenKind.SYMBOL
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Token:
     """One text token with its bounding box in page fractions.
 
     ``kind`` (derived from ``text``) and ``right`` (``x + width``, the right
     edge) are computed once, at construction; they take no part in equality,
-    hashing or ``repr``.
+    hashing or ``repr``. Each coordinate must be a number as a corpus file
+    holds it: an int or a float, never a bool.
     """
 
     text: str
@@ -177,10 +174,16 @@ class Token:
     kind: TokenKind = field(init=False, compare=False, repr=False)
     right: float = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if not self.text:
+    # written by hand, not generated: every token of a corpus is built here,
+    # and the slot setters below store each field at half the cost of the
+    # generated __init__ and __post_init__, which go through object.__setattr__
+    def __init__(self, text: str, x: float, y: float, width: float, height: float) -> None:
+        if not text:
             raise ValueError("field 'text': must be non-empty")
-        x, y, width, height = self.x, self.y, self.width, self.height
+        if not (type(x) is float and type(y) is float
+                and type(width) is float and type(height) is float):
+            for name, value in (("x", x), ("y", y), ("width", width), ("height", height)):
+                expect_type(value, float, ValueError, f"field {name!r}")
         # every comparison with NaN is false, so NaN is refused
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"field 'x': {x} outside [0, 1]")
@@ -195,12 +198,22 @@ class Token:
             raise ValueError(f"field 'x': x+width = {right} exceeds 1")
         if y + height > 1.0 + _COORD_SLACK:
             raise ValueError(f"field 'y': y+height = {y + height} exceeds 1")
-        object.__setattr__(self, "kind", token_kind(self.text))
-        object.__setattr__(self, "right", right)
+        _set_text(self, text)
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_width(self, width)
+        _set_height(self, height)
+        _set_kind(self, token_kind(text))
+        _set_right(self, right)
 
     @property
     def bottom(self) -> float:
         return self.y + self.height
+
+
+# the slot descriptors' own setters, which a frozen dataclass's __setattr__ does not guard
+(_set_text, _set_x, _set_y, _set_width, _set_height, _set_kind, _set_right) = (
+    Token.__dict__[f.name].__set__ for f in fields(Token))
 
 
 @dataclass(frozen=True)
@@ -252,24 +265,19 @@ _TOKEN_FIELDS = frozenset(("text", "x", "y", "w", "h"))
 
 
 def _parse_token(raw: object, doc_id: str, index: int) -> Token:
-    # the cheap tests run for every token; the messages are built only on failure
+    """``raw`` as a Token, raising CorpusError that names the token and its fault."""
+    where = f"document '{doc_id}' token {index}"
     if not isinstance(raw, dict):
-        raise CorpusError(f"document '{doc_id}' token {index}: expected an object")
+        raise CorpusError(f"{where}: expected an object")
     if not _TOKEN_FIELDS <= raw.keys():
-        missing = sorted(_TOKEN_FIELDS - raw.keys())
-        raise CorpusError(f"document '{doc_id}' token {index}: missing field(s) {missing}")
-    text = raw["text"]
-    box = (raw["x"], raw["y"], raw["w"], raw["h"])
-    if type(text) is not str or not _JSON_NUMBERS.issuperset(map(type, box)):
-        # expect_type names the field that fails
-        where = f"document '{doc_id}' token {index}"
-        expect_type(text, str, CorpusError, f"{where} field 'text'")
-        for key, value in zip(("x", "y", "w", "h"), box):
-            expect_type(value, float, CorpusError, f"{where} field '{key}'")
+        raise CorpusError(f"{where}: missing field(s) {sorted(_TOKEN_FIELDS - raw.keys())}")
+    expect_type(raw["text"], str, CorpusError, f"{where} field 'text'")
+    for key in ("x", "y", "w", "h"):
+        expect_type(raw[key], float, CorpusError, f"{where} field '{key}'")
     try:
-        return Token(text, *box)
+        return Token(raw["text"], raw["x"], raw["y"], raw["w"], raw["h"])
     except ValueError as exc:
-        raise CorpusError(f"document '{doc_id}' token {index}: {exc}") from exc
+        raise CorpusError(f"{where}: {exc}") from exc
 
 
 def _parse_document(raw: object) -> DocumentInstance:
@@ -280,7 +288,13 @@ def _parse_document(raw: object) -> DocumentInstance:
         raise CorpusError("document entry has empty 'id'")
     where = f"document '{doc_id}'"
     raw_tokens = expect_type(raw.get("tokens", []), list, CorpusError, f"{where} 'tokens'")
-    tokens = tuple(_parse_token(t, doc_id, i) for i, t in enumerate(raw_tokens))
+    try:
+        # every token _parse_token refuses raises here too (a missing field, a
+        # value that is not a dict, a non-str text or a bad coordinate), so
+        # only a document with a bad token pays for _parse_token's message
+        tokens = tuple([Token(t["text"], t["x"], t["y"], t["w"], t["h"]) for t in raw_tokens])
+    except (KeyError, TypeError, ValueError):
+        tokens = tuple(_parse_token(t, doc_id, i) for i, t in enumerate(raw_tokens))
     labels = None
     if raw.get("labels") is not None:
         lab = raw["labels"]

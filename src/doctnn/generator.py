@@ -92,16 +92,19 @@ class _Page:
         self.tokens: list[Token] = []
 
     def put(self, text: str, x: float, y: float, keyword: bool = False) -> None:
-        if keyword and self.noise.distort_rate > 0.0:
-            if self.rng.random() < self.noise.distort_rate:
+        noise = self.noise
+        if keyword and noise.distort_rate > 0.0:
+            if self.rng.random() < noise.distort_rate:
                 text = _misspell(self.rng, text)
-        if self.noise.jitter > 0.0:
-            x += float(self.rng.normal(0.0, self.noise.jitter))
-            y += float(self.rng.normal(0.0, self.noise.jitter))
+        if noise.jitter > 0.0:
+            # one draw of two values is the stream two scalar draws would take
+            dx, dy = self.rng.normal(0.0, noise.jitter, 2).tolist()
+            x += dx
+            y += dy
         width = CHAR_WIDTH * len(text) + 0.004
         x = min(max(x, 0.0), 1.0 - width - 1e-6)
         y = min(max(y, 0.0), 1.0 - TOKEN_HEIGHT - 1e-6)
-        self.tokens.append(Token(text=text, x=x, y=y, width=width, height=TOKEN_HEIGHT))
+        self.tokens.append(Token(text, x, y, width, TOKEN_HEIGHT))
 
     def put_row(self, entries: Iterable[tuple[str, float]], y: float,
                 keywords: frozenset[str] = frozenset()) -> None:

@@ -515,7 +515,8 @@ def model_from_dict(payload: Mapping) -> TnnModel:
             raise ModelFormatError("non-zero weight on a pair the topology does not link")
     if payload.get("training") is None:
         return model
-    raw_training = payload["training"]
+    raw_training = expect_type(payload["training"], Mapping, ModelFormatError,
+                               "model file 'training'")
     # one record per layer network
     raw_stats = read_list(raw_training, "stats", "model training", len(model.nets),
                           "training stats")

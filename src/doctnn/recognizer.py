@@ -22,6 +22,8 @@ from .network import ActivationTrace, TnnModel, forward_tnn
 # at most this many elements are raised one level after an ambiguous pass
 BLAME_BUDGET = 3
 
+_LARGEST_FLOAT = np.finfo(np.float64).max
+
 
 @dataclass(frozen=True)
 class RecognizerParams:
@@ -82,10 +84,18 @@ class RecognitionResult:
 
 
 def _abs_path_weights(model: TnnModel) -> np.ndarray:
-    """Sum over element-to-class paths of the product of |W| along each path."""
+    """Sum over element-to-class paths of the product of |W| along each path.
+
+    A model file may hold any finite weight, so a sum can pass the largest
+    float and become ``+inf``; ``blame_scores`` then ranks that element first.
+    Element-to-structure sums are held at the largest float before the last
+    product, where an infinity times an unlinked pair's zero would give NaN.
+    """
     product = np.abs(model.nets[0].weights * model.nets[0].mask)
-    product = product @ np.abs(model.nets[1].weights * model.nets[1].mask)
-    return product @ np.abs(model.nets[2].weights * model.nets[2].mask)
+    with np.errstate(over="ignore"):
+        product = product @ np.abs(model.nets[1].weights * model.nets[1].mask)
+        product = np.minimum(product, _LARGEST_FLOAT)
+        return product @ np.abs(model.nets[2].weights * model.nets[2].mask)
 
 
 def blame_scores(

@@ -122,6 +122,9 @@ def write_broken_files(root):
     broken("mlp_early_stop.json", "mlp_early_stop.json", ("training", "backward_passes"),
            2 * 18)
     broken("mlp_early_stop.json", "mlp_early_stop.json", ("training", "final_mse"), 0.9)
+    for kind in ("tnn", "mlp"):
+        broken(f"{kind}.model", f"{kind}_training_list.json", ("training",), [])
+        broken(f"{kind}.model", f"{kind}_training_number.json", ("training",), 3)
     (root / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
 
 
@@ -471,6 +474,14 @@ EVAL = ("--tnn", "{ws}/tnn.model", "--test", "{ws}/test.json")
         (("eval", *EVAL, "--mlp", "{ws}/mlp_early_stop.json"),
          "model training stopped after 2 of 200 epochs, but its 'final_mse' 0.9 is not "
          "below 'epsilon' 0.01"),
+        (("recognize", "--model", "{ws}/tnn_training_list.json", "--doc", "{ws}/test.json"),
+         "model file 'training' must be an object, got []"),
+        (("eval", "--tnn", "{ws}/tnn_training_number.json", "--test", "{ws}/test.json"),
+         "model file 'training' must be an object, got 3"),
+        (("eval", *EVAL, "--mlp", "{ws}/mlp_training_list.json"),
+         "model file 'training' must be an object, got []"),
+        (("eval", *EVAL, "--mlp", "{ws}/mlp_training_number.json"),
+         "model file 'training' must be an object, got 3"),
     ],
 )
 def test_bad_input_gives_one_error_line(workspace, tmp_path, capsys, argv, message):

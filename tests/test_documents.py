@@ -1,7 +1,7 @@
 import hashlib
 import json
 import re
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, dataclass, field, fields, replace
 from pathlib import Path
 
 import pytest
@@ -116,6 +116,12 @@ TOKEN_ERRORS = [
      "field 'y': y+height = 1.1 exceeds 1"),
     (dict(text="a", x=0.1, y=float("nan"), width=0.1, height=0.1),
      "field 'y': nan outside [0, 1]"),
+    (dict(text="a", x=False, y=0.1, width=0.1, height=0.1),
+     "field 'x' must be a number, got False"),
+    (dict(text="a", x=0.1, y=0.1, width=True, height=0.1),
+     "field 'width' must be a number, got True"),
+    (dict(text="a", x=0.1, y="0.1", width=0.1, height=0.1),
+     "field 'y' must be a number, got '0.1'"),
 ]
 
 
@@ -125,6 +131,87 @@ TOKEN_ERRORS = [
 def test_token_invariants(kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Token(**kwargs)
+
+
+@dataclass(frozen=True, slots=True)
+class ReferenceToken:
+    """Token as the generated __init__ and a __post_init__ built it: the reference
+    for Token's hand-written constructor on int and float coordinates."""
+
+    text: str
+    x: float
+    y: float
+    width: float
+    height: float
+    kind: TokenKind = field(init=False, compare=False, repr=False)
+    right: float = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not self.text:
+            raise ValueError("field 'text': must be non-empty")
+        x, y, width, height = self.x, self.y, self.width, self.height
+        if not 0.0 <= x <= 1.0:
+            raise ValueError(f"field 'x': {x} outside [0, 1]")
+        if not 0.0 <= y <= 1.0:
+            raise ValueError(f"field 'y': {y} outside [0, 1]")
+        if not 0.0 < width <= 1.0:
+            raise ValueError(f"field 'width': {width} outside (0, 1]")
+        if not 0.0 < height <= 1.0:
+            raise ValueError(f"field 'height': {height} outside (0, 1]")
+        right = x + width
+        if right > 1.0 + 1e-9:
+            raise ValueError(f"field 'x': x+width = {right} exceeds 1")
+        if y + height > 1.0 + 1e-9:
+            raise ValueError(f"field 'y': y+height = {y + height} exceeds 1")
+        object.__setattr__(self, "kind", token_kind(self.text))
+        object.__setattr__(self, "right", right)
+
+
+def built(cls, text, box):
+    """The token ``cls`` builds as a tuple of every field, or the ValueError's message."""
+    try:
+        token = cls(text, *box)
+    except ValueError as exc:
+        return str(exc)
+    values = tuple(getattr(token, f.name) for f in fields(cls))
+    return values, repr(token).removeprefix(cls.__name__), hash(token)
+
+
+# in range often, and out of range, NaN and infinite too
+COORDINATE = st.floats(0.0, 1.0) | st.floats() | st.integers(-1, 2)
+
+
+@given(st.text(max_size=6), st.tuples(COORDINATE, COORDINATE, COORDINATE, COORDINATE))
+def test_token_builds_what_the_reference_builds(text, box):
+    assert built(Token, text, box) == built(ReferenceToken, text, box)
+
+
+def test_replace_validates_and_recomputes_right():
+    token = Token("Total", 0.5, 0.5, 0.08, 0.02)
+    moved = replace(token, x=0.25, text="7.00")
+    assert moved == Token("7.00", 0.25, 0.5, 0.08, 0.02)
+    assert (moved.right, moved.kind) == (0.25 + 0.08, TokenKind.NUMERIC)
+    with pytest.raises(ValueError, match=r"^field 'x': x\+width = 1\.03 exceeds 1$"):
+        replace(token, x=0.95)
+    with pytest.raises(ValueError, match="^field 'x' must be a number, got False$"):
+        replace(token, x=False)
+    # Python 3.13 made this refusal a TypeError
+    with pytest.raises((TypeError, ValueError), match="init=False"):
+        replace(token, right=0.9)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.text(min_size=1, max_size=6),
+       st.tuples(*[st.floats(0.0, 0.5) | st.sampled_from([0, 1, False, True])] * 4))
+def test_a_token_that_builds_loads_back_after_save(tmp_path, text, box):
+    # save_corpus would write a bool coordinate as false, which load_corpus refuses
+    try:
+        token = Token(text, *box)
+    except ValueError:
+        return
+    docs = [DocumentInstance("d", (token,))]
+    save_corpus(docs, tmp_path / "corpus.json")
+    assert load_corpus(tmp_path / "corpus.json", TOPOLOGY) == docs
 
 
 def test_load_single_document_without_tokens(tmp_path):
@@ -147,6 +234,29 @@ def test_load_rejects_bad_coordinate(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(CorpusError, match="'bad'.*x"):
         load_corpus(path, TOPOLOGY)
+
+
+GOOD_TOKEN = {"text": "a", "x": 0.1, "y": 0.1, "w": 0.1, "h": 0.1}
+BAD_TOKENS = [
+    ("a", ": expected an object"),
+    ({"text": "a", "x": 0.1, "y": 0.1, "w": 0.1}, ": missing field(s) ['h']"),
+    *((dict(GOOD_TOKEN, text=text), f" field 'text' must be a string, got {text!r}")
+      for text in (5, 2.5, True, False, None, [], ["a"], {"a": 1})),
+    (dict(GOOD_TOKEN, text=""), ": field 'text': must be non-empty"),
+    *((dict(GOOD_TOKEN, w=w), f" field 'w' must be a number, got {w!r}")
+      for w in (True, False, None, "0.1", [0.1])),
+    (dict(GOOD_TOKEN, x=1.2), ": field 'x': 1.2 outside [0, 1]"),
+    (dict(GOOD_TOKEN, h=0), ": field 'height': 0 outside (0, 1]"),
+]
+
+
+@pytest.mark.parametrize("token, fault", BAD_TOKENS)
+def test_load_names_the_bad_token_and_its_fault(tmp_path, token, fault):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"documents": [{"id": "d", "tokens": [GOOD_TOKEN, token]}]}))
+    with pytest.raises(CorpusError) as refused:
+        load_corpus(path, TOPOLOGY)
+    assert str(refused.value) == "document 'd' token 1" + fault
 
 
 def test_load_rejects_unknown_class(tmp_path):
@@ -331,11 +441,10 @@ def test_save_corpus_writes_what_write_json_writes(desk_corpora, tmp_path):
 
 
 NAMES = st.text(min_size=1, max_size=8)  # unicode, quotes, backslashes, control characters
-# json writes an int or bool coordinate as it is: 0 as 0, False as false
-POSITION = st.floats(0.0, 0.5) | st.sampled_from([0, False])
+# json writes an int coordinate as it is: 0 as 0, not 0.0 (Token refuses a bool one)
+POSITION = st.floats(0.0, 0.5) | st.just(0)
 EXTENT = st.floats(0.001, 0.5)
-BOX = st.tuples(POSITION, POSITION, EXTENT, EXTENT) | st.sampled_from([(0, 0, 1, 1),
-                                                                       (False, 0, True, 1)])
+BOX = st.tuples(POSITION, POSITION, EXTENT, EXTENT) | st.just((0, 0, 1, 1))
 TOKENS = st.builds(lambda text, box: Token(text, *box), NAMES, BOX)
 LABELS = st.none() | st.builds(GroundTruth, NAMES, st.frozensets(NAMES, max_size=3),
                                st.frozensets(NAMES, max_size=3))

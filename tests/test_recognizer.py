@@ -26,7 +26,7 @@ from doctnn import (
 )
 from doctnn import features, recognizer
 from doctnn.features import DocumentView, ElementExtractor, Tally
-from doctnn.network import ActivationTrace
+from doctnn.network import ActivationTrace, model_from_dict, model_to_dict
 
 
 def toy_model(links, layers, weights=None):
@@ -135,6 +135,34 @@ def test_blame_skips_elements_without_unexploited_levels():
         paths=recognizer._abs_path_weights(model),
     )
     assert blamed == ["e1"]
+
+
+def test_overflowing_path_sum_is_infinite_and_blamed_first():
+    layers = (("e0", "e1"), ("s0",), ("t0", "t1"), ("d0", "d1"))
+    links = [("e0", "s0"), ("e1", "s0"), ("s0", "t0"), ("s0", "t1"),
+             ("t0", "d0"), ("t1", "d1")]
+    # e0's sum to t0 overflows, and t0 has no link to d1: inf * 0 would be NaN
+    weights = [[[1e308], [0.5]], [[10.0, 0.5]], [[2.0, 0.0], [0.0, 0.5]]]
+    model = toy_model(links, layers, weights)
+    paths = recognizer._abs_path_weights(model)
+    assert paths[0].tolist() == [np.inf, 0.5 * 0.5 * 1e308]
+    assert first_pass_blame(model, trace_for(model, {"e0": 0.5, "e1": 0.5}))[0] == "e0"
+
+
+def test_model_file_with_huge_weight_recognizes_without_warning(desk_tnn):
+    # the suite makes a RuntimeWarning an error, so an overflow in blame fails here
+    payload = model_to_dict(desk_tnn)
+    i, j = (int(k) for k in np.argwhere(desk_tnn.nets[0].mask)[0])
+    payload["layer_networks"][0]["weights"][i][j] = 1e308
+    model = model_from_dict(payload)
+    element = model.topology.elements[i]
+    blames = 0
+    for document in generate_ambiguous(7, 24):
+        for record in recognize(model, document).passes:
+            if record.blamed:
+                assert record.blamed[0] == element
+                blames += 1
+    assert blames == 48
 
 
 # --- structure extraction ---------------------------------------------------------
