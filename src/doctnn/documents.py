@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
 from numbers import Real
@@ -214,6 +214,22 @@ class Token:
 # the slot descriptors' own setters, which a frozen dataclass's __setattr__ does not guard
 (_set_text, _set_x, _set_y, _set_width, _set_height, _set_kind, _set_right) = (
     Token.__dict__[f.name].__set__ for f in fields(Token))
+
+
+# slots=True builds a new class, but the __setattr__ and __delattr__ that
+# frozen=True generates still test against the class it replaced, so a name
+# that is not a field reaches super() and fails with a TypeError. These refuse
+# every name, with the generated methods' own messages.
+def _refuse_assign(self: Token, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self: Token, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+Token.__setattr__ = _refuse_assign
+Token.__delattr__ = _refuse_delete
 
 
 @dataclass(frozen=True)

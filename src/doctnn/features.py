@@ -11,9 +11,13 @@ only confirm or cancel what level 1 saw, never invent new evidence.
 Extractors read a document through a ``DocumentView``: one reading that
 folds keyword text and groups rows and columns once per alignment
 tolerance, shared by every extractor and every refinement pass of one
-``recognize`` call. The view also computes each level function's value once
-(``DocumentView.value``): a later pass that asks for the same (element,
-level), and a higher level that re-runs a lower one, get the stored value.
+``recognize`` call. Folding is ``str.casefold`` for ASCII text, where NFKD
+normalization changes nothing; only other text takes the Unicode path. No
+folded text is kept from one document to the next, so a new document costs
+what a repeated one does. The view also computes each level function's
+value once (``DocumentView.value``): a later pass that asks for the same
+(element, level), and a higher level that re-runs a lower one, get the
+stored value.
 The intermediates that two levels of one extractor share (amount's numeric
 columns and rows, code's candidate column, the address keyword hits, the
 text block's best run) go through the same memo, so a raised level starts
@@ -30,7 +34,6 @@ import math
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import attrgetter, sub
 from typing import Callable, Mapping, Sequence, Sized, TypeVar
 
@@ -93,9 +96,10 @@ def _fold(text: str) -> str:
     return "".join(c for c in decomposed if not unicodedata.combining(c)).casefold()
 
 
-@lru_cache(maxsize=8192)
 def _norm(text: str) -> str:
-    return _fold(text).strip(".,:;!?()[]\"'")
+    # NFKD leaves every ASCII character as it is and none is combining, so
+    # for ASCII text _fold is casefold alone, at a tenth of the cost
+    return (text.casefold() if text.isascii() else _fold(text)).strip(".,:;!?()[]\"'")
 
 
 def _numeric_value(text: str) -> float | None:
@@ -190,7 +194,12 @@ class DocumentView:
 
     @property
     def norms(self) -> tuple[str, ...]:
-        """Keyword-folded text of each token, in token order."""
+        """Keyword-folded text of each token, in token order.
+
+        A token's text is casefolded, after NFKD normalization without
+        combining marks when it is not ASCII, and stripped of surrounding
+        punctuation; each is folded once per view.
+        """
         if self._norms is None:
             self._norms = tuple(map(_norm, map(_TEXT, self.tokens)))
         return self._norms
@@ -669,13 +678,16 @@ class ElementExtractor:
 
     def evaluate(self, doc: DocumentInstance | DocumentView, level: int,
                  tally: Tally | None = None) -> float:
-        if not 1 <= level <= self.max_level:
-            raise ValueError(
-                f"extractor '{self.name}': level {level} not in 1..{self.max_level}"
-            )
-        value = _as_view(doc).value(self.levels[level - 1],
-                                    tally if tally is not None else Tally())
-        return min(1.0, max(0.0, float(value)))
+        """The level's value clamped to [0, 1]: NaN and -0.0 give 0.0, an int a float."""
+        levels = self.levels
+        if not 1 <= level <= len(levels):
+            raise ValueError(f"extractor '{self.name}': level {level} not in 1..{len(levels)}")
+        view = doc if type(doc) is DocumentView else _as_view(doc)
+        value = float(view.value(levels[level - 1], tally if tally is not None else Tally()))
+        # every comparison with NaN is false, and -0.0 > 0.0 is false too
+        if value > 0.0:
+            return value if value < 1.0 else 1.0
+        return 0.0
 
 
 def build_extractor(name: str, spec: ExtractorSpec) -> ElementExtractor:
@@ -705,11 +717,11 @@ def extract_all(
     Every element is evaluated at level 1 unless ``level_overrides`` names
     another level for it.
     """
-    overrides = dict(level_overrides or {})
-    if not overrides.keys() <= extractors.keys():
+    overrides = level_overrides or {}
+    if overrides and not overrides.keys() <= extractors.keys():
         unknown = set(overrides) - set(extractors)
         raise ValueError(f"unknown element name(s) in overrides: {sorted(unknown)}")
-    view = _as_view(doc)
+    view = doc if type(doc) is DocumentView else _as_view(doc)
     tally = Tally()  # nothing reads the total, so one meter serves every element
     return {
         name: extractor.evaluate(view, overrides.get(name, 1), tally)

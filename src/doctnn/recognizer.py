@@ -151,20 +151,19 @@ def extract_structures(
     tau_struct: float,
 ) -> tuple[StructureHit, ...]:
     """Structure neurons above threshold, flagged by their link to the winner."""
-    topo = model.topology
-    net = model.nets[2]
-    winner_col = (
-        list(net.output_names).index(winning_class) if winning_class is not None else None
-    )
+    structures = model.topology.structures
+    linked: list[bool | None] = [None] * len(structures)
+    if winning_class is not None:
+        net = model.nets[2]
+        col = list(net.output_names).index(winning_class)
+        linked = [link and weight > 0.0 for link, weight
+                  in zip(net.mask[:, col].tolist(), net.weights[:, col].tolist())]
     hits = []
-    for i, name in enumerate(topo.structures):
+    for name, link in zip(structures, linked):
         activation = trace.structures[name]
         if activation < tau_struct:
             continue
-        linked = None
-        if winner_col is not None:
-            linked = bool(net.mask[i, winner_col] and net.weights[i, winner_col] > 0.0)
-        hits.append(StructureHit(name=name, activation=activation, linked_to_winner=linked))
+        hits.append(StructureHit(name=name, activation=activation, linked_to_winner=link))
     return tuple(hits)
 
 
@@ -187,14 +186,13 @@ def recognize(
     that misses an element is refused by the first forward, naming it.
     """
     ex = extractors if extractors is not None else model.config.element_extractors
-    max_levels = {name: ex[name].max_level for name in ex}
     levels = {name: 1 for name in model.topology.elements}
     # a document without tokens carries no evidence and can only be unknown,
     # whatever resting activations the trained thresholds produce
     has_evidence = bool(doc.tokens)
     # every pass re-evaluates all elements from this one reading of the document
     view = DocumentView(doc)
-    paths = None  # the model's path weights, computed at the first blame
+    paths = None  # the model's path weights and max_levels, computed at the first blame
     passes: list[PassRecord] = []
     for pass_no in range(1, params.max_passes + 1):
         overrides = {name: lvl for name, lvl in levels.items() if lvl > 1}
@@ -212,6 +210,7 @@ def recognize(
         if not accepted and pass_no < params.max_passes:
             if paths is None:
                 paths = _abs_path_weights(model)
+                max_levels = {name: ex[name].max_level for name in ex}
             blamed = tuple(
                 blame_elements(trace, model, (top1, top2), levels, max_levels, paths)
             )

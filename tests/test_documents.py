@@ -186,6 +186,16 @@ def test_token_builds_what_the_reference_builds(text, box):
     assert built(Token, text, box) == built(ReferenceToken, text, box)
 
 
+@pytest.mark.parametrize("name", ["x", "kind", "right", "other", "__class__"])
+def test_token_refuses_assigning_or_deleting_any_attribute(name):
+    token = Token("Total", 0.5, 0.5, 0.08, 0.02)
+    with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+        setattr(token, name, 0.25)
+    with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+        delattr(token, name)
+    assert token == Token("Total", 0.5, 0.5, 0.08, 0.02) and token.right == 0.5 + 0.08
+
+
 def test_replace_validates_and_recomputes_right():
     token = Token("Total", 0.5, 0.5, 0.08, 0.02)
     moved = replace(token, x=0.25, text="7.00")

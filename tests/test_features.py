@@ -1,5 +1,8 @@
+import math
+import string
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from doctnn import (
     DocumentInstance,
@@ -17,7 +20,10 @@ from doctnn.features import (
     ALIGN_TOL,
     TOTAL_KEYWORDS,
     TOTAL_KEYWORDS_EXTENDED,
+    ElementExtractor,
     Tally,
+    _fold,
+    _norm,
 )
 from conftest import DESK_NOISE, doc, measure, reference_best_run, reference_keyword_hits, tok
 
@@ -84,6 +90,55 @@ FIXTURES = [
     doc([tok("alpha", 0.2, 0.2), tok("beta", 0.4, 0.2)]),
     doc([]),
 ]
+
+
+# --- keyword folding ---------------------------------------------------------
+
+# what the Unicode fold makes of text outside ASCII, and of a token holding a newline
+FOLDS = {
+    "Dépôt": "depot", "№42": "no42", "ﬁle": "file", "Straße": "strasse", "İ": "i",
+    "(Total:\nVAT)": "total:\nvat",
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(st.sampled_from(string.printable)))
+@example("Dépôt")
+@example("№42")
+@example("ﬁle")
+@example("Straße")
+@example("İ")
+@example("(Total:\nVAT)")
+def test_norm_folds_as_the_unicode_path_does(text):
+    expected = _fold(text).strip(".,:;!?()[]\"'")
+    assert _norm(text) == FOLDS.get(text, expected) == expected
+    if text:
+        view = DocumentView(doc([tok(text, 0.1, 0.1), tok(text, 0.5, 0.1)]))
+        assert view.norms == (expected, expected)
+        assert view.folded == f"{expected}\n{expected}"
+    empty = DocumentView(doc([]))
+    assert (empty.norms, empty.folded) == ((), "")
+
+
+# --- evaluate ------------------------------------------------------------------
+
+@pytest.mark.parametrize("raw, clamped", [
+    (math.nan, 0.0), (-0.0, 0.0), (1.5, 1.0), (-2, 0.0), (1, 1.0), (0.25, 0.25), (0, 0.0),
+])
+def test_evaluate_clamps_to_a_float_in_the_unit_interval(raw, clamped):
+    probe = ElementExtractor(name="probe", levels=(lambda view, tally: raw,))
+    document = doc([tok("Total", 0.1, 0.1)])
+    for target in (document, DocumentView(document)):
+        value = probe.evaluate(target, 1)
+        assert type(value) is float and value == clamped
+        assert math.copysign(1.0, value) == 1.0
+
+
+def test_evaluate_refuses_a_level_outside_the_extractor():
+    probe = ElementExtractor(name="probe", levels=(lambda view, tally: 0.5,) * 2)
+    for level in (0, 3):
+        with pytest.raises(ValueError, match=rf"^extractor 'probe': level {level} not in 1\.\.2$"):
+            probe.evaluate(doc([]), level)
 
 
 # --- amount area -------------------------------------------------------------
