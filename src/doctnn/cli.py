@@ -127,26 +127,11 @@ def cmd_recognize(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    # only the baseline reads the training samples: without --mlp they would
-    # be read for nothing, so the flag is refused before any file is read
-    if args.reuse_training_samples and not args.mlp:
-        return _fail("--reuse-training-samples requires --mlp")
     params = _recognizer_params(args)
     tnn_model = load_model(args.tnn)
     mlp_model = load_mlp(args.mlp) if args.mlp else None
     test_docs = load_corpus(args.test, tnn_model.topology)
-    # without the flag the baseline ranks the test documents; with it, the
-    # test documents stay the same objects, so the baseline shares their values
-    mlp_test_docs: list[DocumentInstance] | None = None
-    if args.reuse_training_samples:
-        mlp_test_docs = load_corpus(args.reuse_training_samples, tnn_model.topology) + test_docs
-    report = build_report(
-        tnn_model,
-        test_docs,
-        params,
-        mlp_model=mlp_model,
-        mlp_test_docs=mlp_test_docs,
-    )
+    report = build_report(tnn_model, test_docs, params, mlp_model=mlp_model)
     print(render_report(report), end="")
     if args.json_out:
         write_json(report_to_dict(report), args.json_out)
@@ -229,12 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tnn", required=True)
     p.add_argument("--mlp", default=None)
     p.add_argument("--test", required=True)
-    p.add_argument(
-        "--reuse-training-samples",
-        default=None,
-        metavar="TRAIN_CORPUS",
-        help="also feed this corpus's documents to the baseline at test time",
-    )
     p.add_argument("--json-out", default=None)
     _add_recognizer_flags(p)
     p.set_defaults(func=cmd_eval)

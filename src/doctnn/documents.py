@@ -27,7 +27,6 @@ if TYPE_CHECKING:
     from .topology import Topology
 
 _COORD_SLACK = 1e-9
-_DECIMAL_SEPARATORS = frozenset(".,")
 
 
 class CorpusError(ValueError):
@@ -143,15 +142,16 @@ class TokenKind(str, Enum):
 @lru_cache(maxsize=8192)
 def token_kind(text: str) -> TokenKind:
     """Classify a token's content. Pure and total over non-empty strings."""
+    if not isinstance(text, str):
+        raise TypeError(f"token text must be a string, got {text!r}")
     if not text:
         raise ValueError("token text must be non-empty")
-    has_digit = any(c.isdigit() for c in text)
-    has_alpha = any(c.isalpha() for c in text)
-    if has_digit and all(c.isdigit() or c in _DECIMAL_SEPARATORS for c in text):
-        return TokenKind.NUMERIC
-    if has_alpha and all(c.isalpha() for c in text):
+    if text.isalpha():
         return TokenKind.ALPHABETIC
-    if has_alpha and has_digit:
+    # digits with any decimal separators, and at least one digit
+    if text.replace(".", "").replace(",", "").isdigit():
+        return TokenKind.NUMERIC
+    if any(c.isdigit() for c in text) and any(c.isalpha() for c in text):
         return TokenKind.ALPHANUMERIC
     return TokenKind.SYMBOL
 

@@ -4,13 +4,15 @@ Produces per-class document recognition rows for the transparent network
 and the dense baseline, per-structure extraction rows (the baseline has no
 structure output, so only the transparent network gets those), confusion
 matrices with an explicit reject column, and the backward-pass cost ratio.
+The transparent network's rows are counted from each document's kept
+``RecognitionResult``.
 
 Both networks read the same level-1 element vector. When both configs
-declare equal extractor specs, ``build_report`` hands the baseline the
-first-pass element values from ``recognize`` of every document it ranks
-that is one of the transparent network's test documents. Pass 1 raises no
-level, so those are the values ``extract_all`` gives, and each such document
-is extracted once. The baseline extracts any other document itself.
+declare equal extractor specs, ``build_report`` hands the baseline each
+document's first-pass element values from its recognition. Pass 1 raises no
+level, so those are the values ``extract_all`` gives, and each document is
+extracted once. With differing specs the baseline extracts every document
+itself.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from .documents import DocumentInstance, require_labels
 from .features import extract_all
 from .mlp import MlpModel, MlpTrainingStats, forward_mlp
 from .network import TnnModel, TnnTrainingSummary
-from .recognizer import DEFAULT_PARAMS, RecognizerParams, recognize
+from .recognizer import DEFAULT_PARAMS, RecognitionResult, RecognizerParams, recognize
 
 REJECT_LABEL = "rejected"
 
@@ -118,29 +120,25 @@ def evaluate_tnn(
     model: TnnModel,
     docs: Sequence[DocumentInstance],
     params: RecognizerParams = DEFAULT_PARAMS,
-    elements: list[dict[str, float]] | None = None,
-) -> tuple[tuple[ClassRow, ...], tuple[StructureRow, ...], dict[str, dict[str, int]]]:
+) -> tuple[tuple[ClassRow, ...], tuple[StructureRow, ...], dict[str, dict[str, int]],
+           tuple[RecognitionResult, ...]]:
     """Count a document as recognized only when accepted with the right class;
     count a labeled structure as recognized when it appears in the extracted set.
 
-    When ``elements`` is a list, each document's first-pass element values
-    are appended to it, in document order.
+    Also returns each document's recognition, in document order.
     """
     topo = model.topology
     require_labels(docs, topo)
+    results = tuple(recognize(model, doc, params) for doc in docs)
     confusion = {
         name: {other: 0 for other in (*topo.documents, REJECT_LABEL)}
         for name in topo.documents
     }
     struct_tested = {name: 0 for name in topo.structures}
     struct_correct = {name: 0 for name in topo.structures}
-    for doc in docs:
-        truth = doc.labels.document_class
-        result = recognize(model, doc, params)
-        if elements is not None:
-            elements.append(result.passes[0].trace.elements)
+    for doc, result in zip(docs, results):
         predicted = result.winning_class if result.status == "recognized" else REJECT_LABEL
-        confusion[truth][predicted] += 1
+        confusion[doc.labels.document_class][predicted] += 1
         extracted = {hit.name for hit in result.structures}
         for name in doc.labels.structures:
             struct_tested[name] += 1
@@ -150,7 +148,7 @@ def evaluate_tnn(
         StructureRow(name=n, tested=struct_tested[n], recognized=struct_correct[n])
         for n in topo.structures
     )
-    return _class_rows(confusion, model.training), struct_rows, confusion
+    return _class_rows(confusion, model.training), struct_rows, confusion, results
 
 
 def evaluate_mlp(
@@ -199,42 +197,33 @@ def build_report(
     test_docs: Sequence[DocumentInstance],
     params: RecognizerParams = DEFAULT_PARAMS,
     mlp_model: MlpModel | None = None,
-    mlp_test_docs: Sequence[DocumentInstance] | None = None,
 ) -> EvalReport:
     """Evaluate the transparent network, and the dense baseline when given.
 
     A baseline must rank the transparent network's classes: one trained on
     other classes is refused before any document is evaluated.
 
-    The baseline ranks ``mlp_test_docs``, or ``test_docs`` without them. When
-    both configs declare equal extractor specs, a baseline document that is
-    one of ``test_docs`` (the same object) reads its first-pass element values
-    from the transparent network's recognition, which equal level-1
-    ``extract_all``, instead of being extracted again; any other is extracted.
+    The baseline ranks ``test_docs`` too. When both configs declare equal
+    extractor specs, it reads each document's first-pass element values from
+    the transparent network's recognition, which equal level-1 ``extract_all``,
+    instead of extracting the document again.
     """
-    shared: list[dict[str, float]] | None = None
     if mlp_model is not None:
         ours = tnn_model.topology.documents
         theirs = mlp_model.config.topology.documents
         if set(theirs) != set(ours):
             raise ValueError(f"baseline classes {list(theirs)} differ from the "
                              f"transparent network's {list(ours)}")
-        if mlp_model.config.extractors == tnn_model.config.extractors:
-            shared = []
-    tnn_classes, tnn_structures, tnn_confusion = evaluate_tnn(
-        tnn_model, test_docs, params, shared)
+    tnn_classes, tnn_structures, tnn_confusion, results = evaluate_tnn(
+        tnn_model, test_docs, params)
     mlp_classes: tuple[ClassRow, ...] = ()
     mlp_confusion: dict[str, dict[str, int]] = {}
     cost = None
     if mlp_model is not None:
-        mlp_docs = test_docs if mlp_test_docs is None else mlp_test_docs
         elements = None
-        if shared is not None:
-            first_pass = {id(doc): values for doc, values in zip(test_docs, shared)}
-            extractors = mlp_model.config.element_extractors
-            elements = (first_pass[id(doc)] if id(doc) in first_pass
-                        else extract_all(extractors, doc) for doc in mlp_docs)
-        mlp_classes, mlp_confusion = evaluate_mlp(mlp_model, mlp_docs, elements)
+        if mlp_model.config.extractors == tnn_model.config.extractors:
+            elements = [r.passes[0].trace.elements for r in results]
+        mlp_classes, mlp_confusion = evaluate_mlp(mlp_model, test_docs, elements)
         if tnn_model.training is not None and mlp_model.training is not None:
             cost = compare_training_cost(tnn_model.training, mlp_model.training)
     return EvalReport(

@@ -88,7 +88,7 @@ def test_criterion_3_cascade_equivalence():
 
 def test_criterion_4_desk_scale_document_recognition(desk_tnn, desk_corpora):
     _, test = desk_corpora
-    rows, _, _ = evaluate_tnn(desk_tnn, test)
+    rows, _, _, _ = evaluate_tnn(desk_tnn, test)
     recognized, tested, rate = aggregate(rows)
     assert tested == 250
     assert rate >= 0.90
@@ -97,13 +97,11 @@ def test_criterion_4_desk_scale_document_recognition(desk_tnn, desk_corpora):
 
 def test_criterion_5_structure_extraction_and_rejects(desk_tnn, desk_corpora):
     _, test = desk_corpora
-    _, structs, _ = evaluate_tnn(desk_tnn, test)
+    _, structs, _, results = evaluate_tnn(desk_tnn, test)
     recognized, tested, rate = aggregate(structs)
     assert rate >= 0.85
     rejected_with_structures = 0
-    extractors = desk_tnn.build_extractors()
-    for document in test:
-        result = recognize(desk_tnn, document, extractors=extractors)
+    for document, result in zip(test, results, strict=True):
         if result.status != "rejected":
             continue
         correct = {hit.name for hit in result.structures} & document.labels.structures
@@ -118,7 +116,7 @@ def test_criterion_5_structure_extraction_and_rejects(desk_tnn, desk_corpora):
 
 def test_criterion_6_baseline_ordering(desk_tnn, desk_mlp, desk_corpora):
     _, test = desk_corpora
-    tnn_rows, _, _ = evaluate_tnn(desk_tnn, test)
+    tnn_rows, _, _, _ = evaluate_tnn(desk_tnn, test)
     mlp_rows, _ = evaluate_mlp(desk_mlp, test)
     _, _, tnn_rate = aggregate(tnn_rows)
     _, _, mlp_rate = aggregate(mlp_rows)

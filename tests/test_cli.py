@@ -306,36 +306,31 @@ def test_eval_empty_corpus_renders_na(workspace, tmp_path, capsys):
     assert "n/a" in out
 
 
-def test_eval_reuse_flag_extends_baseline_test_set(workspace, tmp_path, capsys):
-    out_json = tmp_path / "report.json"
-    code, _, _ = run(
-        capsys, "eval", "--tnn", str(workspace / "tnn.model"),
-        "--mlp", str(workspace / "mlp.model"), "--test", str(workspace / "test.json"),
-        "--reuse-training-samples", str(workspace / "train.json"),
-        "--json-out", str(out_json),
-    )
-    assert code == 0
-    payload = json.loads(out_json.read_text())
-    assert payload["mlp"]["aggregate"]["tested"] == 24 + 18
+def test_eval_retired_reuse_flag_is_usage_error(workspace, capsys):
+    # eval ranks both networks on the same test documents; no flag feeds the
+    # baseline other documents
+    with pytest.raises(SystemExit) as excinfo:
+        main(["eval", "--tnn", str(workspace / "tnn.model"), "--mlp", str(workspace / "mlp.model"),
+              "--test", str(workspace / "test.json"),
+              "--reuse-training-samples", str(workspace / "train.json")])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --reuse-training-samples" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("reuse, extracted", [(False, 0), (True, 18)])
-def test_eval_baseline_extracts_only_documents_it_cannot_share(
-        workspace, capsys, monkeypatch, reuse, extracted):
+def test_eval_baseline_extracts_only_documents_it_cannot_share(workspace, capsys, monkeypatch):
     from doctnn import evaluation
 
     calls = []
     real = evaluation.extract_all
     monkeypatch.setattr(evaluation, "extract_all",
                         lambda extractors, doc: calls.append(doc) or real(extractors, doc))
-    flags = ["--reuse-training-samples", str(workspace / "train.json")] if reuse else []
     code, out, _ = run(
         capsys, "eval", "--tnn", str(workspace / "tnn.model"),
-        "--mlp", str(workspace / "mlp.model"), "--test", str(workspace / "test.json"), *flags,
+        "--mlp", str(workspace / "mlp.model"), "--test", str(workspace / "test.json"),
     )
     assert code == 0
     assert "dense baseline" in out
-    assert len(calls) == extracted
+    assert calls == []
 
 
 def test_inspect_shows_passes(workspace, capsys):
@@ -418,10 +413,6 @@ EVAL = ("--tnn", "{ws}/tnn.model", "--test", "{ws}/test.json")
          "format_version True"),
         (("train", "tnn", "--corpus", "{ws}/train.json", "--config", "{ws}/extra_spec.json",
           "--out", "{tmp}/m.json"), "non-element name(s): ['extra_one']"),
-        (("eval", *EVAL, "--reuse-training-samples", "{ws}/train.json"),
-         "--reuse-training-samples requires --mlp"),
-        (("eval", *EVAL, "--mlp", "{ws}/mlp.model", "--reuse-training-samples",
-          "{tmp}/missing.json"), "missing.json"),
         (("eval", *EVAL, "--mlp", "{ws}/mlp_other_classes.json"),
          "baseline classes ['invoice', 'form', 'notice'] differ from the transparent "
          "network's ['invoice', 'form', 'letter']"),

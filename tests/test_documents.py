@@ -71,6 +71,42 @@ def test_token_kind_rejects_empty():
         token_kind("")
 
 
+@pytest.mark.parametrize("text", [5, 2.5, True, ("1",)])
+def test_token_kind_refuses_text_that_is_not_a_string(text):
+    with pytest.raises(TypeError, match="^token text must be a string, got "):
+        token_kind(text)
+
+
+def reference_token_kind(text):
+    """Token classification by four scans over the characters.
+
+    ``token_kind`` must give the same kind for every non-empty text.
+    """
+    has_digit = any(c.isdigit() for c in text)
+    has_alpha = any(c.isalpha() for c in text)
+    if has_digit and all(c.isdigit() or c in ".," for c in text):
+        return TokenKind.NUMERIC
+    if has_alpha and all(c.isalpha() for c in text):
+        return TokenKind.ALPHABETIC
+    if has_alpha and has_digit:
+        return TokenKind.ALPHANUMERIC
+    return TokenKind.SYMBOL
+
+
+# amounts, ASCII and other digits (Arabic-Indic, superscript) with separators;
+# those mixed with letters with and without marks; and any text at all
+TOKEN_TEXT = st.one_of(
+    st.text(st.sampled_from("0123456789.,\u0663\u00b2"), min_size=1, max_size=8),
+    st.text(st.sampled_from("0123456789.,-/ aZé\u0663\u00b2\u0301"), min_size=1, max_size=12),
+    st.text(min_size=1, max_size=12),
+)
+
+
+@given(TOKEN_TEXT)
+def test_token_kind_matches_the_reference_scans(text):
+    assert token_kind(text) is reference_token_kind(text)
+
+
 @given(st.text(min_size=1, max_size=12))
 def test_token_kind_total_and_stable(text):
     first = token_kind(text)

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -15,18 +16,21 @@ from doctnn import (
     evaluate_tnn,
     extract_all,
     generate_ambiguous,
+    load_mlp,
+    load_model,
     recognize,
     render_report,
     report_to_dict,
 )
 from doctnn import evaluation
+from doctnn.documents import write_json
 from doctnn.evaluation import ClassRow, StructureRow
 from doctnn.features import ALIGN_TOL
 from doctnn.network import TnnTrainingSummary, TrainingStats
 
 
 def test_perfect_classifier_on_resubstitution(clean_tnn, clean_corpus):
-    rows, structs, confusion = evaluate_tnn(clean_tnn, clean_corpus)
+    rows, structs, confusion, _ = evaluate_tnn(clean_tnn, clean_corpus)
     for row in rows:
         assert row.recognized == row.tested
         assert row.rate == 1.0
@@ -38,7 +42,7 @@ def test_perfect_classifier_on_resubstitution(clean_tnn, clean_corpus):
 
 def test_always_rejecting_classifier_keeps_denominators(clean_tnn, clean_corpus):
     params = RecognizerParams(tau_accept=1.01)
-    rows, structs, confusion = evaluate_tnn(clean_tnn, clean_corpus, params)
+    rows, structs, confusion, _ = evaluate_tnn(clean_tnn, clean_corpus, params)
     for row in rows:
         assert row.recognized == 0
         assert row.tested > 0
@@ -69,7 +73,7 @@ def test_aggregate_equals_column_sums(desk_tnn, desk_corpora):
 
 def test_recognized_never_exceeds_tested(desk_tnn, desk_corpora):
     _, test = desk_corpora
-    rows, structs, _ = evaluate_tnn(desk_tnn, test)
+    rows, structs, _, _ = evaluate_tnn(desk_tnn, test)
     for row in (*rows, *structs):
         assert 0 <= row.recognized <= row.tested
 
@@ -117,7 +121,7 @@ def test_render_report_handles_empty_denominators():
 
 def test_render_report_mentions_all_sections(desk_tnn, desk_mlp, desk_corpora):
     _, test = desk_corpora
-    report = build_report(desk_tnn, test[:30], mlp_model=desk_mlp, mlp_test_docs=test[:30])
+    report = build_report(desk_tnn, test[:30], mlp_model=desk_mlp)
     text = render_report(report)
     for needle in ("Document recognition", "Structure extraction", "Confusion",
                    "dense baseline", "Training cost"):
@@ -152,24 +156,44 @@ def explicit_tol_baseline(mlp):
     return dataclasses.replace(mlp, config=other)
 
 
-@pytest.mark.parametrize("case", ["shared", "other_spec", "mlp_test_docs", "same_objects"])
+@pytest.mark.parametrize("case", ["shared", "other_spec"])
 def test_baseline_extracts_only_what_it_cannot_share(desk_tnn, desk_mlp, desk_corpora,
                                                      monkeypatch, case):
     _, test = desk_corpora
     docs = test[:100]
     mlp = explicit_tol_baseline(desk_mlp) if case == "other_spec" else desk_mlp
-    # equal copies are other objects, so only the same objects are shared
-    mlp_docs = {
-        "mlp_test_docs": [dataclasses.replace(d) for d in docs[::-1]],
-        "same_objects": docs[::-1],
-    }.get(case)
     extracted = []
     real = evaluation.extract_all
     monkeypatch.setattr(evaluation, "extract_all",
                         lambda extractors, doc: extracted.append(doc) or real(extractors, doc))
-    report = build_report(desk_tnn, docs, mlp_model=mlp, mlp_test_docs=mlp_docs)
-    assert len(extracted) == (len(docs) if case in ("other_spec", "mlp_test_docs") else 0)
+    report = build_report(desk_tnn, docs, mlp_model=mlp)
+    assert len(extracted) == (len(docs) if case == "other_spec" else 0)
     # the report of separately called evaluations, in EvalReport's field order
-    expected = EvalReport(*evaluate_tnn(desk_tnn, docs), *evaluate_mlp(mlp, mlp_docs or docs),
+    expected = EvalReport(*evaluate_tnn(desk_tnn, docs)[:3], *evaluate_mlp(mlp, docs),
                           compare_training_cost(desk_tnn.training, mlp.training))
     assert report_to_dict(report) == report_to_dict(expected)
+
+
+def test_evaluate_tnn_keeps_each_documents_recognition(desk_tnn, desk_corpora):
+    _, test = desk_corpora
+    docs = [*test[:20], *generate_ambiguous(7, 4)]
+    params = RecognizerParams(tau_margin=0.3)
+    *_, results = evaluate_tnn(desk_tnn, docs, params)
+    assert len(results) == len(docs)
+    for doc, result in zip(docs, results, strict=True):
+        assert result.to_dict() == recognize(desk_tnn, doc, params).to_dict()
+
+
+# the committed desk pair (tests/data, both networks --seed 1 on the README's
+# desk corpus) evaluated on the desk test set; the golden files were written
+# once, so any change to what eval counts or how it renders shows byte for byte
+GOLDEN = Path(__file__).parent / "data"
+
+
+def test_desk_eval_report_matches_golden_files(desk_corpora, tmp_path):
+    _, test = desk_corpora
+    report = build_report(load_model(GOLDEN / "desk_tnn_v1.json"), test,
+                          mlp_model=load_mlp(GOLDEN / "desk_mlp_v1.json"))
+    assert render_report(report) == (GOLDEN / "desk_eval_v1.txt").read_text(encoding="utf-8")
+    write_json(report_to_dict(report), tmp_path / "report.json")
+    assert (tmp_path / "report.json").read_bytes() == (GOLDEN / "desk_eval_v1.json").read_bytes()
