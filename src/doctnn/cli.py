@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .documents import CorpusError, DocumentInstance, load_corpus, save_corpus, write_json
 from .evaluation import build_report, render_report, report_to_dict
-from .generator import GenSpec, Noise, generate
+from .generator import CLASSES, GenSpec, Noise, generate
 from .mlp import MlpModel, load_mlp, save_mlp, train_mlp
 from .network import ModelFormatError, TnnModel, load_model, save_model, train_tnn
 from .recognizer import RecognitionResult, RecognizerParams, recognize
@@ -25,15 +25,15 @@ def _fail(message: str) -> int:
 
 def _counts(text: str) -> dict[str, int]:
     parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated counts")
+    if len(parts) != len(CLASSES):
+        raise argparse.ArgumentTypeError(f"expected {len(CLASSES)} comma-separated counts")
     try:
         values = [int(p) for p in parts]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"counts must be integers: {exc}") from exc
     if any(v < 0 for v in values):
         raise argparse.ArgumentTypeError("counts must be non-negative")
-    return dict(zip(("invoice", "form", "letter"), values))
+    return dict(zip(CLASSES, values))
 
 
 def _load_config_arg(path: str | None) -> NetworkConfig:
@@ -44,11 +44,13 @@ def _recognizer_params(args: argparse.Namespace) -> RecognizerParams:
     return RecognizerParams(**{f.name: getattr(args, f.name) for f in fields(RecognizerParams)})
 
 
-def _add_recognizer_flags(parser: argparse.ArgumentParser) -> None:
-    # each RecognizerParams field has a flag of its name, typed and defaulted by the field
-    for f in fields(RecognizerParams):
+def _add_field_flags(parser: argparse.ArgumentParser, params: type,
+                     keep_defaults: bool = True) -> None:
+    # each field of the params dataclass has a flag of its name, typed by the field's
+    # default and defaulting to it, or to None when the flag is only an override
+    for f in fields(params):
         parser.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default),
-                            default=f.default)
+                            default=f.default if keep_defaults else None)
 
 
 def _pick_document(docs: list[DocumentInstance], doc_id: str | None) -> DocumentInstance:
@@ -84,14 +86,14 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
         docs = generate(spec)
         path = out_dir / f"{split}.json"
         save_corpus(docs, path)
-        summary = ", ".join(f"{counts[c]} {c}" for c in ("invoice", "form", "letter"))
+        summary = ", ".join(f"{counts[c]} {c}" for c in CLASSES)
         print(f"{split}: wrote {len(docs)} documents ({summary}) to {path}")
     return 0
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _load_config_arg(args.config)
-    # each Hyperparams field has a flag of its name; a flag left out keeps the config's value
+    # a Hyperparams flag left out keeps the config's value
     overrides = {f.name: getattr(args, f.name) for f in fields(Hyperparams)
                  if getattr(args, f.name) is not None}
     config = replace(config, hyperparams=replace(config.hyperparams, **overrides))
@@ -181,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
                        allow_abbrev=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--train", type=_counts, default="40,36,26",
-                   help="invoice,form,letter counts")
+                   help=f"{','.join(CLASSES)} counts")
     p.add_argument("--test", type=_counts, default="120,90,40")
     p.add_argument("--jitter", type=float, default=0.0)
     p.add_argument("--drop", type=float, default=0.0)
@@ -195,9 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--max-epochs", type=int, default=None)
+    _add_field_flags(p, Hyperparams, keep_defaults=False)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--doc", required=True, help="corpus file holding the document")
     p.add_argument("--id", default=None)
-    _add_recognizer_flags(p)
+    _add_field_flags(p, RecognizerParams)
     p.set_defaults(func=cmd_recognize)
 
     p = sub.add_parser("eval", help="evaluate trained models on a test corpus",
@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mlp", default=None)
     p.add_argument("--test", required=True)
     p.add_argument("--json-out", default=None)
-    _add_recognizer_flags(p)
+    _add_field_flags(p, RecognizerParams)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("inspect", help="show the pass-by-pass trace for one document",
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--doc", required=True)
     p.add_argument("--id", default=None)
-    _add_recognizer_flags(p)
+    _add_field_flags(p, RecognizerParams)
     p.set_defaults(func=cmd_inspect)
 
     return parser

@@ -123,7 +123,7 @@ _RIGHT = attrgetter("right")
 
 
 def _cluster(tokens: Sequence[Token], key: Callable[[Token], float],
-             tol: float = ALIGN_TOL) -> list[list[Token]]:
+             tol: float) -> list[list[Token]]:
     """Single-linkage 1-D grouping: a gap above tol starts a new group."""
     ordered = sorted(tokens, key=key)
     groups: list[list[Token]] = []
@@ -139,15 +139,15 @@ def _cluster(tokens: Sequence[Token], key: Callable[[Token], float],
     return groups
 
 
-def _rows(tokens: Sequence[Token], tol: float = ALIGN_TOL) -> list[list[Token]]:
+def _rows(tokens: Sequence[Token], tol: float) -> list[list[Token]]:
     return [sorted(g, key=_X) for g in _cluster(tokens, _Y, tol)]
 
 
-def _columns(tokens: Sequence[Token], tol: float = ALIGN_TOL) -> list[list[Token]]:
+def _columns(tokens: Sequence[Token], tol: float) -> list[list[Token]]:
     return _cluster(tokens, _X, tol)
 
 
-def _right_groups(tokens: Sequence[Token], tol: float = ALIGN_TOL) -> list[list[Token]]:
+def _right_groups(tokens: Sequence[Token], tol: float) -> list[list[Token]]:
     return _cluster(tokens, _RIGHT, tol)
 
 

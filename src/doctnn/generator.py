@@ -3,9 +3,16 @@
 Layouts are built from fixed column positions plus seeded randomness for
 row counts, vocabulary, and arithmetic, so the same seed always yields the
 same corpus byte for byte. Noise knobs jitter token positions, omit whole
-structures (labels follow what was actually placed), and misspell keyword
-tokens. A separate builder produces deliberately ambiguous documents whose
-cheap level-1 evidence points two ways until the expensive gates settle it.
+structures, and misspell keyword tokens. A separate builder produces
+deliberately ambiguous documents whose cheap level-1 evidence points two ways
+until the expensive gates settle it.
+
+Builders draw on a page they are given: ``generate`` and
+``generate_ambiguous`` create each document's ``_Page``, and a builder places
+its tokens there and returns nothing. Each page part that always means a label
+(address block, signature, billed table, paragraphs) records it on the page
+where it places its tokens, so the labels follow what was actually placed;
+``_Page.document`` is the one place a labelled document is made.
 """
 from __future__ import annotations
 
@@ -68,28 +75,31 @@ class Noise:
 @dataclass(frozen=True)
 class GenSpec:
     seed: int
-    counts: Mapping[str, int] = field(
-        default_factory=lambda: {"invoice": 0, "form": 0, "letter": 0}
-    )
+    counts: Mapping[str, int] = field(default_factory=dict)
     noise: Noise = field(default_factory=Noise)
 
     def __post_init__(self) -> None:
         # numpy would read True as 1 and "3" as a seed, and refuse -1 only in generate
         expect_number(self.seed, int, ValueError, "seed", 0)
         for name, count in self.counts.items():
-            if name not in _BUILDERS:
+            if name not in CLASSES:
                 raise ValueError(f"count for unknown class {name!r}; "
-                                 f"classes are {', '.join(_BUILDERS)}")
+                                 f"classes are {', '.join(CLASSES)}")
             expect_number(count, int, ValueError, f"count for {name!r}", 0)
 
 
 class _Page:
-    """Accumulates tokens; applies jitter and keyword distortion at placement."""
+    """One document being built: its tokens and the labels of what was placed.
+
+    Jitter and keyword distortion apply at placement, drawing on ``rng``.
+    """
 
     def __init__(self, rng: np.random.Generator, noise: Noise) -> None:
         self.rng = rng
         self.noise = noise
         self.tokens: list[Token] = []
+        self.structures: set[str] = set()
+        self.substructures: set[str] = set()
 
     def put(self, text: str, x: float, y: float, keyword: bool = False) -> None:
         noise = self.noise
@@ -110,6 +120,21 @@ class _Page:
                 keywords: frozenset[str] = frozenset()) -> None:
         for text, x in entries:
             self.put(text, x, y, keyword=text in keywords)
+
+    def label(self, structures: Iterable[str], substructures: Iterable[str]) -> None:
+        self.structures.update(structures)
+        self.substructures.update(substructures)
+
+    def document(self, doc_id: str, doc_class: str) -> DocumentInstance:
+        return DocumentInstance(
+            id=doc_id,
+            tokens=tuple(self.tokens),
+            labels=GroundTruth(
+                document_class=doc_class,
+                structures=frozenset(self.structures),
+                substructures=frozenset(self.substructures),
+            ),
+        )
 
 
 def _misspell(rng: np.random.Generator, text: str) -> str:
@@ -134,25 +159,29 @@ def _zip_code(rng: np.random.Generator) -> str:
     return f"{int(rng.integers(10000, 99999))}"
 
 
+def _letter(rng: np.random.Generator) -> str:
+    return chr(ord("A") + int(rng.integers(0, 26)))
+
+
 def _ref_code(rng: np.random.Generator) -> str:
-    letters = "".join(chr(ord("A") + int(rng.integers(0, 26))) for _ in range(2))
-    return f"{letters}-{int(rng.integers(100, 999))}"
+    return f"{_letter(rng)}{_letter(rng)}-{int(rng.integers(100, 999))}"
 
 
 def _item_code(rng: np.random.Generator) -> str:
-    letters = "".join(chr(ord("A") + int(rng.integers(0, 26))) for _ in range(2))
-    return f"{letters}{int(rng.integers(10, 99))}"
+    return f"{_letter(rng)}{_letter(rng)}{int(rng.integers(10, 99))}"
 
 
-def _put_company_header(page: _Page, rng: np.random.Generator) -> None:
-    name = _pick(rng, COMPANIES)
-    suffix = _pick(rng, COMPANY_SUFFIXES)
+def _put_company_header(page: _Page) -> None:
+    name = _pick(page.rng, COMPANIES)
+    suffix = _pick(page.rng, COMPANY_SUFFIXES)
     page.put(name, 0.32, 0.03)
     page.put(suffix, 0.32 + CHAR_WIDTH * len(name) + 0.02, 0.03)
 
 
-def _put_address_block(page: _Page, rng: np.random.Generator, x: float = 0.10,
-                       y: float = 0.10) -> None:
+def _put_address_block(page: _Page) -> None:
+    rng = page.rng
+    # positions stay sums from the block's corner: 0.10 + 0.14 is not the float 0.24
+    x = y = 0.10
     kw = frozenset({"Mr.", "Mrs.", "Street,", "postal"})
     title = "Mr." if rng.random() < 0.5 else "Mrs."
     page.put_row([(title, x), (_pick(rng, SURNAMES), x + 0.06)], y, kw)
@@ -166,16 +195,19 @@ def _put_address_block(page: _Page, rng: np.random.Generator, x: float = 0.10,
         y + 0.044, kw,
     )
     page.put_row([(_pick(rng, TOWNS), x)], y + 0.066, kw)
+    page.label({"address"}, {"address_block"})
 
 
-def _put_signature(page: _Page, rng: np.random.Generator) -> None:
-    initials = f"{chr(ord('A') + int(rng.integers(0, 26)))}.{chr(ord('A') + int(rng.integers(0, 26)))}."
+def _put_signature(page: _Page) -> None:
+    initials = f"{_letter(page.rng)}.{_letter(page.rng)}."
     page.put("Signed", 0.68, 0.91)
     page.put(initials, 0.78, 0.91)
+    page.label({"signature"}, {"signature_block"})
 
 
-def _put_decoy_numbers(page: _Page, rng: np.random.Generator, y: float) -> None:
+def _put_decoy_numbers(page: _Page, y: float) -> None:
     """Aligned numeric columns whose row products are deliberately wrong."""
+    rng = page.rng
     for row in range(3):
         q = int(rng.integers(2, 9))
         p = Decimal(int(rng.integers(2, 40))) + Decimal(int(rng.integers(0, 100))) / 100
@@ -190,16 +222,22 @@ def _put_decoy_numbers(page: _Page, rng: np.random.Generator, y: float) -> None:
         page.put(word, 0.56 + 0.09 * i, y + 0.12)
 
 
-def _put_table_header(page: _Page, y: float) -> None:
+def _put_billed_table(page: _Page, header_y: float, y0: float) -> tuple[Decimal, float]:
+    """Ref / item / qty / price / amount rows whose row products hold exactly.
+
+    Both positions are given, since ``header_y + 0.03`` may differ from the
+    literal ``y0`` in its last bit. Returns the sum of the amounts and the y
+    just below the last row.
+    """
+    rng = page.rng
+    rows = int(rng.integers(4, 9))
     page.put_row(
         [("Ref", 0.06), ("Item", 0.30), ("Qty", 0.56), ("Price", 0.68), ("Amount", 0.82)],
-        y,
+        header_y,
     )
-
-
-def _put_amount_rows(page: _Page, rng: np.random.Generator, y0: float,
-                     rows: int) -> Decimal:
-    """Quantity / price / amount columns whose row products hold exactly."""
+    for row in range(rows):
+        page.put(_item_code(rng), 0.06, y0 + row * 0.03)
+        page.put(_pick(rng, DESIGNATIONS), 0.30, y0 + row * 0.03)
     total = Decimal(0)
     for row in range(rows):
         qty = int(rng.integers(1, 10))
@@ -210,77 +248,57 @@ def _put_amount_rows(page: _Page, rng: np.random.Generator, y0: float,
             [(str(qty), 0.56), (str(price), 0.68), (str(amount), 0.82)],
             y0 + row * 0.03,
         )
-    return total
+    page.label({"table"}, {"tabular_grid", "numeric_column_group"})
+    return total, y0 + rows * 0.03
 
 
-def _build_invoice(rng: np.random.Generator, noise: Noise, dropped: frozenset[str],
-                   seq: int = 0) -> tuple[list[Token], set[str], set[str]]:
-    page = _Page(rng, noise)
-    structures = {"invoice_body", "table", "total"}
-    substructures = {"tabular_grid", "numeric_column_group", "paragraph", "totals_line"}
-    if "address" not in dropped:
-        _put_company_header(page, rng)
-        page.put("Date:", 0.60, 0.10)
-        page.put(_date_text(rng), 0.68, 0.10)
-        _put_address_block(page, rng)
-        structures.update({"header", "address"})
-        substructures.update({"address_block", "date_line"})
-    rows = int(rng.integers(4, 9))
-    _put_table_header(page, 0.31)
-    for row in range(rows):
-        page.put(_item_code(rng), 0.06, 0.34 + row * 0.03)
-        page.put(_pick(rng, DESIGNATIONS), 0.30, 0.34 + row * 0.03)
-    total = _put_amount_rows(page, rng, 0.34, rows)
-    kw = frozenset({"VAT", "Total"})
-    vat = (total * Decimal("0.2")).quantize(Decimal("0.01"))
-    y = 0.34 + rows * 0.03 + 0.03
-    page.put_row([("VAT", 0.62), (str(vat), 0.82)], y, kw)
-    page.put_row([("Total", 0.62), (str(total + vat), 0.82)], y + 0.03, kw)
-    # payment-terms fine print; a real paragraph, but not a letter body
-    for row in range(3):
-        x = 0.08
-        while x < 0.38:
-            word = _pick(rng, PARAGRAPH_WORDS)
-            page.put(word, x, 0.70 + row * 0.03)
-            x += CHAR_WIDTH * len(word) + 0.016
-    if "signature" not in dropped:
-        _put_signature(page, rng)
-        structures.add("signature")
-        substructures.add("signature_block")
-    return page.tokens, structures, substructures
-
-
-def _put_paragraphs(page: _Page, rng: np.random.Generator, y: float,
-                    rows: int, right_edge: float = 0.70,
-                    pool: tuple[str, ...] = PARAGRAPH_WORDS) -> float:
+def _put_paragraphs(page: _Page, y: float, rows: int, right_edge: float = 0.70,
+                    pool: tuple[str, ...] = PARAGRAPH_WORDS, spacing: float = 0.028) -> None:
     for row in range(rows):
         x = 0.08
         while x < right_edge:
-            word = _pick(rng, pool)
-            page.put(word, x, y + row * 0.028)
+            word = _pick(page.rng, pool)
+            page.put(word, x, y + row * spacing)
             x += CHAR_WIDTH * len(word) + 0.016
-    return y + rows * 0.028
+    page.label((), {"paragraph"})
 
 
-def _build_letter(rng: np.random.Generator, noise: Noise, dropped: frozenset[str],
-                  seq: int = 0) -> tuple[list[Token], set[str], set[str]]:
-    page = _Page(rng, noise)
-    _put_company_header(page, rng)
+def _build_invoice(page: _Page, dropped: frozenset[str], seq: int) -> None:
+    rng = page.rng
+    page.label({"invoice_body", "total"}, {"totals_line"})
+    if "address" not in dropped:
+        _put_company_header(page)
+        page.put("Date:", 0.60, 0.10)
+        page.put(_date_text(rng), 0.68, 0.10)
+        _put_address_block(page)
+        page.label({"header"}, {"date_line"})
+    total, y = _put_billed_table(page, 0.31, 0.34)
+    kw = frozenset({"VAT", "Total"})
+    vat = (total * Decimal("0.2")).quantize(Decimal("0.01"))
+    y += 0.03
+    page.put_row([("VAT", 0.62), (str(vat), 0.82)], y, kw)
+    page.put_row([("Total", 0.62), (str(total + vat), 0.82)], y + 0.03, kw)
+    # payment-terms fine print; a real paragraph, but not a letter body
+    _put_paragraphs(page, 0.70, 3, right_edge=0.38, spacing=0.03)
+    if "signature" not in dropped:
+        _put_signature(page)
+
+
+def _build_letter(page: _Page, dropped: frozenset[str], seq: int) -> None:
+    rng = page.rng
+    _put_company_header(page)
     page.put(_pick(rng, TOWNS), 0.56, 0.10)
     page.put(_date_text(rng), 0.68, 0.10)
-    structures = {"header", "letter_body"}
-    substructures = {"date_line", "paragraph"}
+    page.label({"header", "letter_body"}, {"date_line"})
     if "address" not in dropped:
-        _put_address_block(page, rng)
-        structures.add("address")
-        substructures.add("address_block")
+        _put_address_block(page)
     # style cycles with the sequence number so every corpus carries the same
     # share of payment reminders regardless of its size
     roll = (seq * 7) % 20
     if roll < 7:
         # payment reminder quoting the billed lines verbatim: codes,
         # designations, and genuine amounts, but no totals line
-        _put_paragraphs(page, rng, 0.32, 3, right_edge=0.44)
+        _put_paragraphs(page, 0.32, 3, right_edge=0.44)
         if roll < 2:
             # dunning style, shouting money words; these read like invoices
             # to anything that only sees page-level evidence
@@ -288,36 +306,24 @@ def _build_letter(rng: np.random.Generator, noise: Noise, dropped: frozenset[str
                 [("total", 0.30), ("vat", 0.38), ("amount", 0.44), ("overdue", 0.52)],
                 0.41,
             )
-        rows = int(rng.integers(4, 9))
-        _put_table_header(page, 0.44)
-        for row in range(rows):
-            page.put(_item_code(rng), 0.06, 0.47 + row * 0.03)
-            page.put(_pick(rng, DESIGNATIONS), 0.30, 0.47 + row * 0.03)
-        _put_amount_rows(page, rng, 0.47, rows)
-        structures.add("table")
-        substructures.update({"numeric_column_group", "tabular_grid"})
+        _put_billed_table(page, 0.44, 0.47)
     else:
         # plain correspondence; money words in prose are common enough
         money_pool = PARAGRAPH_WORDS + ("total", "vat") * 5 + ("amount",) * 3
         pool = money_pool if rng.random() < 0.45 else PARAGRAPH_WORDS
-        _put_paragraphs(page, rng, 0.32, int(rng.integers(5, 8)), pool=pool)
+        _put_paragraphs(page, 0.32, int(rng.integers(5, 8)), pool=pool)
     page.put("Sincerely", 0.08, 0.74)
     if "signature" not in dropped:
-        _put_signature(page, rng)
-        structures.add("signature")
-        substructures.add("signature_block")
-    return page.tokens, structures, substructures
+        _put_signature(page)
 
 
-def _build_form(rng: np.random.Generator, noise: Noise, dropped: frozenset[str],
-                seq: int = 0) -> tuple[list[Token], set[str], set[str]]:
-    page = _Page(rng, noise)
+def _build_form(page: _Page, dropped: frozenset[str], seq: int) -> None:
+    rng = page.rng
     page.put(_pick(rng, FORM_TITLES), 0.32, 0.03)
     page.put("Form", 0.32 + 0.14, 0.03)
     page.put("Date:", 0.10, 0.11)
     page.put(_date_text(rng), 0.24, 0.11)
-    structures = {"header", "table"}
-    substructures = {"date_line", "tabular_grid"}
+    page.label({"header", "table"}, {"date_line", "tabular_grid"})
     grid: list[list[tuple[str, float]]] = []
     kw = frozenset({"Name:", "Street:", "postal", "Town:"})
     if "address" not in dropped:
@@ -328,12 +334,9 @@ def _build_form(rng: np.random.Generator, noise: Noise, dropped: frozenset[str],
             [("postal", 0.10), ("Code:", 0.17), (_zip_code(rng), 0.40)],
             [("Town:", 0.10), (_pick(rng, TOWNS), 0.40)],
         ]
-        structures.add("address")
-        substructures.add("address_block")
-    fields = list(GENERIC_FIELDS)
-    extra = int(rng.integers(5, 8))
-    for i in range(extra):
-        label = fields[int(rng.integers(0, len(fields)))]
+        page.label({"address"}, {"address_block"})
+    for _ in range(int(rng.integers(5, 8))):
+        label = _pick(rng, GENERIC_FIELDS)
         if rng.random() < 0.5:
             value = _ref_code(rng)
         else:
@@ -342,14 +345,15 @@ def _build_form(rng: np.random.Generator, noise: Noise, dropped: frozenset[str],
     for row, entries in enumerate(grid):
         # numbered field ids give the grid its code-like leftmost column
         page.put_row([(f"F{row + 1:02d}", 0.04)] + entries, 0.22 + row * 0.028, kw)
-    return page.tokens, structures, substructures
 
 
+# each builder draws one document of its class on the page it is given
 _BUILDERS = {
     "invoice": _build_invoice,
     "form": _build_form,
     "letter": _build_letter,
 }
+CLASSES = tuple(_BUILDERS)
 
 
 def _drops(rng: np.random.Generator, doc_class: str, rate: float) -> frozenset[str]:
@@ -363,24 +367,13 @@ def generate(spec: GenSpec) -> list[DocumentInstance]:
     """Build the labeled corpus described by the spec, deterministically per seed."""
     docs: list[DocumentInstance] = []
     index = 0
-    for doc_class in ("invoice", "form", "letter"):
+    for doc_class in CLASSES:
         for seq in range(spec.counts.get(doc_class, 0)):
             rng = np.random.default_rng([spec.seed, index])
             dropped = _drops(rng, doc_class, spec.noise.drop_rate)
-            tokens, structures, substructures = _BUILDERS[doc_class](
-                rng, spec.noise, dropped, seq
-            )
-            docs.append(
-                DocumentInstance(
-                    id=f"{doc_class}-{index:04d}",
-                    tokens=tuple(tokens),
-                    labels=GroundTruth(
-                        document_class=doc_class,
-                        structures=frozenset(structures),
-                        substructures=frozenset(substructures),
-                    ),
-                )
-            )
+            page = _Page(rng, spec.noise)
+            _BUILDERS[doc_class](page, dropped, seq)
+            docs.append(page.document(f"{doc_class}-{index:04d}", doc_class))
             index += 1
     return docs
 
@@ -401,27 +394,15 @@ def generate_ambiguous(seed: int, count: int) -> list[DocumentInstance]:
         page = _Page(rng, Noise())
         if i % 2 == 0:
             doc_class = "letter"
-            _put_company_header(page, rng)
-            _put_address_block(page, rng)
+            _put_company_header(page)
+            _put_address_block(page)
             page.put_row([(_pick(rng, TOWNS), 0.10), (_date_text(rng), 0.22)], 0.22)
-            _put_decoy_numbers(page, rng, 0.30)
-            _put_paragraphs(page, rng, 0.55, 3, right_edge=0.44)
-            structures = {"header", "address", "letter_body"}
-            substructures = {"address_block", "date_line", "paragraph"}
+            page.label({"header", "letter_body"}, {"date_line"})
+            _put_decoy_numbers(page, 0.30)
+            _put_paragraphs(page, 0.55, 3, right_edge=0.44)
         else:
             doc_class = "form"
-            tokens, structures, substructures = _build_form(rng, Noise(), frozenset())
-            page.tokens.extend(tokens)
-            _put_decoy_numbers(page, rng, 0.62)
-        docs.append(
-            DocumentInstance(
-                id=f"ambig-{doc_class}-{i:04d}",
-                tokens=tuple(page.tokens),
-                labels=GroundTruth(
-                    document_class=doc_class,
-                    structures=frozenset(structures),
-                    substructures=frozenset(substructures),
-                ),
-            )
-        )
+            _build_form(page, frozenset(), i)
+            _put_decoy_numbers(page, 0.62)
+        docs.append(page.document(f"ambig-{doc_class}-{i:04d}", doc_class))
     return docs

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from doctnn import GenSpec, Noise, generate, save_corpus
 from doctnn.cli import main
 from doctnn.topology import config_to_dict, default_config, save_config
 
@@ -137,6 +138,23 @@ def test_gen_corpus_writes_both_splits(tmp_path, capsys):
     assert (tmp_path / "train.json").exists()
     assert (tmp_path / "test.json").exists()
     assert "2 invoice" in out and "3 invoice" in out
+
+
+def test_gen_corpus_writes_what_generate_gives(tmp_path, capsys):
+    # counts read in invoice,form,letter order; the test split takes the next seed
+    code, _, _ = run(
+        capsys, "gen-corpus", "--seed", "7", "--train", "2,1,3", "--test", "1,3,2",
+        "--jitter", "0.01", "--drop", "0.3", "--distort", "0.3", "--out", str(tmp_path / "cli"),
+    )
+    assert code == 0
+    noise = Noise(jitter=0.01, drop_rate=0.3, distort_rate=0.3)
+    for split, seed, counts in (
+        ("train", 7, {"invoice": 2, "form": 1, "letter": 3}),
+        ("test", 8, {"invoice": 1, "form": 3, "letter": 2}),
+    ):
+        expected = tmp_path / f"{split}.json"
+        save_corpus(generate(GenSpec(seed=seed, counts=counts, noise=noise)), expected)
+        assert (tmp_path / "cli" / f"{split}.json").read_bytes() == expected.read_bytes()
 
 
 def test_gen_corpus_zero_counts(tmp_path, capsys):

@@ -12,11 +12,13 @@ from doctnn import (
     DocumentInstance,
     EvalReport,
     ExtractorSpec,
+    GenSpec,
     GroundTruth,
     MlpModel,
     MlpTrainingStats,
     ModelFormatError,
     NetworkConfig,
+    Noise,
     TnnModel,
     TnnTrainingSummary,
     Token,
@@ -25,6 +27,7 @@ from doctnn import (
     TrainingStats,
     default_config,
     default_topology,
+    generate,
     generate_ambiguous,
     load_config,
     load_corpus,
@@ -43,7 +46,7 @@ from doctnn.mlp import mlp_from_dict, mlp_to_dict
 from doctnn.network import ActivationTrace, model_from_dict, model_to_dict
 from doctnn.recognizer import PassRecord, RecognitionResult, StructureHit
 from doctnn.topology import config_from_dict, config_to_dict
-from conftest import dense_config
+from conftest import DESK_TEST_COUNTS, DESK_TEST_SEED, dense_config
 
 TOPOLOGY = default_topology()
 
@@ -460,6 +463,30 @@ def test_save_corpus_bytes_are_pinned(desk_corpora, tmp_path):
         save_corpus(corpus, path)
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
     assert tuple(digests) == DESK_CORPUS_SHA256
+
+
+# the same for corpora that take the branches desk noise rarely does: the
+# ambiguous fixtures, and the desk test corpus at high noise, where 80 invoices
+# and letters go unsigned and 113 documents lose their address (8 and 12 at desk
+# noise); a change to the generator that moves a byte of either shows here
+AMBIGUOUS_CORPUS_SHA256 = "2e88603869e72e034f85208f973f2ff710e7a854f6940ddb5593c2b8f6a88fd8"
+HIGH_NOISE_CORPUS_SHA256 = "97678d140d2bd37d85d6f3545aeb46669bd4d50ebba04df3e8f922cc2bfd788a"
+
+
+def saved_sha256(docs, directory) -> str:
+    path = directory / "corpus.json"
+    save_corpus(docs, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_ambiguous_corpus_bytes_are_pinned(tmp_path):
+    assert saved_sha256(generate_ambiguous(7, 24), tmp_path) == AMBIGUOUS_CORPUS_SHA256
+
+
+def test_high_noise_corpus_bytes_are_pinned(tmp_path):
+    spec = GenSpec(seed=DESK_TEST_SEED, counts=DESK_TEST_COUNTS,
+                   noise=Noise(jitter=0.02, drop_rate=0.5, distort_rate=0.5))
+    assert saved_sha256(generate(spec), tmp_path) == HIGH_NOISE_CORPUS_SHA256
 
 
 def assert_saved_as_write_json(docs, directory):
