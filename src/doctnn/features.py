@@ -35,6 +35,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from operator import attrgetter, sub
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence, Sized, TypeVar
 
 from .documents import DocumentInstance, Token, TokenKind, expect_number
@@ -530,15 +531,16 @@ def _keywords_address_levels(params: dict) -> tuple[LevelFn, ...]:
             return 0.0
         tally.charge(view.tokens)
         rows = view.rows(tol)
-        norms = dict(zip(map(id, view.tokens), view.norms))
+        row_norms = view.row_norms(tol)
         row_index = {id(t): i for i, row in enumerate(rows) for t in row}
         confirmed = 0
         for anchors in hits.values():
             found_value = False
             for anchor in anchors:
+                # the anchor's row and the row below it, each token beside its folded text
                 ri = row_index[id(anchor)]
-                nearby = rows[ri] + (rows[ri + 1] if ri + 1 < len(rows) else ())
-                if any(t is not anchor and not is_keyword_text(norms[id(t)]) for t in nearby):
+                nearby = zip(sum(rows[ri:ri + 2], ()), sum(row_norms[ri:ri + 2], ()))
+                if any(t is not anchor and not is_keyword_text(norm) for t, norm in nearby):
                     found_value = True
                     break
             confirmed += 1 if found_value else 0
@@ -657,10 +659,19 @@ EXTRACTOR_KINDS: dict[str, Callable[[dict], tuple[LevelFn, ...]]] = {
 
 @dataclass(frozen=True)
 class ExtractorSpec:
-    """Config-file declaration: which extractor kind backs an element, with params."""
+    """Config-file declaration: which extractor kind backs an element, with params.
+
+    ``params`` is a read-only copy, list values copied too, so a change to
+    the caller's dict or lists cannot reach a config built from the spec.
+    """
 
     kind: str
     params: Mapping = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        params = {key: list(value) if isinstance(value, list) else value
+                  for key, value in self.params.items()}
+        object.__setattr__(self, "params", MappingProxyType(params))
 
 
 @dataclass(frozen=True)

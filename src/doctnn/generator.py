@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import Decimal
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -81,6 +82,8 @@ class GenSpec:
     def __post_init__(self) -> None:
         # numpy would read True as 1 and "3" as a seed, and refuse -1 only in generate
         expect_number(self.seed, int, ValueError, "seed", 0)
+        # a read-only copy: a later change to the caller's dict cannot skip these checks
+        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
         for name, count in self.counts.items():
             if name not in CLASSES:
                 raise ValueError(f"count for unknown class {name!r}; "

@@ -31,6 +31,7 @@ from .network import (
     read_run,
     read_seed,
     require_samples,
+    run_epochs,
     scalar_operand,
     sigmoid,
 )
@@ -195,6 +196,7 @@ def train_mlp_on_samples(
     like the gradient, and ``model.weights`` / ``model.biases`` are rebound to
     views of it. Each sample then calls ``gradients`` exactly once and applies
     its flat gradient with one in-place scale and one in-place subtract.
+    Epochs run and stop as ``network.run_epochs`` says.
     """
     xs, ts = require_samples(xs, ts, model.weights[0].shape[0], model.biases[-1].size)
     hp = model.config.hyperparams
@@ -202,22 +204,19 @@ def train_mlp_on_samples(
     mu = scalar_operand(hp.mu)
     params = np.concatenate([w.ravel() for w in model.weights] + model.biases)
     model.weights[:], model.biases[:] = split_flat(model, params)
-    # a config's Hyperparams allow no fewer than one epoch
-    for epoch in range(1, hp.max_epochs + 1):
-        squared = 0.0
-        for x, t in zip(xs, ts):
-            grad, _, loss = gradients(model, x, t)
-            # loss is half the squared error; doubling it is exact
-            squared += 2.0 * loss / t.size
-            # the gradient is a fresh array: scale it in place, then subtract,
-            # which rounds exactly like W -= mu * g
-            grad *= mu
-            params -= grad
-        mse = squared / len(xs)
-        if mse < hp.epsilon:
-            break
+
+    def step(x: np.ndarray, t: np.ndarray) -> float:
+        grad, _, loss = gradients(model, x, t)
+        # the gradient is a fresh array: scale it in place, then subtract,
+        # which rounds exactly like W -= mu * g
+        grad *= mu
+        np.subtract(params, grad, out=params)
+        # loss is half the squared error; doubling it is exact
+        return 2.0 * loss / t.size
+
+    epochs, mse = run_epochs(xs, ts, hp, step)
     # one backward pass per sample per epoch
-    stats = MlpTrainingStats(epochs=epoch, samples=len(xs), backward_passes=epoch * len(xs),
+    stats = MlpTrainingStats(epochs=epochs, samples=len(xs), backward_passes=epochs * len(xs),
                              final_mse=mse, class_counts=dict(class_counts or {}))
     model.training = stats
     return stats

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -132,12 +132,13 @@ class LayerNetwork:
     ) -> "LayerNetwork":
         input_names = tuple(input_names)
         output_names = tuple(output_names)
-        # True where ``links`` joins input to output
+        # True where ``links`` joins input to output; a link of another layer pair is skipped
         in_index = {n: i for i, n in enumerate(input_names)}
         out_index = {n: i for i, n in enumerate(output_names)}
         mask = np.zeros((len(input_names), len(output_names)), dtype=bool)
         for src, dst in links:
-            mask[in_index[src], out_index[dst]] = True
+            if src in in_index and dst in out_index:
+                mask[in_index[src], out_index[dst]] = True
         weights = rng.uniform(-0.5, 0.5, size=mask.shape) * mask
         thresholds = np.zeros(len(output_names))
         return cls(input_names, output_names, weights, thresholds, mask)
@@ -199,51 +200,60 @@ def require_samples(xs: np.ndarray, ts: np.ndarray, n_in: int,
     return xs.astype(float, copy=False), ts.astype(float, copy=False)
 
 
-def train_nn1(
-    net: LayerNetwork,
-    xs: np.ndarray,
-    ts: np.ndarray,
-    mu: float = Hyperparams.mu,
-    epsilon: float = Hyperparams.epsilon,
-    max_epochs: int = Hyperparams.max_epochs,
-) -> TrainingStats:
-    """Online delta-rule training of one monolayer network on rows ``require_samples`` accepts.
+def run_epochs(xs: np.ndarray, ts: np.ndarray, hyperparams: Hyperparams,
+               step: Callable[[np.ndarray, np.ndarray], float]) -> tuple[int, float]:
+    """The online epoch loop of both trainers: ``(epochs, final_mse)``.
 
-    Stops when an epoch's mean squared error drops below epsilon or the epoch
-    cap is reached. Thresholds learn as bias weights on a constant -1 input.
-    ``mu``, ``epsilon`` and ``max_epochs`` must pass the rule of a config's
-    ``Hyperparams``, so at least one epoch runs.
+    Each epoch calls ``step(x, t)`` once per sample, in order; it updates
+    the weights on that sample and returns the sample's squared error over
+    its width. The epoch's error is the mean of these. Training stops after
+    the first epoch whose error is below ``hyperparams.epsilon``, otherwise
+    at ``max_epochs``; a ``Hyperparams`` allows no fewer than one epoch.
     """
-    Hyperparams(mu, epsilon, max_epochs)
-    xs, ts = require_samples(xs, ts, len(net.input_names), len(net.output_names))
-    # one factor for mu and the mask: rounds like scaling by mu, then masking
-    step = mu * net.mask
-    # the threshold's factor mu * -1 (its input is the constant -1)
-    threshold_step = scalar_operand(mu * -1.0)
-    width = len(net.output_names)
-    for epoch in range(1, max_epochs + 1):
+    for epoch in range(1, hyperparams.max_epochs + 1):
         squared = 0.0
         for x, t in zip(xs, ts):
-            s = net.forward(x)
-            err = t - s
-            # np.mean's sum and division, without its dispatch
-            squared += float(np.add.reduce(err * err)) / width
-            # s * (1 - s) * err, built in place; a product of two is commutative
-            delta = ONE0 - s
-            delta *= s
-            delta *= err
-            # mu * outer(x, delta) * mask: each entry is scaled by mu or by 0
-            g = np.multiply.outer(x, delta)
-            g *= step
-            net.weights += g
-            delta *= threshold_step
-            net.thresholds += delta
+            squared += step(x, t)
         mse = squared / len(xs)
-        if mse < epsilon:
+        if mse < hyperparams.epsilon:
             break
+    return epoch, mse
+
+
+def train_nn1(net: LayerNetwork, xs: np.ndarray, ts: np.ndarray,
+              hyperparams: Hyperparams = Hyperparams()) -> TrainingStats:
+    """Online delta-rule training of one monolayer network on rows ``require_samples`` accepts.
+
+    Epochs run and stop as ``run_epochs`` says. Thresholds learn as bias
+    weights on a constant -1 input.
+    """
+    xs, ts = require_samples(xs, ts, len(net.input_names), len(net.output_names))
+    # one factor for mu and the mask: rounds like scaling by mu, then masking
+    masked_mu = hyperparams.mu * net.mask
+    # the threshold's factor mu * -1 (its input is the constant -1)
+    threshold_step = scalar_operand(hyperparams.mu * -1.0)
+    width = len(net.output_names)
+
+    def step(x: np.ndarray, t: np.ndarray) -> float:
+        s = net.forward(x)
+        err = t - s
+        # s * (1 - s) * err, built in place; a product of two is commutative
+        delta = ONE0 - s
+        delta *= s
+        delta *= err
+        # mu * outer(x, delta) * mask: each entry is scaled by mu or by 0
+        g = np.multiply.outer(x, delta)
+        g *= masked_mu
+        net.weights += g
+        delta *= threshold_step
+        net.thresholds += delta
+        # np.mean's sum and division, without its dispatch
+        return float(np.add.reduce(err * err)) / width
+
+    epochs, mse = run_epochs(xs, ts, hyperparams, step)
     # one update pass per sample per epoch, each applying every linked weight
-    passes = epoch * len(xs)
-    return TrainingStats(epochs=epoch, samples=len(xs), update_passes=passes,
+    passes = epochs * len(xs)
+    return TrainingStats(epochs=epochs, samples=len(xs), update_passes=passes,
                          weight_updates=passes * net.linked_weight_count, final_mse=mse)
 
 
@@ -287,11 +297,9 @@ class TnnModel:
     @classmethod
     def create(cls, config: NetworkConfig, seed: int = 0) -> "TnnModel":
         rng = np.random.default_rng(expect_number(seed, int, ValueError, "seed", 0))
-        topology = config.topology
-        nets = tuple(
-            LayerNetwork.create(inp, out, topology.links_between(inp, out), rng)
-            for inp, out in topology.layer_pairs()
-        )
+        layers = config.topology.layers()
+        nets = tuple(LayerNetwork.create(inp, out, config.topology.links, rng)
+                     for inp, out in zip(layers, layers[1:]))
         return cls(config=config, nets=nets, seed=seed)
 
     @property
@@ -371,11 +379,8 @@ def train_tnn(model: TnnModel, docs: Sequence[DocumentInstance]) -> TnnTrainingS
         label_rows(topo.structures, (doc.labels.structures for doc in docs)),
         label_rows(topo.documents, ((doc.labels.document_class,) for doc in docs)),
     )
-    hp = model.config.hyperparams
-    stats = tuple(
-        train_nn1(net, xs, ts, hp.mu, hp.epsilon, hp.max_epochs)
-        for net, xs, ts in zip(model.nets, layers, layers[1:])
-    )
+    stats = tuple(train_nn1(net, xs, ts, model.config.hyperparams)
+                  for net, xs, ts in zip(model.nets, layers, layers[1:]))
     summary = TnnTrainingSummary(stats=stats, class_counts=counts)
     model.training = summary
     return summary

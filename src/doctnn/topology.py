@@ -71,14 +71,6 @@ class Topology:
     def layers(self) -> tuple[tuple[str, ...], ...]:
         return (self.elements, self.substructures, self.structures, self.documents)
 
-    def layer_pairs(self) -> tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]:
-        layers = self.layers()
-        return tuple(zip(layers, layers[1:]))
-
-    def links_between(self, inputs: tuple[str, ...], outputs: tuple[str, ...]) -> set[tuple[str, str]]:
-        wanted_in, wanted_out = set(inputs), set(outputs)
-        return {(s, d) for s, d in self.links if s in wanted_in and d in wanted_out}
-
     def upstream_elements(self, name: str) -> frozenset[str]:
         """Element neurons with a directed path to the given neuron."""
         incoming: dict[str, set[str]] = {}
@@ -114,9 +106,10 @@ class Hyperparams:
 class NetworkConfig:
     """Topology, extractor specs and hyperparams of one network.
 
-    Construction builds every element's extractor once, into the read-only
-    ``element_extractors``; models made from the config share them, and they
-    hold no per-document state.
+    Construction keeps a read-only copy of ``extractors`` and builds every
+    element's extractor once, into the read-only ``element_extractors``;
+    models made from the config share them, and they hold no per-document
+    state.
     """
 
     topology: Topology
@@ -126,6 +119,7 @@ class NetworkConfig:
         init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "extractors", MappingProxyType(dict(self.extractors)))
         missing = set(self.topology.elements) - set(self.extractors)
         if missing:
             raise TopologyError(f"element(s) without extractor spec: {sorted(missing)}")

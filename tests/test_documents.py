@@ -397,6 +397,29 @@ def test_save_config_refuses_non_finite_values(tmp_path):
     assert not path.exists()
 
 
+def test_config_keeps_its_own_extractor_specs_and_params(tmp_path):
+    # the config and each spec copy what they are given, so a later change
+    # to the caller's dicts or lists moves neither the saved file nor the
+    # extractors that run
+    config = default_config()
+    keywords = ["total", "due"]
+    params = {"keywords": keywords}
+    extractors = dict(config.extractors)
+    extractors["keywords_total"] = ExtractorSpec("keywords_total", params)
+    built = NetworkConfig(config.topology, extractors)
+    expected = config_to_dict(built)
+    extractors["amount_area"] = ExtractorSpec("date_indicator")
+    params["bogus"] = 1
+    keywords.append("sum")
+    assert config_to_dict(built) == expected
+    assert expected["extractors"]["amount_area"]["kind"] == "amount_area"
+    assert expected["extractors"]["keywords_total"]["params"] == {"keywords": ["total", "due"]}
+    path = tmp_path / "config.json"
+    save_config(built, path)
+    assert load_config(path) == built
+    assert replace(built, hyperparams=built.hyperparams) == built
+
+
 @pytest.mark.parametrize(
     "element, param, value",
     [

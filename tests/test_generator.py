@@ -142,6 +142,17 @@ def test_rejects_negative_counts():
             Noise(**{name: value})
 
 
+def test_genspec_keeps_its_own_counts():
+    # the spec checks and stores a copy, so a later change to the caller's
+    # dict cannot add a class or a count that construction would refuse
+    counts = {"invoice": 1}
+    spec = GenSpec(seed=0, counts=counts)
+    counts["receipt"] = 2
+    counts["form"] = -3
+    assert spec.counts == {"invoice": 1}
+    assert [d.labels.document_class for d in generate(spec)] == ["invoice"]
+
+
 def test_ambiguous_refuses_what_genspec_refuses():
     # a negative count gave an empty corpus, a fraction a bare TypeError, True seed 1
     for seed, count, message in (

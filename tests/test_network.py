@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from doctnn import (
     GenSpec,
+    Hyperparams,
     LayerNetwork,
     MlpModel,
     ModelFormatError,
@@ -234,7 +235,7 @@ def test_single_update_matches_hand_oracle():
     # S_k = 0.5, desired 1, mu = 0.5, S_j = 1, W = 0.1:
     # delta = 0.25 * 0.5, dW = 0.5 * 1 * 0.125, W(t+1) = 0.1625
     net = single_link_net(weight=0.1, threshold=0.1)
-    train_nn1(net, [[1.0]], [[1.0]], mu=0.5, epsilon=0.0, max_epochs=1)
+    train_nn1(net, [[1.0]], [[1.0]], Hyperparams(mu=0.5, epsilon=0.0, max_epochs=1))
     assert net.weights[0, 0] == 0.1625
     assert net.thresholds[0] == pytest.approx(0.1 - 0.0625)
 
@@ -243,7 +244,7 @@ def test_exact_targets_are_a_fixed_point():
     net = single_link_net(weight=0.0, threshold=0.0)
     before_w = net.weights.copy()
     before_t = net.thresholds.copy()
-    train_nn1(net, [[1.0]], [[0.5]], mu=0.5, epsilon=0.0, max_epochs=3)
+    train_nn1(net, [[1.0]], [[0.5]], Hyperparams(mu=0.5, epsilon=0.0, max_epochs=3))
     assert np.array_equal(net.weights, before_w)
     assert np.array_equal(net.thresholds, before_t)
 
@@ -273,7 +274,7 @@ def test_and_task_converges_and_matches_reference_oracle():
     rng = np.random.default_rng(0)
     net = LayerNetwork.create(("a", "b"), ("k",), [("a", "k"), ("b", "k")], rng)
     net.weights[:] = 0.0
-    stats = train_nn1(net, xs, ts, mu=0.5, epsilon=0.0, max_epochs=1000)
+    stats = train_nn1(net, xs, ts, Hyperparams(mu=0.5, epsilon=0.0, max_epochs=1000))
     assert stats.final_mse < 0.05
     ref_samples = [((x[0], x[1]), t[0]) for x, t in zip(xs, ts)]
     ref_w, ref_theta, ref_mse = reference_delta_rule(ref_samples, 0.5, 1000)
@@ -286,7 +287,7 @@ def test_update_counter_bookkeeping():
     rng = np.random.default_rng(3)
     net = LayerNetwork.create(("a", "b"), ("x", "y"), [("a", "x"), ("b", "x"), ("b", "y")], rng)
     stats = train_nn1(net, [(0.2, 0.4), (0.9, 0.1)], [(0.0, 1.0), (1.0, 0.0)],
-                      mu=0.5, epsilon=0.0, max_epochs=17)
+                      Hyperparams(mu=0.5, epsilon=0.0, max_epochs=17))
     assert stats.epochs == 17
     assert stats.update_passes == 17 * 2
     assert stats.weight_updates == 17 * 2 * 3
@@ -295,7 +296,8 @@ def test_update_counter_bookkeeping():
 def test_masked_weights_stay_zero_after_training():
     rng = np.random.default_rng(4)
     net = LayerNetwork.create(("a", "b"), ("x", "y"), [("a", "x"), ("b", "y")], rng)
-    train_nn1(net, [(1.0, 1.0), (0.0, 1.0)], [(1.0, 0.0), (0.0, 1.0)], max_epochs=50)
+    train_nn1(net, [(1.0, 1.0), (0.0, 1.0)], [(1.0, 0.0), (0.0, 1.0)],
+              Hyperparams(max_epochs=50))
     assert net.weights[0, 1] == 0.0
     assert net.weights[1, 0] == 0.0
 
@@ -339,7 +341,7 @@ def test_train_nn1_is_bit_identical_to_seed_loop(mu, epsilon, max_epochs, stops_
     rng = np.random.default_rng(3)
     xs = rng.uniform(0.0, 1.0, size=(6, 4))
     ts = np.eye(3)[rng.integers(0, 3, size=6)]
-    stats = train_nn1(nets[0], xs, ts, mu=mu, epsilon=epsilon, max_epochs=max_epochs)
+    stats = train_nn1(nets[0], xs, ts, Hyperparams(mu, epsilon, max_epochs))
     epochs, passes, mse = seed_train_nn1(nets[1], xs, ts, mu, epsilon, max_epochs)
     assert (stats.epochs < max_epochs) is stops_early
     assert (stats.epochs, stats.update_passes, stats.final_mse) == (epochs, passes, mse)
@@ -418,14 +420,10 @@ def test_train_nn1_refuses_a_bad_sample_before_any_update(trainer, rows, message
     ],
     ids=["no-epochs", "fractional-epochs", "nan-mu", "zero-mu", "negative-epsilon"],
 )
-def test_train_nn1_refuses_bad_hyperparams_before_any_update(setting, message):
-    # the rule of a config's Hyperparams
-    net = single_link_net()
-    before = [net.weights.copy(), net.thresholds.copy()]
+def test_hyperparams_refuse_a_setting_no_training_could_run(setting, message):
+    # every trainer takes its settings as a Hyperparams, so none can start with these
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        train_nn1(net, [(1.0,)], [(1.0,)], **setting)
-    assert np.array_equal(net.weights, before[0])
-    assert np.array_equal(net.thresholds, before[1])
+        Hyperparams(**setting)
 
 
 @both_trainers
@@ -541,6 +539,6 @@ def test_activations_strictly_inside_unit_interval(seed, values):
 def test_mask_invariance_survives_training():
     rng = np.random.default_rng(5)
     net = LayerNetwork.create(("a", "b"), ("x",), [("a", "x")], rng)
-    train_nn1(net, [(0.2, 0.9), (0.8, 0.1)], [(1.0,), (0.0,)], max_epochs=200)
+    train_nn1(net, [(0.2, 0.9), (0.8, 0.1)], [(1.0,), (0.0,)], Hyperparams(max_epochs=200))
     base = net.forward((0.5, 0.0))
     assert np.array_equal(net.forward((0.5, 0.77)), base)
