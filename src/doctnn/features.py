@@ -242,10 +242,6 @@ class DocumentView:
         return self._grouped(_right_groups, tol)
 
 
-def _as_view(doc: DocumentInstance | DocumentView) -> DocumentView:
-    return doc if isinstance(doc, DocumentView) else DocumentView(doc)
-
-
 def _column_x(column: Sequence[Token]) -> float:
     return sum(t.x for t in column) / len(column)
 
@@ -693,7 +689,7 @@ class ElementExtractor:
         levels = self.levels
         if not 1 <= level <= len(levels):
             raise ValueError(f"extractor '{self.name}': level {level} not in 1..{len(levels)}")
-        view = doc if type(doc) is DocumentView else _as_view(doc)
+        view = doc if type(doc) is DocumentView else DocumentView(doc)
         value = float(view.value(levels[level - 1], tally if tally is not None else Tally()))
         # every comparison with NaN is false, and -0.0 > 0.0 is false too
         if value > 0.0:
@@ -732,7 +728,7 @@ def extract_all(
     if overrides and not overrides.keys() <= extractors.keys():
         unknown = set(overrides) - set(extractors)
         raise ValueError(f"unknown element name(s) in overrides: {sorted(unknown)}")
-    view = doc if type(doc) is DocumentView else _as_view(doc)
+    view = doc if type(doc) is DocumentView else DocumentView(doc)
     tally = Tally()  # nothing reads the total, so one meter serves every element
     return {
         name: extractor.evaluate(view, overrides.get(name, 1), tally)

@@ -91,6 +91,24 @@ class GenSpec:
             expect_number(count, int, ValueError, f"count for {name!r}", 0)
 
 
+# the desk-scale experiment: the corpus sizes and noise of the reported run,
+# and its seeds, pinned so that every figure it gives can be reproduced
+DESK_TRAIN_COUNTS = MappingProxyType({"invoice": 40, "form": 36, "letter": 26})
+DESK_TEST_COUNTS = MappingProxyType({"invoice": 120, "form": 90, "letter": 40})
+DESK_NOISE = Noise(jitter=0.005, drop_rate=0.05, distort_rate=0.05)
+DESK_TRAIN_SEED = 51
+DESK_TEST_SEED = DESK_TRAIN_SEED + 1
+DESK_MODEL_SEED = 1
+
+
+def generate_desk(
+    train_seed: int = DESK_TRAIN_SEED,
+) -> tuple[list[DocumentInstance], list[DocumentInstance]]:
+    """The desk train and test corpora; the test corpus's seed is ``train_seed + 1``."""
+    return (generate(GenSpec(seed=train_seed, counts=DESK_TRAIN_COUNTS, noise=DESK_NOISE)),
+            generate(GenSpec(seed=train_seed + 1, counts=DESK_TEST_COUNTS, noise=DESK_NOISE)))
+
+
 class _Page:
     """One document being built: its tokens and the labels of what was placed.
 

@@ -8,14 +8,14 @@ output and no refinement hook.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .documents import DocumentInstance, expect_number, expect_type, read_json, write_json
+from .documents import DocumentInstance, expect_number, read_json, write_json
 from .features import extract_all
 from .network import (
     MODEL_FORMAT_VERSION,
@@ -28,8 +28,9 @@ from .network import (
     read_class_counts,
     read_list,
     read_matrix,
+    read_number,
     read_run,
-    read_seed,
+    read_training,
     require_samples,
     run_epochs,
     scalar_operand,
@@ -181,22 +182,21 @@ def train_mlp(model: MlpModel, docs: Sequence[DocumentInstance]) -> MlpTrainingS
         dtype=float,
     )
     ts = label_rows(topo.documents, ((doc.labels.document_class,) for doc in docs))
-    return train_mlp_on_samples(model, xs, ts, class_counts=counts)
+    stats = replace(train_mlp_on_samples(model, xs, ts), class_counts=counts)
+    model.training = stats
+    return stats
 
 
-def train_mlp_on_samples(
-    model: MlpModel,
-    xs: np.ndarray,
-    ts: np.ndarray,
-    class_counts: Mapping[str, int] | None = None,
-) -> MlpTrainingStats:
+def train_mlp_on_samples(model: MlpModel, xs: np.ndarray, ts: np.ndarray) -> MlpTrainingStats:
     """Backpropagation over the rows ``require_samples`` accepts; one backward pass per sample.
 
     The six weight and bias arrays are copied into one flat vector, laid out
     like the gradient, and ``model.weights`` / ``model.biases`` are rebound to
     views of it. Each sample then calls ``gradients`` exactly once and applies
     its flat gradient with one in-place scale and one in-place subtract.
-    Epochs run and stop as ``network.run_epochs`` says.
+    Epochs run and stop as ``network.run_epochs`` says. The run is returned,
+    not recorded on the model: only ``train_mlp``, which knows the corpus,
+    sets ``model.training``.
     """
     xs, ts = require_samples(xs, ts, model.weights[0].shape[0], model.biases[-1].size)
     hp = model.config.hyperparams
@@ -216,10 +216,8 @@ def train_mlp_on_samples(
 
     epochs, mse = run_epochs(xs, ts, hp, step)
     # one backward pass per sample per epoch
-    stats = MlpTrainingStats(epochs=epochs, samples=len(xs), backward_passes=epochs * len(xs),
-                             final_mse=mse, class_counts=dict(class_counts or {}))
-    model.training = stats
-    return stats
+    return MlpTrainingStats(epochs=epochs, samples=len(xs), backward_passes=epochs * len(xs),
+                            final_mse=mse)
 
 
 def mlp_to_dict(model: MlpModel) -> dict:
@@ -241,29 +239,22 @@ def mlp_to_dict(model: MlpModel) -> dict:
 
 def mlp_from_dict(payload: Mapping) -> MlpModel:
     """The model ``MlpModel.create`` builds from the file's config and seed, holding its arrays."""
-    model = MlpModel.create(model_config(payload, "mlp"), read_seed(payload))
+    model = MlpModel.create(model_config(payload, "mlp"),
+                            read_number(payload, "seed", int, "model file"))
     raw_layers = read_list(payload, "layers", "model file", len(model.weights), "dense layers")
     for i, raw in enumerate(raw_layers):
         where = f"dense layer {i}"
         model.weights[i] = read_matrix(raw, "weights", where, model.weights[i].shape)
         model.biases[i] = read_matrix(raw, "biases", where, model.biases[i].shape)
-    if payload.get("training") is None:
+    raw_training = read_training(payload)
+    if raw_training is None:
         return model
-    raw_training = expect_type(payload["training"], Mapping, ModelFormatError,
-                               "model file 'training'")
-    training = MlpTrainingStats(
-        **read_run(raw_training, "backward_passes", "model training",
-                   model.config.hyperparams),
-        class_counts=read_class_counts(raw_training.get("class_counts", {}),
-                                       model.config.topology),
+    counts = read_class_counts(raw_training, model.config.topology)
+    model.training = MlpTrainingStats(
+        **read_run(raw_training, "backward_passes", "model training", model.config.hyperparams,
+                   sum(counts.values())),
+        class_counts=counts,
     )
-    # counts come with a corpus, whose every document the run trained on once;
-    # a run on bare sample rows records none
-    total = sum(training.class_counts.values())
-    if training.class_counts and total != training.samples:
-        raise ModelFormatError(f"model training 'class_counts' total {total} documents, "
-                               f"but model training 'samples' is {training.samples}")
-    model.training = training
     return model
 
 

@@ -391,17 +391,19 @@ def train_tnn(model: TnnModel, docs: Sequence[DocumentInstance]) -> TnnTrainingS
 def read_number(payload: object, key: str, kind: type, where: str) -> float | int:
     """``payload[key]``, an integer (``kind`` int) or a finite number (float), >= 0.
 
-    Every number of a training record is a count or a squared error, so
-    none is negative. Raises ModelFormatError that names the key; nothing is
+    Every number of a training record is a count or a squared error, and a
+    model's seed seeds numpy, which refuses a negative one, so none is
+    negative. Raises ModelFormatError that names the key; nothing is
     converted.
     """
     return expect_number(require(payload, key, ModelFormatError, where), kind,
                          ModelFormatError, f"{where} {key!r}", 0)
 
 
-def read_class_counts(counts: object, topology: Topology) -> dict[str, int]:
+def read_class_counts(training: Mapping, topology: Topology) -> dict[str, int]:
     """A training record's documents per class; every key must be a class of ``topology``."""
-    counts = expect_type(counts, Mapping, ModelFormatError, "model training 'class_counts'")
+    counts = expect_type(require(training, "class_counts", ModelFormatError, "model training"),
+                         Mapping, ModelFormatError, "model training 'class_counts'")
     unknown = [name for name in counts if name not in topology.documents]
     if unknown:
         raise ModelFormatError(f"model training 'class_counts' names classes the "
@@ -432,19 +434,22 @@ def read_list(payload: object, key: str, where: str, count: int, what: str) -> l
     return entries
 
 
-def read_seed(payload: Mapping) -> int:
-    """A model file's seed, 0 when absent; numpy refuses a negative one."""
-    if "seed" not in payload:
-        return 0
-    return expect_number(payload["seed"], int, ModelFormatError, "model file 'seed'", 0)
+def read_training(payload: Mapping) -> Mapping | None:
+    """A model file's training record, an object, or None when it is null (untrained)."""
+    training = require(payload, "training", ModelFormatError, "model file")
+    if training is None:
+        return None
+    return expect_type(training, Mapping, ModelFormatError, "model file 'training'")
 
 
-def read_run(payload: object, passes_key: str, where: str, hyperparams: Hyperparams) -> dict:
+def read_run(payload: object, passes_key: str, where: str, hyperparams: Hyperparams,
+             documents: int) -> dict:
     """A training record's ``epochs``, ``samples``, pass count ``passes_key`` and ``final_mse``.
 
     Training runs at least one epoch over at least one sample, stops only at
     the end of an epoch and makes one pass per sample per epoch, so a record
     with fewer, or whose pass count is not epochs times samples, is refused.
+    Its samples are the ``documents`` its class counts total, one per document.
     It stops at the first epoch whose error is below ``hyperparams.epsilon``
     or at ``max_epochs``, so a record of more epochs, or of fewer whose
     ``final_mse`` is not below epsilon, is refused too.
@@ -454,6 +459,9 @@ def read_run(payload: object, passes_key: str, where: str, hyperparams: Hyperpar
     for key in ("epochs", "samples"):
         expect_number(run[key], int, ModelFormatError, f"{where} {key!r}", 1)
     epochs, samples, passes = run["epochs"], run["samples"], run[passes_key]
+    if samples != documents:
+        raise ModelFormatError(f"model training 'class_counts' total {documents} documents, "
+                               f"but {where} has {samples} samples")
     if passes != epochs * samples:
         raise ModelFormatError(f"{where} {passes_key!r} is {passes}, but {epochs} epochs of "
                                f"{samples} samples make {epochs * samples}")
@@ -504,7 +512,8 @@ def model_config(payload: Mapping, kind: str) -> NetworkConfig:
 
 def model_from_dict(payload: Mapping) -> TnnModel:
     """The model ``TnnModel.create`` builds from the file's config and seed, holding its arrays."""
-    model = TnnModel.create(model_config(payload, "tnn"), read_seed(payload))
+    model = TnnModel.create(model_config(payload, "tnn"),
+                            read_number(payload, "seed", int, "model file"))
     raw_nets = read_list(payload, "layer_networks", "model file", len(model.nets),
                          "layer networks")
     for i, (raw, net) in enumerate(zip(raw_nets, model.nets)):
@@ -518,32 +527,26 @@ def model_from_dict(payload: Mapping) -> TnnModel:
         net.thresholds = read_matrix(raw, "thresholds", where, net.thresholds.shape)
         if np.any(net.weights[~net.mask] != 0.0):
             raise ModelFormatError("non-zero weight on a pair the topology does not link")
-    if payload.get("training") is None:
+    raw_training = read_training(payload)
+    if raw_training is None:
         return model
-    raw_training = expect_type(payload["training"], Mapping, ModelFormatError,
-                               "model file 'training'")
+    counts = read_class_counts(raw_training, model.topology)
     # one record per layer network
     raw_stats = read_list(raw_training, "stats", "model training", len(model.nets),
                           "training stats")
     hyperparams = model.config.hyperparams
     training = TnnTrainingSummary(
         stats=tuple(
-            TrainingStats(**read_run(s, "update_passes", f"training stats {i}", hyperparams),
+            TrainingStats(**read_run(s, "update_passes", f"training stats {i}", hyperparams,
+                                     sum(counts.values())),
                           weight_updates=read_number(s, "weight_updates", int,
                                                      f"training stats {i}"))
             for i, s in enumerate(raw_stats)
         ),
-        class_counts=read_class_counts(
-            require(raw_training, "class_counts", ModelFormatError, "model training"),
-            model.topology),
+        class_counts=counts,
     )
-    # every layer network trains once on each document of the corpus, and
     # each update pass applies every linked weight of its network
     for i, (stats, net) in enumerate(zip(training.stats, model.nets)):
-        if stats.samples != training.trained_documents:
-            raise ModelFormatError(
-                f"model training 'class_counts' total {training.trained_documents} "
-                f"documents, but training stats {i} has {stats.samples} samples")
         updates = stats.update_passes * net.linked_weight_count
         if stats.weight_updates != updates:
             raise ModelFormatError(

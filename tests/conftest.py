@@ -8,7 +8,6 @@ from doctnn import (
     Hyperparams,
     MlpModel,
     NetworkConfig,
-    Noise,
     TnnModel,
     Token,
     TokenKind,
@@ -20,15 +19,7 @@ from doctnn import (
     train_tnn,
 )
 from doctnn.features import Tally, _norm
-
-# the frozen desk-scale run: corpus sizes and noise mirror the reported
-# experiment; seeds are pinned so every criterion is reproducible
-DESK_TRAIN_SEED = 51
-DESK_TEST_SEED = 52
-DESK_MODEL_SEED = 1
-DESK_NOISE = Noise(jitter=0.005, drop_rate=0.05, distort_rate=0.05)
-DESK_TRAIN_COUNTS = {"invoice": 40, "form": 36, "letter": 26}
-DESK_TEST_COUNTS = {"invoice": 120, "form": 90, "letter": 40}
+from doctnn.generator import DESK_MODEL_SEED, generate_desk
 
 
 def tok(text, x, y, w=0.05, h=0.02):
@@ -132,9 +123,7 @@ def reference_best_run(view, tally, tol, min_rows):
 
 @pytest.fixture(scope="session")
 def desk_corpora():
-    train = generate(GenSpec(seed=DESK_TRAIN_SEED, counts=DESK_TRAIN_COUNTS, noise=DESK_NOISE))
-    test = generate(GenSpec(seed=DESK_TEST_SEED, counts=DESK_TEST_COUNTS, noise=DESK_NOISE))
-    return train, test
+    return generate_desk()
 
 
 @pytest.fixture(scope="session")

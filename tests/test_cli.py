@@ -477,7 +477,7 @@ EVAL = ("--tnn", "{ws}/tnn.model", "--test", "{ws}/test.json")
         (("eval", "--tnn", "{ws}/weight_updates_seven.json", "--test", "{ws}/test.json"),
          "training stats 0 'weight_updates' is 7, but "),
         (("eval", *EVAL, "--mlp", "{ws}/mlp_counts_short.json"),
-         "model training 'class_counts' total 1 documents, but model training 'samples' is 18"),
+         "model training 'class_counts' total 1 documents, but model training has 18 samples"),
         (("eval", "--tnn", "{ws}/epochs_over_cap.json", "--test", "{ws}/test.json"),
          "training stats 0 'epochs' is 5000, but 'max_epochs' is 1000"),
         (("eval", *EVAL, "--mlp", "{ws}/mlp_early_stop.json"),

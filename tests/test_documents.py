@@ -42,11 +42,12 @@ from doctnn import (
 )
 from doctnn.documents import corpus_to_dict, write_json
 from doctnn.evaluation import ClassRow, CostComparison, StructureRow
+from doctnn.generator import DESK_TEST_COUNTS, DESK_TEST_SEED
 from doctnn.mlp import mlp_from_dict, mlp_to_dict
 from doctnn.network import ActivationTrace, model_from_dict, model_to_dict
 from doctnn.recognizer import PassRecord, RecognitionResult, StructureHit
 from doctnn.topology import config_from_dict, config_to_dict
-from conftest import DESK_TEST_COUNTS, DESK_TEST_SEED, dense_config
+from conftest import dense_config
 
 TOPOLOGY = default_topology()
 
@@ -679,6 +680,44 @@ def test_loaders_refuse_wrong_json_types_with_their_own_error(payload, load, sav
 
 
 @pytest.mark.parametrize(
+    "payload, load, save",
+    [(tnn_payload(), model_from_dict, model_to_dict), (mlp_payload(), mlp_from_dict, mlp_to_dict)],
+    ids=["tnn", "mlp"],
+)
+def test_model_loaders_refuse_every_missing_key(payload, load, save):
+    # the writers write every key, so a key that is gone is refused, naming it,
+    # or the file loads as written; only the embedded config's optional
+    # sections, which a config file may leave out, take their defaults, and
+    # these files hold the defaults
+    text = json.dumps(payload)
+    filled_in = []
+    for path in json_paths(payload):
+        *parents, key = path
+        if isinstance(key, int):
+            continue
+        mutant = json.loads(text)
+        node = mutant
+        for step in parents:
+            node = node[step]
+        del node[key]
+        try:
+            saved = json.loads(json.dumps(save(load(mutant))))
+        except TopologyError:
+            # the embedded config is read as a config file is
+            assert path[0] == "config", path
+            continue
+        except ModelFormatError as exc:
+            # a class count that is gone shows as the counts' total
+            assert key in str(exc) or parents[-1] in str(exc), f"{path}: {exc}"
+            continue
+        if path[0] == "config" and {"hyperparams", "params"} & set(path):
+            assert same_json(saved, payload), f"{path} deleted loads as {saved}"
+        elif not same_json(saved, mutant):
+            filled_in.append(path)
+    assert filled_in == []
+
+
+@pytest.mark.parametrize(
     "payload, load, record, changes, message",
     [
         (tnn_payload, load_model, ("stats", 1), {"update_passes": 13},
@@ -700,7 +739,7 @@ def test_loaders_refuse_wrong_json_types_with_their_own_error(payload, load, sav
          "training stats 0 'weight_updates' is 7, but 12 update passes over 6 linked "
          "weights make 72"),
         (mlp_payload, load_mlp, (), {"class_counts": {"d0": 1, "d1": 0}},
-         "model training 'class_counts' total 1 documents, but model training 'samples' is 3"),
+         "model training 'class_counts' total 1 documents, but model training has 3 samples"),
     ],
     ids=["tnn-passes", "tnn-epochs", "mlp-passes", "mlp-epochs", "tnn-no-samples",
          "mlp-no-samples", "tnn-weight-updates", "mlp-class-counts"],

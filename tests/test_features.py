@@ -25,7 +25,8 @@ from doctnn.features import (
     _fold,
     _norm,
 )
-from conftest import DESK_NOISE, doc, measure, reference_best_run, reference_keyword_hits, tok
+from doctnn.generator import DESK_NOISE
+from conftest import doc, measure, reference_best_run, reference_keyword_hits, tok
 
 EXTRACTORS = build_extractors(default_config().extractors)
 GATED = ("amount_area", "designation_zone", "code_area", "text_block", "date_indicator")

@@ -19,8 +19,9 @@ from doctnn import (
 )
 from doctnn import default_config, extract_all, mlp, network
 from doctnn.evaluation import evaluate_mlp
+from doctnn.generator import DESK_MODEL_SEED
 from doctnn.network import _element_array
-from conftest import DESK_MODEL_SEED, dense_config, max_gradient_error, two_branch_sigmoid
+from conftest import dense_config, max_gradient_error, two_branch_sigmoid
 
 
 def make_model(sizes=(4, 3, 3, 2), seed=0, hyperparams=None):
@@ -103,7 +104,7 @@ def test_gradient_matches_finite_differences():
         assert max_gradient_error(model, x, t) < 1e-4
 
 
-def test_xor_shaped_task_converges(tmp_path):
+def test_xor_shaped_task_converges():
     hyper = Hyperparams(mu=0.5, epsilon=0.05, max_epochs=10_000)
     model = MlpModel.create(dense_config((2, 4, 4, 1), hyper), seed=1)
     xs = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -111,10 +112,8 @@ def test_xor_shaped_task_converges(tmp_path):
     stats = train_mlp_on_samples(model, xs, ts)
     assert stats.final_mse < 0.05
     assert stats.epochs <= 10_000
-    # a run on bare sample rows records no class counts, and its record loads
-    save_mlp(model, tmp_path / "xor.json")
-    loaded = load_mlp(tmp_path / "xor.json")
-    assert loaded == model and loaded.training.class_counts == {}
+    # bare sample rows come with no corpus to count: the run is returned, not recorded
+    assert stats.class_counts == {} and model.training is None
 
 
 def seed_train_mlp_on_samples(model, xs, ts):

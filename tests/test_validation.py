@@ -28,7 +28,7 @@ from doctnn import (
     train_tnn,
 )
 from doctnn.evaluation import evaluate_mlp, evaluate_tnn
-from doctnn.network import read_number, read_seed
+from doctnn.network import read_number
 
 
 def param(kind, key):
@@ -88,8 +88,8 @@ SITES = [
     ("read_number.final_mse",
      lambda value: read_number({"final_mse": value}, "final_mse", float, "model training"),
      ModelFormatError, "'final_mse'", float, -0.5),
-    ("read_seed", lambda value: read_seed({"seed": value}), ModelFormatError,
-     "'seed'", int, -1),
+    ("read_number.seed", lambda value: read_number({"seed": value}, "seed", int, "model file"),
+     ModelFormatError, "'seed'", int, -1),
     ("TnnModel.create.seed", lambda value: TnnModel.create(default_config(), seed=value),
      ValueError, "seed", int, -1),
     ("MlpModel.create.seed", lambda value: MlpModel.create(default_config(), seed=value),
