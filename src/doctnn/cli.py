@@ -110,6 +110,11 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"trained tnn on {len(docs)} documents; {stats}; "
             f"update passes={summary.total_update_passes}; wrote {args.out}"
         )
+        # the trained cascade on its own corpus, with the default thresholds
+        missed = [doc.id for doc in docs
+                  if recognize(model, doc).winning_class != doc.labels.document_class]
+        print(f"training corpus: {len(docs) - len(missed)}/{len(docs)} recognized; "
+              f"missed: {', '.join(missed) if missed else 'none'}")
     else:
         model = MlpModel.create(config, seed=args.seed)
         stats = train_mlp(model, docs)

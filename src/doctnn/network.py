@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Any, Callable, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -60,6 +60,8 @@ def scalar_operand(value: float) -> np.ndarray:
 ZERO0 = scalar_operand(0.0)
 # the 1 of sigmoid's 1 + exp(-|x|) and of every s * (1 - s) in training
 ONE0 = scalar_operand(1.0)
+# the sign that sigmoid's copysign gives -|x|
+MINUS_ONE0 = scalar_operand(-1.0)
 
 
 class ModelFormatError(ValueError):
@@ -87,23 +89,24 @@ def sigmoid(x):
     or NaN takes the exact path: the max of |x| is NaN or inf exactly when
     some input is not finite, and the clamp runs when that max exceeds 30.
     ``math.hypot`` scales its inputs, so a norm beyond the float range is inf
-    without a warning; ``a.dot(a)`` would overflow there and warn.
+    without a warning; ``a.dot(a)`` would overflow there and warn. The norm
+    ignores signs, so it is taken of x itself, and only the exact path forms
+    |x|. One ``np.copysign(x, -1)`` gives -|x| for the denominator.
     The two fresh arrays it makes are reused in place for every later step.
     """
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 0:
         return float(sigmoid(arr[None])[0])
-    a = np.abs(arr)
-    clamp = not math.hypot(*a.ravel().tolist()) <= SIGMOID_CLAMP_FREE
+    clamp = not math.hypot(*arr.ravel().tolist()) <= SIGMOID_CLAMP_FREE
     if clamp:
-        # a is not empty here: the norm of no entries is 0
-        top = np.maximum.reduce(a, None)
+        # arr is not empty here: the norm of no entries is 0
+        top = np.maximum.reduce(np.abs(arr), None)
         if not top < np.inf:
             raise ValueError("sigmoid requires finite input")
         clamp = top > SIGMOID_CLAMP_FREE
     out = np.minimum(arr, ZERO0)
     np.exp(out, out=out)
-    np.negative(a, out=a)
+    a = np.copysign(arr, MINUS_ONE0)
     np.exp(a, out=a)
     a += ONE0
     out /= a
@@ -200,21 +203,25 @@ def require_samples(xs: np.ndarray, ts: np.ndarray, n_in: int,
     return xs.astype(float, copy=False), ts.astype(float, copy=False)
 
 
-def run_epochs(xs: np.ndarray, ts: np.ndarray, hyperparams: Hyperparams,
-               step: Callable[[np.ndarray, np.ndarray], float]) -> tuple[int, float]:
+def run_epochs(xs: Sequence, ts: Sequence, hyperparams: Hyperparams,
+               step: Callable[[Any, np.ndarray], float]) -> tuple[int, float]:
     """The online epoch loop of both trainers: ``(epochs, final_mse)``.
 
-    Each epoch calls ``step(x, t)`` once per sample, in order; it updates
-    the weights on that sample and returns the sample's squared error over
-    its width. The epoch's error is the mean of these. Training stops after
-    the first epoch whose error is below ``hyperparams.epsilon``, otherwise
-    at ``max_epochs``; a ``Hyperparams`` allows no fewer than one epoch.
+    Each epoch calls ``step(x, t)`` once per sample, in order, with the
+    sample's entries of ``xs`` and ``ts``; it updates the weights on that
+    sample and returns the sample's squared error over its width. The
+    entries are taken once per run, so an array's row views are made once,
+    not once per epoch. The epoch's error is the mean of these. Training
+    stops after the first epoch whose error is below ``hyperparams.epsilon``,
+    otherwise at ``max_epochs``; a ``Hyperparams`` allows no fewer than one
+    epoch.
     """
+    samples = list(zip(xs, ts))
     for epoch in range(1, hyperparams.max_epochs + 1):
         squared = 0.0
-        for x, t in zip(xs, ts):
+        for x, t in samples:
             squared += step(x, t)
-        mse = squared / len(xs)
+        mse = squared / len(samples)
         if mse < hyperparams.epsilon:
             break
     return epoch, mse
@@ -224,33 +231,44 @@ def train_nn1(net: LayerNetwork, xs: np.ndarray, ts: np.ndarray,
               hyperparams: Hyperparams = Hyperparams()) -> TrainingStats:
     """Online delta-rule training of one monolayer network on rows ``require_samples`` accepts.
 
-    Epochs run and stop as ``run_epochs`` says. Thresholds learn as bias
-    weights on a constant -1 input.
+    Epochs run and stop as ``run_epochs`` says. The weights and thresholds
+    are copied into one ``(n_in + 1, n_out)`` block, weights first and the
+    thresholds as its last row, and ``net.weights`` / ``net.thresholds`` are
+    rebound to views of it. Each sample's inputs gain a constant -1 for the
+    threshold row, so a sample updates the whole block with one outer
+    product, one scale by mu and the mask and one add. The threshold row is
+    scaled by mu alone: (-1 * delta) * mu rounds like delta * -mu, so the
+    block holds what separate weight and threshold updates give, bit for
+    bit, and weights on pairs that are not linked stay exactly 0.
     """
-    xs, ts = require_samples(xs, ts, len(net.input_names), len(net.output_names))
-    # one factor for mu and the mask: rounds like scaling by mu, then masking
-    masked_mu = hyperparams.mu * net.mask
-    # the threshold's factor mu * -1 (its input is the constant -1)
-    threshold_step = scalar_operand(hyperparams.mu * -1.0)
-    width = len(net.output_names)
+    n_in, n_out = len(net.input_names), len(net.output_names)
+    xs, ts = require_samples(xs, ts, n_in, n_out)
+    block = np.concatenate((net.weights, net.thresholds[None]))
+    net.weights, net.thresholds = block[:-1], block[-1]
+    # mu on every linked weight and on the threshold row, 0 elsewhere; one
+    # factor rounds like scaling by mu, then masking
+    masked_mu = hyperparams.mu * np.concatenate((net.mask, np.ones((1, n_out), dtype=bool)))
+    # each sample's inputs, then the threshold's constant -1 input; a
+    # sample's entry pairs its full row with the view forward takes
+    rows = np.concatenate((xs, np.full((len(xs), 1), -1.0)), axis=1)
+    inputs = [(row, row[:-1]) for row in rows]
 
-    def step(x: np.ndarray, t: np.ndarray) -> float:
+    def step(sample: tuple[np.ndarray, np.ndarray], t: np.ndarray) -> float:
+        row, x = sample
         s = net.forward(x)
         err = t - s
         # s * (1 - s) * err, built in place; a product of two is commutative
         delta = ONE0 - s
         delta *= s
         delta *= err
-        # mu * outer(x, delta) * mask: each entry is scaled by mu or by 0
-        g = np.multiply.outer(x, delta)
+        # mu * outer(row, delta) * mask: each entry is scaled by mu or by 0
+        g = np.multiply.outer(row, delta)
         g *= masked_mu
-        net.weights += g
-        delta *= threshold_step
-        net.thresholds += delta
+        np.add(block, g, out=block)
         # np.mean's sum and division, without its dispatch
-        return float(np.add.reduce(err * err)) / width
+        return float(np.add.reduce(err * err)) / n_out
 
-    epochs, mse = run_epochs(xs, ts, hyperparams, step)
+    epochs, mse = run_epochs(inputs, ts, hyperparams, step)
     # one update pass per sample per epoch, each applying every linked weight
     passes = epochs * len(xs)
     return TrainingStats(epochs=epochs, samples=len(xs), update_passes=passes,

@@ -245,14 +245,15 @@ def config_from_dict(payload: Mapping) -> NetworkConfig:
     ]
     links = [
         expect_names(link, TopologyError, "config 'links' entry")
-        for link in expect_type(payload.get("links", []), list, TopologyError, "config 'links'")
+        for link in expect_type(require(payload, "links", TopologyError, "config"), list,
+                                TopologyError, "config 'links'")
     ]
     if any(len(link) != 2 for link in links):
         raise TopologyError("config 'links' entries must be [source, target] pairs")
     topology = Topology(*names, links=frozenset(links))
     extractors = {}
-    extractor_entries = expect_type(payload.get("extractors", {}), Mapping, TopologyError,
-                                    "config 'extractors'")
+    extractor_entries = expect_type(require(payload, "extractors", TopologyError, "config"),
+                                    Mapping, TopologyError, "config 'extractors'")
     for name, entry in extractor_entries.items():
         where = f"config extractor '{name}'"
         kind = expect_type(require(entry, "kind", TopologyError, where), str, TopologyError,

@@ -5,11 +5,14 @@ as ``doctnn.mlp.gradients``) with wrappers that record one span per call. A
 binding that still exists but that the library no longer calls gives no span,
 and every per-layer metric built on it reads 0. This test runs a tiny version
 of the benchmark's flow under the tracer and checks that each wrapped binding,
-and every extractor's level 1, recorded at least one span.
+and every extractor's level 1, recorded at least one span. It also checks
+that training records one sigmoid span per TNN update pass and three per MLP
+backward pass, so the sigmoid call count keeps its meaning.
 """
 import csv
 import gzip
 import importlib.util
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,9 +42,9 @@ def test_library_calls_every_binding_the_benchmark_tracer_wraps(tmp_path):
         documents.save_corpus(docs + ambiguous, corpus_path)
         corpus = documents.load_corpus(corpus_path, config.topology)
         tnn = TnnModel.create(config, seed=1)
-        network.train_tnn(tnn, corpus)
+        summary = network.train_tnn(tnn, corpus)
         dense = MlpModel.create(config, seed=1)
-        mlp.train_mlp(dense, corpus)
+        dense_stats = mlp.train_mlp(dense, corpus)
         network.save_model(tnn, tmp_path / "tnn.model")
         tnn = network.load_model(tmp_path / "tnn.model")
         mlp.save_mlp(dense, tmp_path / "mlp.model")
@@ -51,7 +54,8 @@ def test_library_calls_every_binding_the_benchmark_tracer_wraps(tmp_path):
     spans = tmp_path / "spans.csv.gz"
     tracer.write_spans(spans)
     with gzip.open(spans, "rt", newline="", encoding="utf-8") as handle:
-        names = {row["name"] for row in csv.DictReader(handle)}
+        rows = list(csv.DictReader(handle))
+    names = {row["name"] for row in rows}
     # train_nn1's spans are named after the layer its network outputs
     expected = {name for _, _, name in tracing.PATCHES} - {"network.train_nn1"}
     expected |= {f"network.train_nn1.{layer}" for layer in ("sub", "struct", "doc")}
@@ -60,3 +64,13 @@ def test_library_calls_every_binding_the_benchmark_tracer_wraps(tmp_path):
     # refinement raised some element above level 1
     assert any(name.startswith("features.") and not name.endswith(".L1")
                and name != "features.extract_all" for name in names)
+    # network.sigmoid.calls counts one span per TNN update pass and three
+    # per MLP backward pass, besides the forwards of serving and evaluation
+    name_of = {row["span"]: row["name"] for row in rows}
+    under = Counter(name_of[row["parent"]] for row in rows
+                    if row["name"] == "network.sigmoid" and row["parent"] in name_of)
+    for layer, stats in zip(("sub", "struct", "doc"), summary.stats):
+        assert under[f"network.train_nn1.{layer}"] == stats.update_passes
+    gradients = sum(row["name"] == "mlp.gradients" for row in rows)
+    assert gradients == dense_stats.backward_passes
+    assert under["mlp.gradients"] == 3 * gradients

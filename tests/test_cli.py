@@ -4,6 +4,7 @@ import pytest
 
 from doctnn import GenSpec, Noise, generate, save_corpus
 from doctnn.cli import main
+from doctnn.generator import DESK_MODEL_SEED
 from doctnn.topology import config_to_dict, default_config, save_config
 
 
@@ -186,7 +187,21 @@ def test_train_reports_stats_line(workspace, capsys, tmp_path):
         "--seed", "3", "--out", str(tmp_path / "model.json"),
     )
     assert code == 0
-    assert "update passes=" in out
+    stats_line, corpus_line = out.splitlines()
+    assert "update passes=" in stats_line
+    assert corpus_line.startswith("training corpus: ")
+
+
+def test_train_tnn_lists_the_desk_training_documents_it_misses(desk_corpora, tmp_path,
+                                                               capsys):
+    corpus = tmp_path / "train.json"
+    save_corpus(desk_corpora[0], corpus)
+    code, out, _ = run(capsys, "train", "tnn", "--corpus", str(corpus),
+                       "--seed", str(DESK_MODEL_SEED), "--out", str(tmp_path / "tnn.model"))
+    assert code == 0
+    # four payment reminders, each accepted as an invoice
+    assert out.splitlines()[1] == ("training corpus: 98/102 recognized; missed: letter-0076, "
+                                   "letter-0079, letter-0096, letter-0099")
 
 
 @pytest.mark.parametrize(

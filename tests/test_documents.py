@@ -702,9 +702,10 @@ def test_model_loaders_refuse_every_missing_key(payload, load, save):
         del node[key]
         try:
             saved = json.loads(json.dumps(save(load(mutant))))
-        except TopologyError:
+        except TopologyError as exc:
             # the embedded config is read as a config file is
             assert path[0] == "config", path
+            assert key in str(exc), f"{path}: {exc}"
             continue
         except ModelFormatError as exc:
             # a class count that is gone shows as the counts' total

@@ -332,6 +332,8 @@ def seed_train_nn1(net, xs, ts, mu, epsilon, max_epochs):
     [
         (0.5, 0.0, 40, False),
         (2.0, 0.15, 1000, True),
+        # not a power of two, so a product that is reassociated rounds differently
+        (0.3, 0.0, 40, False),
     ],
 )
 def test_train_nn1_is_bit_identical_to_seed_loop(mu, epsilon, max_epochs, stops_early):
@@ -349,6 +351,35 @@ def test_train_nn1_is_bit_identical_to_seed_loop(mu, epsilon, max_epochs, stops_
     assert np.array_equal(nets[0].thresholds, nets[1].thresholds)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_train_nn1_matches_seed_loop_on_random_masks_and_samples(data):
+    n_in, n_out, n_samples = (data.draw(st.integers(1, 4)) for _ in range(3))
+    mask = data.draw(st.lists(st.booleans(), min_size=n_in * n_out, max_size=n_in * n_out))
+    inputs = [f"i{j}" for j in range(n_in)]
+    outputs = [f"o{k}" for k in range(n_out)]
+    links = [(inputs[i // n_out], outputs[i % n_out]) for i, linked in enumerate(mask) if linked]
+    seed = data.draw(st.integers(0, 2**16))
+    nets = [LayerNetwork.create(inputs, outputs, links, np.random.default_rng(seed))
+            for _ in range(2)]
+    thresholds = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n_out, max_size=n_out))
+    for net in nets:
+        net.thresholds[:] = thresholds
+    xs = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n_samples * n_in,
+                                     max_size=n_samples * n_in))).reshape(n_samples, n_in)
+    ts = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n_samples * n_out,
+                                     max_size=n_samples * n_out))).reshape(n_samples, n_out)
+    mu = data.draw(st.floats(0.01, 4.0))
+    max_epochs = data.draw(st.integers(1, 5))
+    stats = train_nn1(nets[0], xs, ts, Hyperparams(mu, 0.0, max_epochs))
+    epochs, passes, mse = seed_train_nn1(nets[1], xs, ts, mu, 0.0, max_epochs)
+    assert (stats.epochs, stats.update_passes, stats.final_mse) == (epochs, passes, mse)
+    assert np.array_equal(nets[0].weights, nets[1].weights)
+    assert np.array_equal(nets[0].thresholds, nets[1].thresholds)
+    # a weight on a pair that is not linked stays exactly 0
+    assert not nets[0].weights[~nets[0].mask].any()
+
+
 def test_train_nn1_rejects_bad_input():
     net = single_link_net()
     with pytest.raises(ValueError, match="non-empty"):
@@ -358,16 +389,18 @@ def test_train_nn1_rejects_bad_input():
 
 
 # each trainer of one input and one output gives (train(xs, ts), the arrays
-# training updates, the training record it leaves on the model)
+# training updates, the training record it leaves on the model); the arrays
+# are read when called, since training rebinds them to views of one block
 def nn1_trainer():
     net = single_link_net()
-    return lambda xs, ts: train_nn1(net, xs, ts), [net.weights, net.thresholds], lambda: None
+    return (lambda xs, ts: train_nn1(net, xs, ts), lambda: [net.weights, net.thresholds],
+            lambda: None)
 
 
 def mlp_trainer():
     model = MlpModel.create(dense_config((1, 2, 2, 1)), seed=0)
-    return (lambda xs, ts: train_mlp_on_samples(model, xs, ts), model.weights + model.biases,
-            lambda: model.training)
+    return (lambda xs, ts: train_mlp_on_samples(model, xs, ts),
+            lambda: model.weights + model.biases, lambda: model.training)
 
 
 both_trainers = pytest.mark.parametrize("trainer", [nn1_trainer, mlp_trainer],
@@ -402,10 +435,10 @@ def after_good(x, t):
 )
 def test_train_nn1_refuses_a_bad_sample_before_any_update(trainer, rows, message):
     train, params, record = trainer()
-    before = [p.copy() for p in params]
+    before = [p.copy() for p in params()]
     with pytest.raises(ValueError, match=message):
         train(*rows)
-    assert all(np.array_equal(p, b) for p, b in zip(params, before))
+    assert all(np.array_equal(p, b) for p, b in zip(params(), before))
     assert record() is None
 
 
@@ -441,11 +474,42 @@ def test_hyperparams_refuse_a_setting_no_training_could_run(setting, message):
 def test_trainers_refuse_samples_of_the_wrong_shape_before_any_update(trainer, xs, ts,
                                                                        message):
     train, params, record = trainer()
-    before = [p.copy() for p in params]
+    before = [p.copy() for p in params()]
     with pytest.raises(ValueError, match=message):
         train(xs, ts)
-    assert all(np.array_equal(p, b) for p, b in zip(params, before))
+    assert all(np.array_equal(p, b) for p, b in zip(params(), before))
     assert record() is None
+
+
+def nn1_resumable():
+    """(train for a number of epochs, the arrays training updates) of a small layer network."""
+    links = [("a", "x"), ("b", "x"), ("b", "y"), ("c", "y")]
+    net = LayerNetwork.create("abc", "xy", links, np.random.default_rng(4))
+    return (lambda xs, ts, epochs: train_nn1(net, xs, ts, Hyperparams(0.3, 0.0, epochs)),
+            lambda: [net.weights, net.thresholds])
+
+
+def mlp_resumable():
+    model = MlpModel.create(dense_config((3, 2, 2, 2)), seed=4)
+
+    def train(xs, ts, epochs):
+        model.config = dense_config((3, 2, 2, 2), Hyperparams(0.3, 0.0, epochs))
+        return train_mlp_on_samples(model, xs, ts)
+
+    return train, lambda: model.weights + model.biases
+
+
+@pytest.mark.parametrize("trainer", [nn1_resumable, mlp_resumable],
+                         ids=["train_nn1", "train_mlp_on_samples"])
+def test_training_resumes_where_it_stopped(trainer):
+    # k epochs, then m more on the same rows, are one run of k + m epochs, bit for bit
+    rng = np.random.default_rng(8)
+    xs = rng.uniform(0.0, 1.0, size=(5, 3))
+    ts = np.eye(2)[rng.integers(0, 2, size=5)]
+    (resumed, resumed_params), (whole, whole_params) = trainer(), trainer()
+    assert [r.epochs for r in (resumed(xs, ts, 3), resumed(xs, ts, 4))] == [3, 4]
+    assert whole(xs, ts, 7).epochs == 7
+    assert all(np.array_equal(a, b) for a, b in zip(resumed_params(), whole_params()))
 
 
 # --- whole-cascade training ---------------------------------------------------------------
