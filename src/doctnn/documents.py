@@ -5,7 +5,9 @@ encoding that every doctnn file (corpus, config, model, eval report) shares.
 largest, have their own writer, ``save_corpus``, which produces the same bytes
 as ``write_json`` would: ``json.dumps`` runs in pure Python whenever it is
 asked to indent, so the corpus writer fills one text template per token
-instead.
+instead, and writes the file one document at a time. Both writers write to a
+sibling file that replaces the target only once it is complete, so a doctnn
+file is replaced whole or not at all.
 
 A document is a flat list of text tokens with normalized bounding boxes
 (page fractions, top-left origin). Ground-truth labels, when present, name
@@ -16,12 +18,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, dataclass, field, fields
 from enum import Enum
 from functools import lru_cache
 from numbers import Real
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, TextIO
 
 if TYPE_CHECKING:
     from .topology import Topology
@@ -33,14 +37,34 @@ class CorpusError(ValueError):
     """Raised for malformed corpus files or invariant violations."""
 
 
+@contextmanager
+def _replacing(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8 text file whose content replaces ``path`` when the block completes.
+
+    The content goes to the sibling ``<path>.part``, which ``os.replace`` moves
+    onto ``path`` only after the last byte. Any exception, an interrupt
+    included, deletes the sibling and leaves ``path`` as it was.
+    """
+    part = Path(f"{os.fspath(path)}.part")
+    try:
+        with open(part, "w", encoding="utf-8") as out:
+            yield out
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
 def write_json(payload: object, path: str | Path) -> None:
     """Write a doctnn file: sorted keys, 2-space indent, trailing newline, UTF-8.
 
     NaN and infinities raise ValueError before anything is written, so no
-    file that strict JSON readers reject is ever produced.
+    file that strict JSON readers reject is ever produced. The text replaces
+    ``path`` whole: a failed or interrupted write leaves the old file there.
     """
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    with _replacing(path) as out:
+        out.write(text)
 
 
 def read_json(path: str | Path, error: type[Exception]) -> dict:
@@ -412,28 +436,34 @@ _DOCUMENT = """{
 def save_corpus(docs: Iterable[DocumentInstance], path: str | Path) -> None:
     """Write the corpus file format; loading it back yields an equal corpus.
 
-    The file holds the same bytes as ``write_json(corpus_to_dict(docs), path)``.
-    NaN and infinities raise ValueError before anything is written.
+    The file holds the same bytes as ``write_json(corpus_to_dict(docs), path)``,
+    written one document at a time, so memory does not grow with the corpus.
+    The text replaces ``path`` whole: NaN or an infinity in any document
+    raises ValueError, and it or any other failure leaves ``path`` as it was.
     """
-    entries = []
-    for doc in docs:
-        tokens = [
-            _TOKEN % (
-                _json_value(t.height, 5),
-                _json_value(t.text, 5),
-                _json_value(t.width, 5),
-                _json_value(t.x, 5),
-                _json_value(t.y, 5),
-            )
-            for t in doc.tokens
-        ]
-        labels = ""
-        if doc.labels is not None:
-            labels = _LABELS % (
-                _json_value(doc.labels.document_class, 4),
-                _json_list([_json_value(n, 5) for n in sorted(doc.labels.structures)], 4),
-                _json_list([_json_value(n, 5) for n in sorted(doc.labels.substructures)], 4),
-            )
-        entries.append(_DOCUMENT % (_json_value(doc.id, 3), labels, _json_list(tokens, 3)))
-    text = '{\n  "documents": %s\n}\n' % _json_list(entries, 1)
-    Path(path).write_text(text, encoding="utf-8")
+    with _replacing(path) as out:
+        out.write('{\n  "documents": [')
+        empty = True
+        for doc in docs:
+            tokens = [
+                _TOKEN % (
+                    _json_value(t.height, 5),
+                    _json_value(t.text, 5),
+                    _json_value(t.width, 5),
+                    _json_value(t.x, 5),
+                    _json_value(t.y, 5),
+                )
+                for t in doc.tokens
+            ]
+            labels = ""
+            if doc.labels is not None:
+                labels = _LABELS % (
+                    _json_value(doc.labels.document_class, 4),
+                    _json_list([_json_value(n, 5) for n in sorted(doc.labels.structures)], 4),
+                    _json_list([_json_value(n, 5) for n in sorted(doc.labels.substructures)], 4),
+                )
+            # _json_list's layout for the documents list, one item at a time
+            out.write("\n    " if empty else ",\n    ")
+            out.write(_DOCUMENT % (_json_value(doc.id, 3), labels, _json_list(tokens, 3)))
+            empty = False
+        out.write("]\n}\n" if empty else "\n  ]\n}\n")

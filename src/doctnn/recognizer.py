@@ -174,6 +174,29 @@ def _top_two(documents: Mapping[str, float], order: Sequence[str]) -> tuple[str,
     return ranked[0], ranked[1]
 
 
+def accepts(
+    trace: ActivationTrace,
+    top1: str,
+    top2: str,
+    params: RecognizerParams,
+    has_evidence: bool,
+) -> tuple[float, float, bool]:
+    """The accept test of one pass: ``(confidence, margin, accepted)``.
+
+    ``top1`` and ``top2`` are the two strongest classes, the same class when
+    the topology has one; the margin of a lone class is its confidence. A pass
+    is accepted when the document has evidence and both thresholds are met.
+    """
+    confidence = trace.documents[top1]
+    margin = confidence - trace.documents[top2] if top1 != top2 else confidence
+    accepted = (
+        has_evidence
+        and confidence >= params.tau_accept
+        and margin >= params.tau_margin
+    )
+    return confidence, margin, accepted
+
+
 def recognize(
     model: TnnModel,
     doc: DocumentInstance,
@@ -199,13 +222,7 @@ def recognize(
         vector = extract_all(ex, view, overrides)
         trace = forward_tnn(model, vector)
         top1, top2 = _top_two(trace.documents, model.topology.documents)
-        confidence = trace.documents[top1]
-        margin = confidence - trace.documents[top2] if top1 != top2 else confidence
-        accepted = (
-            has_evidence
-            and confidence >= params.tau_accept
-            and margin >= params.tau_margin
-        )
+        confidence, margin, accepted = accepts(trace, top1, top2, params, has_evidence)
         blamed: tuple[str, ...] = ()
         if not accepted and pass_no < params.max_passes:
             if paths is None:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -357,15 +358,60 @@ def test_load_rejects_missing_file(tmp_path):
         load_corpus(tmp_path / "absent.json", TOPOLOGY)
 
 
+def files_in(directory) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
 def test_save_corpus_refuses_non_finite_values(tmp_path):
+    # a refused save leaves the directory as it was: no file at the path, or
+    # the corpus already there byte for byte, and no other file beside it
     path = tmp_path / "corpus.json"
-    for field in ("x", "y", "width", "height"):
-        for value in (float("nan"), float("inf"), float("-inf")):
-            token = Token("Total", 0.5, 0.5, 0.08, 0.02)
-            object.__setattr__(token, field, value)  # past Token's own validation
-            with pytest.raises(ValueError, match="not JSON compliant"):
-                save_corpus([DocumentInstance(id="d", tokens=(token,))], path)
-            assert not path.exists()
+    good = DocumentInstance(id="a", tokens=(Token("Total", 0.5, 0.5, 0.08, 0.02),))
+    for earlier in (None, [good]):
+        if earlier is not None:
+            save_corpus(earlier, path)
+        before = files_in(tmp_path)
+        for field in ("x", "y", "width", "height"):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                token = Token("Total", 0.5, 0.5, 0.08, 0.02)
+                object.__setattr__(token, field, value)  # past Token's own validation
+                bad = DocumentInstance(id="d", tokens=(token,))
+                # in the only document, or in the second once the first is written
+                for docs in ([bad], [good, bad]):
+                    with pytest.raises(ValueError, match="not JSON compliant"):
+                        save_corpus(docs, path)
+                    assert files_in(tmp_path) == before
+
+
+def test_an_interrupted_save_corpus_leaves_the_old_file(tmp_path):
+    # an interrupt is no Exception, and it too deletes the half-written sibling
+    path = tmp_path / "corpus.json"
+    docs = generate_ambiguous(7, 2)
+    save_corpus(docs, path)
+    before = files_in(tmp_path)
+
+    def interrupted():
+        yield docs[0]
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        save_corpus(interrupted(), path)
+    assert files_in(tmp_path) == before
+
+
+def test_save_corpus_peak_memory_is_a_small_part_of_the_file(desk_corpora, tmp_path):
+    # documents are written one at a time, so the text of the whole file is
+    # never held: the traced peak stays far below the file's size
+    path = tmp_path / "corpus.json"
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        save_corpus(desk_corpora[1], path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
+    assert list(files_in(tmp_path)) == ["corpus.json"]
 
 
 @pytest.mark.parametrize("load, error", [

@@ -579,6 +579,15 @@ def test_save_refuses_non_finite_values(tmp_path):
     with pytest.raises(ValueError, match="not JSON compliant"):
         save_model(model, path)
     assert not path.exists()
+    # over a model file already there, the refusal keeps its bytes and leaves nothing beside it
+    model.nets[1].thresholds[0] = 0.0
+    save_model(model, path)
+    before = path.read_bytes()
+    model.nets[1].thresholds[0] = np.nan
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_model(model, path)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == before
 
 
 def test_model_corrupt_file(tmp_path):

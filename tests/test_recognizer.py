@@ -25,6 +25,7 @@ from doctnn import (
     train_tnn,
 )
 from doctnn import features, recognizer
+from doctnn.recognizer import DEFAULT_PARAMS
 from doctnn.features import DocumentView, ElementExtractor, Tally
 from doctnn.network import ActivationTrace, model_from_dict, model_to_dict
 
@@ -255,6 +256,29 @@ def test_refinement_touches_only_blamed_elements(desk_tnn):
                 if value != before.trace.elements[name]
             }
             assert changed <= set(before.blamed)
+
+
+def test_recognize_takes_the_accept_rule_from_the_module(desk_tnn, desk_corpora, monkeypatch):
+    # an experiment swaps the accept rule as criterion 10 swaps blame_elements
+    rule = recognizer.accepts
+
+    def ruling(accepted):
+        def swapped(*args):
+            confidence, margin, _ = rule(*args)
+            return confidence, margin, accepted
+        return swapped
+
+    fixtures = generate_ambiguous(7, 24)
+    monkeypatch.setattr(recognizer, "accepts", ruling(False))
+    for document in fixtures:
+        result = recognize(desk_tnn, document)
+        assert result.status == "rejected"
+        assert len(result.passes) == DEFAULT_PARAMS.max_passes
+    monkeypatch.setattr(recognizer, "accepts", ruling(True))
+    for document in (*fixtures, *desk_corpora[1]):
+        result = recognize(desk_tnn, document)
+        assert result.status == "recognized"
+        assert len(result.passes) == 1
 
 
 def test_first_pass_acceptance_equals_plain_forward(desk_tnn, desk_corpora):
