@@ -7,7 +7,9 @@ as ``write_json`` would: ``json.dumps`` runs in pure Python whenever it is
 asked to indent, so the corpus writer fills one text template per token
 instead, and writes the file one document at a time. Both writers write to a
 sibling file that replaces the target only once it is complete, so a doctnn
-file is replaced whole or not at all.
+file is replaced whole or not at all. The corpus loader, ``load_corpus``,
+builds each token while the file is decoded, through a decoder hook, and
+the tokens of one file share each distinct text, width and height.
 
 A document is a flat list of text tokens with normalized bounding boxes
 (page fractions, top-left origin). Ground-truth labels, when present, name
@@ -25,7 +27,7 @@ from enum import Enum
 from functools import lru_cache
 from numbers import Real
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, TextIO
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, TextIO
 
 if TYPE_CHECKING:
     from .topology import Topology
@@ -43,15 +45,19 @@ def _replacing(path: str | Path) -> Iterator[TextIO]:
 
     The content goes to the sibling ``<path>.part``, which ``os.replace`` moves
     onto ``path`` only after the last byte. Any exception, an interrupt
-    included, deletes the sibling and leaves ``path`` as it was.
+    included, deletes the sibling and leaves ``path`` as it was; an OSError
+    from creating or moving the sibling is raised naming ``path``.
     """
-    part = Path(f"{os.fspath(path)}.part")
+    part = f"{os.fspath(path)}.part"
     try:
         with open(part, "w", encoding="utf-8") as out:
             yield out
         os.replace(part, path)
-    except BaseException:
-        part.unlink(missing_ok=True)
+    except BaseException as exc:
+        Path(part).unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == part:
+            # the sibling is this helper's own affair: the error names the file asked for
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 
@@ -67,8 +73,13 @@ def write_json(payload: object, path: str | Path) -> None:
         out.write(text)
 
 
-def read_json(path: str | Path, error: type[Exception]) -> dict:
-    """Parse a doctnn file, raising ``error`` unless it holds a JSON object."""
+def read_json(path: str | Path, error: type[Exception],
+              object_hook: Callable[[dict], object] | None = None) -> Any:
+    """Parse a doctnn file, raising ``error`` unless it holds a JSON object.
+
+    ``object_hook`` is json's decoder hook: each decoded object is replaced by
+    what it returns, the top-level object included.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -76,11 +87,13 @@ def read_json(path: str | Path, error: type[Exception]) -> dict:
     except UnicodeDecodeError as exc:
         raise error(f"parse error in {path}: {exc}") from exc
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_hook=object_hook)
     # json's decoder recurses once per nesting level, so a deep file exhausts the stack
     except (json.JSONDecodeError, RecursionError) as exc:
         raise error(f"parse error in {path}: {exc}") from exc
-    if not isinstance(payload, dict):
+    # a hook may have made the top-level object something else, so the other
+    # JSON types are refused rather than everything that is not a dict
+    if payload is None or isinstance(payload, (list, str, int, float)):
         raise error(f"parse error in {path}: expected a JSON object")
     return payload
 
@@ -304,8 +317,48 @@ def require_labels(docs: Iterable[DocumentInstance], topology: "Topology",
 _TOKEN_FIELDS = frozenset(("text", "x", "y", "w", "h"))
 
 
+def _token_hook() -> Callable[[dict], object]:
+    """A decoder hook that builds each token of one corpus file as it is decoded.
+
+    An object whose keys are exactly a token's becomes a Token as soon as the
+    decoder closes it, so no token dict outlives its own decoding; any other
+    object, or one that does not build, is returned unchanged for
+    ``_parse_token`` to refuse with its message. A text, and a width or height
+    that is a float, is replaced by the first equal value this hook has seen,
+    so the tokens of a file share one object per distinct value. Coordinates
+    are nearly all distinct, so sharing them would cost more than it saves.
+    """
+    setdefault = {}.setdefault
+
+    def hook(obj: dict) -> object:
+        # five keys, each a token field, are exactly the token's keys
+        if len(obj) != 5:
+            return obj
+        try:
+            text, x, y, w, h = obj["text"], obj["x"], obj["y"], obj["w"], obj["h"]
+        except KeyError:
+            return obj
+        # a text that is no str would be refused with a TypeError, and may be unhashable
+        if type(text) is not str:
+            return obj
+        text = setdefault(text, text)
+        # an int stays an int: 1 == 1.0 would otherwise find a float
+        if type(w) is float:
+            w = setdefault(w, w)
+        if type(h) is float:
+            h = setdefault(h, h)
+        try:
+            return Token(text, x, y, w, h)
+        except ValueError:
+            return obj
+
+    return hook
+
+
 def _parse_token(raw: object, doc_id: str, index: int) -> Token:
     """``raw`` as a Token, raising CorpusError that names the token and its fault."""
+    if type(raw) is Token:  # built by _token_hook
+        return raw
     where = f"document '{doc_id}' token {index}"
     if not isinstance(raw, dict):
         raise CorpusError(f"{where}: expected an object")
@@ -328,12 +381,10 @@ def _parse_document(raw: object) -> DocumentInstance:
         raise CorpusError("document entry has empty 'id'")
     where = f"document '{doc_id}'"
     raw_tokens = expect_type(raw.get("tokens", []), list, CorpusError, f"{where} 'tokens'")
-    try:
-        # every token _parse_token refuses raises here too (a missing field, a
-        # value that is not a dict, a non-str text or a bad coordinate), so
-        # only a document with a bad token pays for _parse_token's message
-        tokens = tuple([Token(t["text"], t["x"], t["y"], t["w"], t["h"]) for t in raw_tokens])
-    except (KeyError, TypeError, ValueError):
+    tokens = tuple(raw_tokens)
+    # the hook built every token that builds, so only a document with a token
+    # left as it was decoded pays for _parse_token's message
+    if not all(type(t) is Token for t in tokens):
         tokens = tuple(_parse_token(t, doc_id, i) for i, t in enumerate(raw_tokens))
     labels = None
     if raw.get("labels") is not None:
@@ -351,9 +402,12 @@ def _parse_document(raw: object) -> DocumentInstance:
 
 
 def load_corpus(path: str | Path, topology: "Topology") -> list[DocumentInstance]:
-    """Load and validate a corpus file against the active topology."""
-    payload = read_json(path, CorpusError)
-    if "documents" not in payload:
+    """Load and validate a corpus file against the active topology.
+
+    Each token is built while the file is decoded (see ``_token_hook``).
+    """
+    payload = read_json(path, CorpusError, _token_hook())
+    if not isinstance(payload, dict) or "documents" not in payload:
         raise CorpusError(f"parse error in {path}: top-level 'documents' key missing")
     raw_docs = expect_type(payload["documents"], list, CorpusError, f"{path} 'documents'")
     docs = [_parse_document(raw) for raw in raw_docs]

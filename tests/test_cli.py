@@ -282,6 +282,22 @@ def test_train_requires_labels(tmp_path, capsys):
     assert "anon" in err
 
 
+@pytest.mark.parametrize("out, fault", [
+    ("nodir/m.json", "[Errno 2] No such file or directory: 'nodir/m.json'"),
+    ("adir", "[Errno 21] Is a directory: 'adir'"),
+], ids=["missing-directory", "directory"])
+def test_train_write_error_names_the_file_asked_for(workspace, tmp_path, monkeypatch, capsys,
+                                                    out, fault):
+    # the model goes to a sibling <out>.part first, which the error does not name
+    (tmp_path / "adir").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "train", "tnn", "--corpus", str(workspace / "train.json"),
+                       "--out", out)
+    assert (code, err) == (1, f"error: {fault}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
+    assert list((tmp_path / "adir").iterdir()) == []
+
+
 def test_recognize_prints_result_json(workspace, capsys):
     code, out, _ = run(
         capsys, "recognize", "--model", str(workspace / "tnn.model"),

@@ -414,12 +414,82 @@ def test_save_corpus_peak_memory_is_a_small_part_of_the_file(desk_corpora, tmp_p
     assert list(files_in(tmp_path)) == ["corpus.json"]
 
 
-@pytest.mark.parametrize("load, error", [
+def test_load_corpus_peak_memory_stays_below_2_6_times_the_file(desk_corpora, tmp_path):
+    # each token is built as the decoder closes its object, so the file's text
+    # is never held beside a dict for every token of the corpus
+    path = tmp_path / "corpus.json"
+    save_corpus(desk_corpora[1], path)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        load_corpus(path, TOPOLOGY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.6 * path.stat().st_size
+
+
+def test_a_loaded_corpus_shares_equal_texts_and_sizes(desk_corpora, tmp_path):
+    path = tmp_path / "corpus.json"
+    save_corpus(desk_corpora[1], path)
+    first: dict[str, dict] = {"text": {}, "width": {}, "height": {}}
+    for doc in load_corpus(path, TOPOLOGY):
+        for token in doc.tokens:
+            for name, seen in first.items():
+                value = getattr(token, name)
+                assert seen.setdefault(value, value) is value, (doc.id, name, value)
+    tokens = sum(len(doc.tokens) for doc in desk_corpora[1])
+    assert len(first["text"]) < tokens / 3
+
+
+def test_load_corpus_keeps_every_value_as_written(tmp_path):
+    # an int stays an int after an equal float, -0.0 keeps its sign, a
+    # non-ASCII text survives its escapes, and a key no token has is ignored
+    docs = [DocumentInstance("d", (
+        Token("Größe", 0.0, 0.5, 1.0, 0.5),
+        Token("Größe", 0, 0, 1, 0.5),
+        Token("total", -0.0, 0.1, 0.5, 0.02),
+    ))]
+    path = tmp_path / "corpus.json"
+    save_corpus(docs, path)
+    written = path.read_bytes()
+    payload = json.loads(written)
+    extra = tmp_path / "extra.json"
+    payload["documents"][0]["tokens"][0]["note"] = "ignored"
+    extra.write_text(json.dumps(payload))
+    for source in (path, extra):
+        loaded = load_corpus(source, TOPOLOGY)
+        assert loaded == docs
+        save_corpus(loaded, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == written
+
+
+TOKEN_SHAPED = {"h": 0.1, "text": "a", "w": 0.1, "x": 0.1, "y": 0.1}
+
+
+@pytest.mark.parametrize("payload, message", [
+    (TOKEN_SHAPED, "parse error in {path}: top-level 'documents' key missing"),
+    ({"documents": [TOKEN_SHAPED]}, "document entry missing 'id'"),
+    ({"documents": [{"id": "d", "tokens": [], "labels": TOKEN_SHAPED}]},
+     "document 'd' field 'labels': missing 'class'"),
+], ids=["top-level", "document", "labels"])
+def test_load_refuses_a_token_shaped_object_in_the_wrong_place(tmp_path, payload, message):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CorpusError) as refused:
+        load_corpus(path, TOPOLOGY)
+    assert str(refused.value) == message.format(path=path)
+
+
+EVERY_LOADER = pytest.mark.parametrize("load, error", [
     (lambda path: load_corpus(path, TOPOLOGY), CorpusError),
     (load_config, TopologyError),
     (load_model, ModelFormatError),
     (load_mlp, ModelFormatError),
 ], ids=["corpus", "config", "tnn", "mlp"])
+
+
+@EVERY_LOADER
 @pytest.mark.parametrize("content", [
     b"\xff\xfe{}",  # not UTF-8
     b"[" * 200_000 + b"]" * 200_000,  # deeper than json's decoder can recurse
@@ -429,6 +499,16 @@ def test_loaders_refuse_unparsable_files_with_their_own_error(tmp_path, load, er
     path.write_bytes(content)
     with pytest.raises(error, match=re.escape(f"parse error in {path}: ")):
         load(path)
+
+
+@EVERY_LOADER
+@pytest.mark.parametrize("content", ["[]", "5", "2.5", '"x"', "null", "true"])
+def test_loaders_refuse_a_file_that_holds_no_object(tmp_path, load, error, content):
+    path = tmp_path / "file.json"
+    path.write_text(content)
+    with pytest.raises(error) as refused:
+        load(path)
+    assert str(refused.value) == f"parse error in {path}: expected a JSON object"
 
 
 def test_save_config_refuses_non_finite_values(tmp_path):
