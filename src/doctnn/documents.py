@@ -27,12 +27,13 @@ from enum import Enum
 from functools import lru_cache
 from numbers import Real
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, TextIO
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, TextIO, TypeVar
 
 if TYPE_CHECKING:
     from .topology import Topology
 
 _COORD_SLACK = 1e-9
+T = TypeVar("T")
 
 
 class CorpusError(ValueError):
@@ -45,16 +46,21 @@ def _replacing(path: str | Path) -> Iterator[TextIO]:
 
     The content goes to the sibling ``<path>.part``, which ``os.replace`` moves
     onto ``path`` only after the last byte. Any exception, an interrupt
-    included, deletes the sibling and leaves ``path`` as it was; an OSError
-    from creating or moving the sibling is raised naming ``path``.
+    included, leaves ``path`` as it was and deletes the sibling if this
+    helper opened it; a sibling it could not open, a directory say, is left
+    alone. An OSError from opening or moving the sibling is raised naming
+    ``path``.
     """
     part = f"{os.fspath(path)}.part"
+    opened = False
     try:
         with open(part, "w", encoding="utf-8") as out:
+            opened = True
             yield out
         os.replace(part, path)
     except BaseException as exc:
-        Path(part).unlink(missing_ok=True)
+        if opened:
+            Path(part).unlink(missing_ok=True)
         if isinstance(exc, OSError) and exc.filename == part:
             # the sibling is this helper's own affair: the error names the file asked for
             raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from exc
@@ -373,14 +379,38 @@ def _parse_token(raw: object, doc_id: str, index: int) -> Token:
         raise CorpusError(f"{where}: {exc}") from exc
 
 
+def _as_written(value: object) -> object:
+    """``value`` with each Token that ``_token_hook`` built shown as its JSON object again."""
+    if type(value) is Token:
+        return {"h": value.height, "text": value.text, "w": value.width,
+                "x": value.x, "y": value.y}
+    if isinstance(value, list):
+        return list(map(_as_written, value))
+    if isinstance(value, dict):
+        return {key: _as_written(item) for key, item in value.items()}
+    return value
+
+
+def _expect_as_written(check: Callable[..., T], value: object, *args: object) -> T:
+    """``check(value, *args)`` on a value of a corpus file; a refused value's
+    message shows a token-shaped object as the file wrote it, not as the
+    Token the decoder hook made of it."""
+    try:
+        return check(value, *args)
+    except CorpusError:
+        check(_as_written(value), *args)
+        raise
+
+
 def _parse_document(raw: object) -> DocumentInstance:
     if not isinstance(raw, dict) or "id" not in raw:
         raise CorpusError("document entry missing 'id'")
-    doc_id = expect_type(raw["id"], str, CorpusError, "document entry 'id'")
+    doc_id = _expect_as_written(expect_type, raw["id"], str, CorpusError, "document entry 'id'")
     if not doc_id:
         raise CorpusError("document entry has empty 'id'")
     where = f"document '{doc_id}'"
-    raw_tokens = expect_type(raw.get("tokens", []), list, CorpusError, f"{where} 'tokens'")
+    raw_tokens = _expect_as_written(expect_type, raw.get("tokens", []), list, CorpusError,
+                                    f"{where} 'tokens'")
     tokens = tuple(raw_tokens)
     # the hook built every token that builds, so only a document with a token
     # left as it was decoded pays for _parse_token's message
@@ -392,11 +422,13 @@ def _parse_document(raw: object) -> DocumentInstance:
         if not isinstance(lab, dict) or "class" not in lab:
             raise CorpusError(f"document '{doc_id}' field 'labels': missing 'class'")
         labels = GroundTruth(
-            document_class=expect_type(lab["class"], str, CorpusError, f"{where} field 'class'"),
-            structures=frozenset(expect_names(
-                lab.get("structures", []), CorpusError, f"{where} 'structures'")),
-            substructures=frozenset(expect_names(
-                lab.get("substructures", []), CorpusError, f"{where} 'substructures'")),
+            document_class=_expect_as_written(expect_type, lab["class"], str, CorpusError,
+                                              f"{where} field 'class'"),
+            structures=frozenset(_expect_as_written(
+                expect_names, lab.get("structures", []), CorpusError, f"{where} 'structures'")),
+            substructures=frozenset(_expect_as_written(
+                expect_names, lab.get("substructures", []), CorpusError,
+                f"{where} 'substructures'")),
         )
     return DocumentInstance(id=doc_id, tokens=tokens, labels=labels)
 
@@ -404,12 +436,14 @@ def _parse_document(raw: object) -> DocumentInstance:
 def load_corpus(path: str | Path, topology: "Topology") -> list[DocumentInstance]:
     """Load and validate a corpus file against the active topology.
 
-    Each token is built while the file is decoded (see ``_token_hook``).
+    Each token is built while the file is decoded (see ``_token_hook``); a
+    token-shaped object anywhere else is refused as the file wrote it.
     """
     payload = read_json(path, CorpusError, _token_hook())
     if not isinstance(payload, dict) or "documents" not in payload:
         raise CorpusError(f"parse error in {path}: top-level 'documents' key missing")
-    raw_docs = expect_type(payload["documents"], list, CorpusError, f"{path} 'documents'")
+    raw_docs = _expect_as_written(expect_type, payload["documents"], list, CorpusError,
+                                  f"{path} 'documents'")
     docs = [_parse_document(raw) for raw in raw_docs]
     require_labels((doc for doc in docs if doc.labels is not None), topology, CorpusError)
     seen: set[str] = set()

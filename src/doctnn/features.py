@@ -19,9 +19,14 @@ value once (``DocumentView.value``): a later pass that asks for the same
 (element, level), and a higher level that re-runs a lower one, get the
 stored value.
 The intermediates that two levels of one extractor share (amount's numeric
-columns and rows, code's candidate column, the address keyword hits, the
+columns and rows, code's candidate column, the address keywords found, the
 text block's best run) go through the same memo, so a raised level starts
-from what its lower level already built. Work is metered in token visits so
+from what its lower level already built. A keyword level 1 reads only which
+keywords occur (``_keywords_found``): a single word is looked up in the
+document's joined folded text, and a bigram is sought only in the rows that
+hold its first word. The tokens a match points to (``_anchors``) are
+collected only by the one level that reads them, ``keywords_address`` L2.
+Work is metered in token visits so
 the cost ordering between levels stays measurable. A visit is the modelled
 cost of a level, one per token its algorithm reads; a read or a value the
 view serves from memory is charged as if the tokens were scanned again, so
@@ -36,7 +41,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from operator import attrgetter, sub
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence, Sized, TypeVar
+from typing import Callable, Iterator, Mapping, Sequence, Sized, TypeVar
 
 from .documents import DocumentInstance, Token, TokenKind, expect_number
 
@@ -158,11 +163,14 @@ class DocumentView:
     Folded keyword text and the full-document rows, columns (by left edge)
     and right-edge groups are computed on first use, the groupings once per
     alignment tolerance, and each level function's value or shared
-    intermediate once (``value``). The view holds no state beyond one call:
-    the document and its tokens are never written to.
+    intermediate once (``value``). The folded text is kept in token order
+    only: a keyword match that needs a row's folded texts folds that row's
+    tokens again, since it reads about one row of a document. The view holds
+    no state beyond one call: the document and its tokens are never written
+    to.
     """
 
-    __slots__ = ("id", "tokens", "_norms", "_folded", "_groups", "_row_norms", "_values")
+    __slots__ = ("id", "tokens", "_norms", "_folded", "_groups", "_values")
 
     def __init__(self, doc: DocumentInstance) -> None:
         self.id = doc.id
@@ -170,7 +178,6 @@ class DocumentView:
         self._norms: tuple[str, ...] | None = None
         self._folded: str | None = None
         self._groups: dict[tuple[Callable, float], Groups] = {}
-        self._row_norms: dict[float, tuple[tuple[str, ...], ...]] = {}
         self._values: dict[Callable, tuple[object, int]] = {}
 
     def value(self, fn: Callable[[DocumentView, Tally], T], tally: Tally) -> T:
@@ -223,15 +230,6 @@ class DocumentView:
     def rows(self, tol: float) -> Groups:
         """Rows top to bottom, each ordered left to right."""
         return self._grouped(_rows, tol)
-
-    def row_norms(self, tol: float) -> tuple[tuple[str, ...], ...]:
-        """Folded text of each token of ``rows(tol)``, in the same layout."""
-        row_norms = self._row_norms.get(tol)
-        if row_norms is None:
-            norm_of = dict(zip(map(id, self.tokens), self.norms)).__getitem__
-            row_norms = tuple(tuple(map(norm_of, map(id, row))) for row in self.rows(tol))
-            self._row_norms[tol] = row_norms
-        return row_norms
 
     def columns(self, tol: float) -> Groups:
         """Groups of tokens sharing a left edge, left to right."""
@@ -457,36 +455,52 @@ def _horizontal_levels(params: dict) -> tuple[LevelFn, ...]:
 
 # --- keyword groups -----------------------------------------------------------
 
-def _keyword_hits(view: DocumentView, keywords: Sequence[str],
-                  tally: Tally, tol: float) -> dict[str, list[Token]]:
-    """Map each matched keyword to the tokens anchoring it (bigrams use the first)."""
-    singles = [k for k in keywords if " " not in k]
-    bigrams = [k for k in keywords if " " in k]
-    hits: dict[str, list[Token]] = {}
+def _anchors(view: DocumentView, keyword: str, tol: float) -> Iterator[Token]:
+    """The tokens a match of ``keyword`` points to, top to bottom.
+
+    A single keyword points to each token whose folded text holds it. A
+    bigram (a keyword with a space) points to the left token of each adjacent
+    pair of a row whose folded texts, joined with a space, hold it. Its first
+    word has no space, so it lies inside one token of any such pair: only the
+    rows with a token that holds that word are sought, and only their tokens
+    are folded again.
+    """
+    if " " not in keyword:
+        yield from (t for t, norm in zip(view.tokens, view.norms) if keyword in norm)
+        return
+    first = keyword.split(" ", 1)[0]
+    holders = {id(t) for t, norm in zip(view.tokens, view.norms) if first in norm}
+    for row in view.rows(tol):
+        if holders.isdisjoint(map(id, row)):
+            continue
+        norms = tuple(map(_norm, map(_TEXT, row)))
+        for a, norm_a, norm_b in zip(row, norms, norms[1:]):
+            if keyword in f"{norm_a} {norm_b}":
+                yield a
+
+
+def _keywords_found(view: DocumentView, keywords: Sequence[str],
+                    tally: Tally, tol: float) -> frozenset[str]:
+    """The keywords that occur in the document, with no anchor collected.
+
+    ``view.folded`` joins the folded texts with newlines, so a single keyword
+    without a newline occurs exactly when ``folded`` holds it; one with a
+    newline, or a bigram, needs an anchor (``_anchors``). A bigram is sought
+    only when ``folded`` holds each of its words. The tokens are charged
+    once, and once more when ``keywords`` holds a bigram.
+    """
     folded = view.folded
     tally.charge(view.tokens)
-    for kw in singles:
-        if kw in folded:
-            anchors = [t for t, norm in zip(view.tokens, view.norms) if kw in norm]
-            if anchors:
-                hits[kw] = anchors
+    bigrams = [kw for kw in keywords if " " in kw]
+    found = {kw for kw in keywords
+             if " " not in kw and kw in folded
+             and ("\n" not in kw or any(_anchors(view, kw, tol)))}
     if bigrams:
         tally.charge(view.tokens)
-        # a bigram can only match where each of its words is in some token
-        bigrams = [k for k in bigrams if all(word in folded for word in k.split(" "))]
-    if bigrams:
-        for row, norms in zip(view.rows(tol), view.row_norms(tol)):
-            # an adjacent pair's joined text lies inside its row's joined text
-            line = " ".join(norms)
-            present = [kw for kw in bigrams if kw in line]
-            if not present:
-                continue
-            for a, norm_a, norm_b in zip(row, norms, norms[1:]):
-                joined = f"{norm_a} {norm_b}"
-                for kw in present:
-                    if kw in joined:
-                        hits.setdefault(kw, []).append(a)
-    return hits
+        found.update(kw for kw in bigrams
+                     if all(word in folded for word in kw.split(" "))
+                     and any(_anchors(view, kw, tol)))
+    return frozenset(found)
 
 
 def _keywords_total_levels(params: dict) -> tuple[LevelFn, ...]:
@@ -495,13 +509,11 @@ def _keywords_total_levels(params: dict) -> tuple[LevelFn, ...]:
     extended = _words(params, "keywords_extended", TOTAL_KEYWORDS_EXTENDED)
 
     def level1(view: DocumentView, tally: Tally) -> float:
-        hits = _keyword_hits(view, base_set, tally, tol)
-        return 0.5 * len(hits)
+        return 0.5 * len(_keywords_found(view, base_set, tally, tol))
 
     def level2(view: DocumentView, tally: Tally) -> float:
         view.value(level1, tally)
-        hits = _keyword_hits(view, extended, tally, tol)
-        return min(1.0, len(hits) / 2.0)
+        return min(1.0, len(_keywords_found(view, extended, tally, tol)) / 2.0)
 
     return (level1, level2)
 
@@ -514,32 +526,29 @@ def _keywords_address_levels(params: dict) -> tuple[LevelFn, ...]:
     def is_keyword_text(norm: str) -> bool:
         return any(kw in norm for kw in singles)
 
-    def keyword_hits(view: DocumentView, tally: Tally) -> dict[str, list[Token]]:
-        return _keyword_hits(view, keywords, tally, tol)
+    def keywords_found(view: DocumentView, tally: Tally) -> frozenset[str]:
+        return _keywords_found(view, keywords, tally, tol)
 
     def level1(view: DocumentView, tally: Tally) -> float:
-        return min(1.0, len(view.value(keyword_hits, tally)) / 3.0)
+        return min(1.0, len(view.value(keywords_found, tally)) / 3.0)
+
+    def has_value(rows: Groups, row_index: Mapping[int, int], anchor: Token) -> bool:
+        """A non-keyword token other than ``anchor`` on its row or the row below."""
+        ri = row_index[id(anchor)]
+        nearby = sum(rows[ri:ri + 2], ())
+        return any(t is not anchor and not is_keyword_text(_norm(t.text)) for t in nearby)
 
     def level2(view: DocumentView, tally: Tally) -> float:
         view.value(level1, tally)
-        hits = view.value(keyword_hits, tally)
-        if not hits:
+        found = view.value(keywords_found, tally)
+        if not found:
             return 0.0
         tally.charge(view.tokens)
         rows = view.rows(tol)
-        row_norms = view.row_norms(tol)
         row_index = {id(t): i for i, row in enumerate(rows) for t in row}
-        confirmed = 0
-        for anchors in hits.values():
-            found_value = False
-            for anchor in anchors:
-                # the anchor's row and the row below it, each token beside its folded text
-                ri = row_index[id(anchor)]
-                nearby = zip(sum(rows[ri:ri + 2], ()), sum(row_norms[ri:ri + 2], ()))
-                if any(t is not anchor and not is_keyword_text(norm) for t, norm in nearby):
-                    found_value = True
-                    break
-            confirmed += 1 if found_value else 0
+        confirmed = sum(1 for kw in found
+                        if any(has_value(rows, row_index, anchor)
+                               for anchor in _anchors(view, kw, tol)))
         return min(1.0, confirmed / 3.0)
 
     return (level1, level2)

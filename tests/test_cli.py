@@ -298,6 +298,18 @@ def test_train_write_error_names_the_file_asked_for(workspace, tmp_path, monkeyp
     assert list((tmp_path / "adir").iterdir()) == []
 
 
+def test_train_leaves_a_sibling_directory_in_the_way_alone(workspace, tmp_path, monkeypatch,
+                                                          capsys):
+    # c/m.json.part is no sibling that train opened: it stays, and the error names c/m.json
+    (tmp_path / "c" / "m.json.part").mkdir(parents=True)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "train", "tnn", "--corpus", str(workspace / "train.json"),
+                       "--out", "c/m.json")
+    assert (code, err) == (1, "error: [Errno 21] Is a directory: 'c/m.json'\n")
+    assert sorted(p.name for p in (tmp_path / "c").iterdir()) == ["m.json.part"]
+    assert list((tmp_path / "c" / "m.json.part").iterdir()) == []
+
+
 def test_recognize_prints_result_json(workspace, capsys):
     code, out, _ = run(
         capsys, "recognize", "--model", str(workspace / "tnn.model"),

@@ -399,6 +399,24 @@ def test_an_interrupted_save_corpus_leaves_the_old_file(tmp_path):
     assert files_in(tmp_path) == before
 
 
+@pytest.mark.parametrize("write", [
+    lambda path: write_json({"a": 1}, path),
+    lambda path: save_corpus(generate_ambiguous(7, 2), path),
+], ids=["write_json", "save_corpus"])
+def test_a_sibling_directory_in_the_way_is_left_alone(tmp_path, write):
+    # <file>.part is not the writer's own, so it is neither deleted nor the error's subject
+    path = tmp_path / "m.json"
+    part = tmp_path / "m.json.part"
+    part.mkdir()
+    (part / "kept.txt").write_text("kept")
+    with pytest.raises(IsADirectoryError) as refused:
+        write(path)
+    assert refused.value.filename == str(path)
+    assert ".part" not in str(refused.value)
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json.part"]
+    assert files_in(part) == {"kept.txt": b"kept"}
+
+
 def test_save_corpus_peak_memory_is_a_small_part_of_the_file(desk_corpora, tmp_path):
     # documents are written one at a time, so the text of the whole file is
     # never held: the traced peak stays far below the file's size
@@ -479,6 +497,37 @@ def test_load_refuses_a_token_shaped_object_in_the_wrong_place(tmp_path, payload
     with pytest.raises(CorpusError) as refused:
         load_corpus(path, TOPOLOGY)
     assert str(refused.value) == message.format(path=path)
+
+
+def labelled(labels):
+    return {"documents": [{"id": "d", "tokens": [], "labels": labels}]}
+
+
+WRITTEN = repr(TOKEN_SHAPED)
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"documents": TOKEN_SHAPED}, "{path} 'documents' must be a list, got " + WRITTEN),
+    ({"documents": [{"id": TOKEN_SHAPED}]},
+     "document entry 'id' must be a string, got " + WRITTEN),
+    ({"documents": [{"id": "d", "tokens": TOKEN_SHAPED}]},
+     "document 'd' 'tokens' must be a list, got " + WRITTEN),
+    (labelled({"class": TOKEN_SHAPED}), "document 'd' field 'class' must be a string, got " + WRITTEN),
+    (labelled({"class": "invoice", "structures": TOKEN_SHAPED}),
+     "document 'd' 'structures' must be a list of names, got " + WRITTEN),
+    (labelled({"class": "invoice", "structures": ["table", TOKEN_SHAPED]}),
+     f"document 'd' 'structures' must be a list of names, got ['table', {WRITTEN}]"),
+    (labelled({"class": "invoice", "substructures": TOKEN_SHAPED}),
+     "document 'd' 'substructures' must be a list of names, got " + WRITTEN),
+], ids=["documents", "id", "tokens", "class", "structures", "structures-entry", "substructures"])
+def test_load_shows_a_token_shaped_value_as_written(tmp_path, payload, message):
+    # the decoder hook turns the object into a Token, which the message must not show
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CorpusError) as refused:
+        load_corpus(path, TOPOLOGY)
+    assert str(refused.value) == message.replace("{path}", str(path))
+    assert "\n" not in str(refused.value)
 
 
 EVERY_LOADER = pytest.mark.parametrize("load, error", [

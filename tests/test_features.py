@@ -516,7 +516,29 @@ def test_shared_view_matches_plain_document(seed, ambiguous):
 
 
 def anchor_ids(hits):
-    return [(kw, [id(t) for t in anchors]) for kw, anchors in hits.items()]
+    return {kw: [id(t) for t in anchors] for kw, anchors in hits.items()}
+
+
+def collected_anchors(view, found):
+    """The anchors ``keywords_address`` L2 reads for each keyword the matcher found."""
+    return {kw: list(features._anchors(view, kw, ALIGN_TOL)) for kw in found}
+
+
+def check_keywords_against_reference(view, keywords):
+    tally, reference_tally = Tally(), Tally()
+    found = features._keywords_found(view, keywords, tally, ALIGN_TOL)
+    reference = reference_keyword_hits(view, keywords, reference_tally, ALIGN_TOL)
+    assert found == reference.keys()
+    assert tally.visits == reference_tally.visits
+    assert anchor_ids(collected_anchors(view, found)) == anchor_ids(reference)
+
+
+def reference_keywords_found(view, keywords, tally, tol):
+    return frozenset(reference_keyword_hits(view, keywords, tally, tol))
+
+
+def reference_anchors(view, keyword, tol):
+    return iter(reference_keyword_hits(view, [keyword], Tally(), tol).get(keyword, []))
 
 
 # keyword-like tokens added to generated pages: some texts hold a space, so a
@@ -539,11 +561,7 @@ def test_keyword_hits_and_best_run_match_references(seed, ambiguous, extra):
         view = DocumentView(document)
         for keywords in (TOTAL_KEYWORDS, TOTAL_KEYWORDS_EXTENDED, ADDRESS_KEYWORDS,
                          BIGRAM_KEYWORDS):
-            tally, reference_tally = Tally(), Tally()
-            hits = features._keyword_hits(view, keywords, tally, ALIGN_TOL)
-            reference = reference_keyword_hits(view, keywords, reference_tally, ALIGN_TOL)
-            assert anchor_ids(hits) == anchor_ids(reference)
-            assert tally.visits == reference_tally.visits
+            check_keywords_against_reference(view, keywords)
         for min_rows in (1, 3):
             tally, reference_tally = Tally(), Tally()
             run = features._best_run(view, tally, ALIGN_TOL, min_rows)
@@ -552,9 +570,43 @@ def test_keyword_hits_and_best_run_match_references(seed, ambiguous, extra):
         # every extractor value and visit count is the same with the references swapped in
         measured = all_measures(document)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(features, "_keyword_hits", reference_keyword_hits)
+            patch.setattr(features, "_keywords_found", reference_keywords_found)
+            patch.setattr(features, "_anchors", reference_anchors)
             patch.setattr(features, "_best_run", reference_best_run)
             assert all_measures(document) == measured
+
+
+def test_a_keyword_with_a_newline_needs_a_token_that_holds_it():
+    # the view's joined text holds "total\nvat" across two neighbouring tokens
+    across = DocumentView(doc([tok("Total", 0.1, 0.5), tok("VAT", 0.3, 0.5)]))
+    assert "total\nvat" in across.folded
+    check_keywords_against_reference(across, ("total\nvat", "vat"))
+    assert features._keywords_found(across, ("total\nvat",), Tally(), ALIGN_TOL) == set()
+    inside = DocumentView(doc([tok("Total\nVAT", 0.1, 0.5)]))
+    check_keywords_against_reference(inside, ("total\nvat",))
+    assert features._keywords_found(inside, ("total\nvat",), Tally(), ALIGN_TOL) == {"total\nvat"}
+
+
+def test_a_bigram_with_an_empty_first_word_is_sought_in_every_row():
+    view = DocumentView(doc([
+        tok("Postal", 0.1, 0.1), tok("Code", 0.3, 0.1),
+        tok("Zip", 0.1, 0.5), tok("code", 0.3, 0.5),
+        tok("Code", 0.1, 0.9),
+    ]))
+    check_keywords_against_reference(view, (" code",))
+    anchors = collected_anchors(view, {" code"})[" code"]
+    assert [t.text for t in anchors] == ["Postal", "Zip"]
+
+
+def test_a_bigram_first_word_in_a_row_without_its_second_is_no_match():
+    lone = [tok("Postal", 0.1, 0.1), tok("Box", 0.3, 0.1), tok("Code", 0.1, 0.5)]
+    view = DocumentView(doc(lone))
+    check_keywords_against_reference(view, ADDRESS_KEYWORDS)
+    assert "postal code" not in features._keywords_found(view, ADDRESS_KEYWORDS, Tally(), ALIGN_TOL)
+    # a row that does hold the bigram anchors it; the lone "postal" row adds nothing
+    view = DocumentView(doc(lone + [tok("Postal", 0.1, 0.9), tok("code", 0.3, 0.9)]))
+    check_keywords_against_reference(view, ADDRESS_KEYWORDS)
+    assert [t.y for t in collected_anchors(view, {"postal code"})["postal code"]] == [0.9]
 
 
 @pytest.mark.parametrize("document", FIXTURES, ids=range(len(FIXTURES)))

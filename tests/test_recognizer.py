@@ -405,7 +405,7 @@ def evaluation_log(model, documents):
 SHARED_INTERMEDIATES = {
     "amount_area": "numeric_grid",
     "code_area": "candidate_column",
-    "keywords_address": "keyword_hits",
+    "keywords_address": "keywords_found",
     "text_block": "best_run",
 }
 
