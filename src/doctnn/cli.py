@@ -8,7 +8,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .documents import CorpusError, DocumentInstance, load_corpus, save_corpus, write_json
-from .evaluation import build_report, render_report, report_to_dict
+from .evaluation import build_report, evaluate_tnn, render_report, report_to_dict, verdict
 from .generator import CLASSES, GenSpec, Noise, generate
 from .mlp import MlpModel, load_mlp, save_mlp, train_mlp
 from .network import ModelFormatError, TnnModel, load_model, save_model, train_tnn
@@ -111,8 +111,8 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"update passes={summary.total_update_passes}; wrote {args.out}"
         )
         # the trained cascade on its own corpus, with the default thresholds
-        missed = [doc.id for doc in docs
-                  if recognize(model, doc).winning_class != doc.labels.document_class]
+        missed = [doc.id for doc, result in zip(docs, evaluate_tnn(model, docs), strict=True)
+                  if verdict(result) != doc.labels.document_class]
         print(f"training corpus: {len(docs) - len(missed)}/{len(docs)} recognized; "
               f"missed: {', '.join(missed) if missed else 'none'}")
     else:

@@ -4,8 +4,9 @@ Produces per-class document recognition rows for the transparent network
 and the dense baseline, per-structure extraction rows (the baseline has no
 structure output, so only the transparent network gets those), confusion
 matrices with an explicit reject column, and the backward-pass cost ratio.
-The transparent network's rows are counted from each document's kept
-``RecognitionResult``.
+``build_report`` counts each table in one place, from the documents' labels
+and their per-document answers: the ``RecognitionResult`` that
+``evaluate_tnn`` keeps and the class that ``evaluate_mlp`` ranks first.
 
 Both networks read the same level-1 element vector. When both configs
 declare equal extractor specs, ``build_report`` hands the baseline each
@@ -78,6 +79,8 @@ class EvalReport:
     mlp_classes: tuple[ClassRow, ...] = ()
     mlp_confusion: dict[str, dict[str, int]] = field(default_factory=dict)
     cost: CostComparison | None = None
+    # each test document's recognition, in document order; not serialized
+    recognitions: tuple[RecognitionResult, ...] = ()
 
     @property
     def tnn_aggregate(self) -> ClassRow:
@@ -116,47 +119,37 @@ def _class_rows(confusion: Mapping[str, Mapping[str, int]],
     )
 
 
+def _confusion(classes: Sequence[str], columns: Sequence[str], docs: Sequence[DocumentInstance],
+               predicted: Iterable[str]) -> dict[str, dict[str, int]]:
+    """Documents counted by true class (rows) and predicted class (columns)."""
+    confusion = {name: dict.fromkeys(columns, 0) for name in classes}
+    for doc, name in zip(docs, predicted, strict=True):
+        confusion[doc.labels.document_class][name] += 1
+    return confusion
+
+
+def verdict(result: RecognitionResult) -> str:
+    """The accepted class, else ``REJECT_LABEL``; a document is right when it is its label."""
+    return result.winning_class if result.status == "recognized" else REJECT_LABEL
+
+
 def evaluate_tnn(
     model: TnnModel,
     docs: Sequence[DocumentInstance],
     params: RecognizerParams = DEFAULT_PARAMS,
-) -> tuple[tuple[ClassRow, ...], tuple[StructureRow, ...], dict[str, dict[str, int]],
-           tuple[RecognitionResult, ...]]:
-    """Count a document as recognized only when accepted with the right class;
-    count a labeled structure as recognized when it appears in the extracted set.
-
-    Also returns each document's recognition, in document order.
-    """
-    topo = model.topology
-    require_labels(docs, topo)
-    results = tuple(recognize(model, doc, params) for doc in docs)
-    confusion = {
-        name: {other: 0 for other in (*topo.documents, REJECT_LABEL)}
-        for name in topo.documents
-    }
-    struct_tested = {name: 0 for name in topo.structures}
-    struct_correct = {name: 0 for name in topo.structures}
-    for doc, result in zip(docs, results):
-        predicted = result.winning_class if result.status == "recognized" else REJECT_LABEL
-        confusion[doc.labels.document_class][predicted] += 1
-        extracted = {hit.name for hit in result.structures}
-        for name in doc.labels.structures:
-            struct_tested[name] += 1
-            if name in extracted:
-                struct_correct[name] += 1
-    struct_rows = tuple(
-        StructureRow(name=n, tested=struct_tested[n], recognized=struct_correct[n])
-        for n in topo.structures
-    )
-    return _class_rows(confusion, model.training), struct_rows, confusion, results
+) -> tuple[RecognitionResult, ...]:
+    """Each labeled document's recognition, in document order."""
+    require_labels(docs, model.topology)
+    return tuple(recognize(model, doc, params) for doc in docs)
 
 
 def evaluate_mlp(
     model: MlpModel,
     docs: Sequence[DocumentInstance],
     elements: Iterable[Mapping[str, float]] | None = None,
-) -> tuple[tuple[ClassRow, ...], dict[str, dict[str, int]]]:
-    """Plain argmax ranking against the class label; no structure metrics exist.
+) -> tuple[str, ...]:
+    """The class the baseline ranks first (plain argmax) for each labeled
+    document, in document order; no structure output exists.
 
     ``elements``, when given, yields each document's level-1 element values,
     in document order, as ``extract_all`` with the model's extractors gives
@@ -164,17 +157,10 @@ def evaluate_mlp(
     """
     topo = model.config.topology
     require_labels(docs, topo)
-    confusion = {
-        name: {other: 0 for other in topo.documents} for name in topo.documents
-    }
     vectors = elements if elements is not None else (
         extract_all(model.config.element_extractors, doc) for doc in docs)
-    for doc, values in zip(docs, vectors, strict=True):
-        truth = doc.labels.document_class
-        activations = forward_mlp(model, values)
-        predicted = topo.documents[int(np.argmax(activations))]
-        confusion[truth][predicted] += 1
-    return _class_rows(confusion, model.training), confusion
+    return tuple(topo.documents[int(np.argmax(forward_mlp(model, values)))]
+                 for _, values in zip(docs, vectors, strict=True))
 
 
 def compare_training_cost(
@@ -208,14 +194,22 @@ def build_report(
     the transparent network's recognition, which equal level-1 ``extract_all``,
     instead of extracting the document again.
     """
+    topo = tnn_model.topology
     if mlp_model is not None:
-        ours = tnn_model.topology.documents
         theirs = mlp_model.config.topology.documents
-        if set(theirs) != set(ours):
+        if set(theirs) != set(topo.documents):
             raise ValueError(f"baseline classes {list(theirs)} differ from the "
-                             f"transparent network's {list(ours)}")
-    tnn_classes, tnn_structures, tnn_confusion, results = evaluate_tnn(
-        tnn_model, test_docs, params)
+                             f"transparent network's {list(topo.documents)}")
+    results = evaluate_tnn(tnn_model, test_docs, params)
+    tnn_confusion = _confusion(topo.documents, (*topo.documents, REJECT_LABEL),
+                               test_docs, map(verdict, results))
+    # a labeled structure is recognized when the recognition reports it
+    found = [doc.labels.structures & {hit.name for hit in r.structures}
+             for doc, r in zip(test_docs, results)]
+    tnn_structures = tuple(
+        StructureRow(name=n, tested=sum(n in doc.labels.structures for doc in test_docs),
+                     recognized=sum(n in hits for hits in found))
+        for n in topo.structures)
     mlp_classes: tuple[ClassRow, ...] = ()
     mlp_confusion: dict[str, dict[str, int]] = {}
     cost = None
@@ -223,16 +217,20 @@ def build_report(
         elements = None
         if mlp_model.config.extractors == tnn_model.config.extractors:
             elements = [r.passes[0].trace.elements for r in results]
-        mlp_classes, mlp_confusion = evaluate_mlp(mlp_model, test_docs, elements)
+        classes = mlp_model.config.topology.documents
+        mlp_confusion = _confusion(classes, classes, test_docs,
+                                   evaluate_mlp(mlp_model, test_docs, elements))
+        mlp_classes = _class_rows(mlp_confusion, mlp_model.training)
         if tnn_model.training is not None and mlp_model.training is not None:
             cost = compare_training_cost(tnn_model.training, mlp_model.training)
     return EvalReport(
-        tnn_classes=tnn_classes,
+        tnn_classes=_class_rows(tnn_confusion, tnn_model.training),
         tnn_structures=tnn_structures,
         tnn_confusion=tnn_confusion,
         mlp_classes=mlp_classes,
         mlp_confusion=mlp_confusion,
         cost=cost,
+        recognitions=results,
     )
 
 

@@ -27,7 +27,7 @@ from doctnn import (
     train_tnn,
 )
 from doctnn import recognizer
-from doctnn.evaluation import compare_training_cost, evaluate_mlp, evaluate_tnn
+from doctnn.evaluation import build_report, compare_training_cost
 from doctnn.generator import DESK_MODEL_SEED, DESK_TEST_COUNTS, DESK_TEST_SEED
 from conftest import (
     dense_config,
@@ -93,8 +93,7 @@ def test_criterion_3_cascade_equivalence():
 
 def test_criterion_4_desk_scale_document_recognition(desk_tnn, desk_corpora):
     _, test = desk_corpora
-    rows, _, _, _ = evaluate_tnn(desk_tnn, test)
-    recognized, tested, rate = aggregate(rows)
+    recognized, tested, rate = aggregate(build_report(desk_tnn, test).tnn_classes)
     assert tested == 250
     assert rate >= 0.90
     report(f"criterion 4: document recognition {recognized}/{tested} = {rate:.1%} (>= 90%)")
@@ -102,11 +101,11 @@ def test_criterion_4_desk_scale_document_recognition(desk_tnn, desk_corpora):
 
 def test_criterion_5_structure_extraction_and_rejects(desk_tnn, desk_corpora):
     _, test = desk_corpora
-    _, structs, _, results = evaluate_tnn(desk_tnn, test)
-    recognized, tested, rate = aggregate(structs)
+    evaluated = build_report(desk_tnn, test)
+    recognized, tested, rate = aggregate(evaluated.tnn_structures)
     assert rate >= 0.85
     rejected_with_structures = 0
-    for document, result in zip(test, results, strict=True):
+    for document, result in zip(test, evaluated.recognitions, strict=True):
         if result.status != "rejected":
             continue
         correct = {hit.name for hit in result.structures} & document.labels.structures
@@ -121,10 +120,9 @@ def test_criterion_5_structure_extraction_and_rejects(desk_tnn, desk_corpora):
 
 def test_criterion_6_baseline_ordering(desk_tnn, desk_mlp, desk_corpora):
     _, test = desk_corpora
-    tnn_rows, _, _, _ = evaluate_tnn(desk_tnn, test)
-    mlp_rows, _ = evaluate_mlp(desk_mlp, test)
-    _, _, tnn_rate = aggregate(tnn_rows)
-    _, _, mlp_rate = aggregate(mlp_rows)
+    evaluated = build_report(desk_tnn, test, mlp_model=desk_mlp)
+    _, _, tnn_rate = aggregate(evaluated.tnn_classes)
+    _, _, mlp_rate = aggregate(evaluated.mlp_classes)
     assert desk_tnn.training.trained_documents == desk_mlp.training.samples == 102
     assert tnn_rate >= mlp_rate
     report(f"criterion 6: same training set, {tnn_rate:.1%} (transparent) >= {mlp_rate:.1%} (baseline)")

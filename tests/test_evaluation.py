@@ -30,26 +30,27 @@ from doctnn.network import TnnTrainingSummary, TrainingStats
 
 
 def test_perfect_classifier_on_resubstitution(clean_tnn, clean_corpus):
-    rows, structs, confusion, _ = evaluate_tnn(clean_tnn, clean_corpus)
-    for row in rows:
+    report = build_report(clean_tnn, clean_corpus)
+    for row in report.tnn_classes:
         assert row.recognized == row.tested
         assert row.rate == 1.0
-    for row in structs:
+    for row in report.tnn_structures:
         assert row.recognized == row.tested
-    for truth, preds in confusion.items():
+    for truth, preds in report.tnn_confusion.items():
         assert preds[truth] == sum(preds.values())
 
 
 def test_always_rejecting_classifier_keeps_denominators(clean_tnn, clean_corpus):
     params = RecognizerParams(tau_accept=1.01)
-    rows, structs, confusion, _ = evaluate_tnn(clean_tnn, clean_corpus, params)
-    for row in rows:
+    report = build_report(clean_tnn, clean_corpus, params)
+    for row in report.tnn_classes:
         assert row.recognized == 0
         assert row.tested > 0
         assert row.rate == 0.0
-    assert all(preds["rejected"] == sum(preds.values()) for preds in confusion.values())
+    assert all(preds["rejected"] == sum(preds.values())
+               for preds in report.tnn_confusion.values())
     # structures are still extracted for rejected documents
-    assert any(row.recognized > 0 for row in structs)
+    assert any(row.recognized > 0 for row in report.tnn_structures)
 
 
 def test_rates_are_exact_ratios():
@@ -73,8 +74,8 @@ def test_aggregate_equals_column_sums(desk_tnn, desk_corpora):
 
 def test_recognized_never_exceeds_tested(desk_tnn, desk_corpora):
     _, test = desk_corpora
-    rows, structs, _, _ = evaluate_tnn(desk_tnn, test)
-    for row in (*rows, *structs):
+    report = build_report(desk_tnn, test)
+    for row in (*report.tnn_classes, *report.tnn_structures):
         assert 0 <= row.recognized <= row.tested
 
 
@@ -168,17 +169,17 @@ def test_baseline_extracts_only_what_it_cannot_share(desk_tnn, desk_mlp, desk_co
                         lambda extractors, doc: extracted.append(doc) or real(extractors, doc))
     report = build_report(desk_tnn, docs, mlp_model=mlp)
     assert len(extracted) == (len(docs) if case == "other_spec" else 0)
-    # the report of separately called evaluations, in EvalReport's field order
-    expected = EvalReport(*evaluate_tnn(desk_tnn, docs)[:3], *evaluate_mlp(mlp, docs),
-                          compare_training_cost(desk_tnn.training, mlp.training))
-    assert report_to_dict(report) == report_to_dict(expected)
+    # the report of the other path: the baseline ranks the same documents the
+    # same way whether it reads the network's values or extracts them itself
+    other = desk_mlp if case == "other_spec" else explicit_tol_baseline(desk_mlp)
+    assert report_to_dict(report) == report_to_dict(build_report(desk_tnn, docs, mlp_model=other))
 
 
 def test_evaluate_tnn_keeps_each_documents_recognition(desk_tnn, desk_corpora):
     _, test = desk_corpora
     docs = [*test[:20], *generate_ambiguous(7, 4)]
     params = RecognizerParams(tau_margin=0.3)
-    *_, results = evaluate_tnn(desk_tnn, docs, params)
+    results = evaluate_tnn(desk_tnn, docs, params)
     assert len(results) == len(docs)
     for doc, result in zip(docs, results, strict=True):
         assert result.to_dict() == recognize(desk_tnn, doc, params).to_dict()

@@ -68,11 +68,14 @@ def code_column(x=0.06):
     return doc([tok(t, x, 0.2 + i * 0.04, w=0.04) for i, t in enumerate(("AB1", "AB2", "CD9"))])
 
 
-def paragraph_block(rows=5, stagger=False):
+STAGGERED = (0.1, 0.2, 0.1, 0.3, 0.14)
+
+
+def paragraph_block(rows=5, lefts=(0.1,)):
+    """Rows of four alphabetic words, row ``r`` starting at ``lefts[r % len(lefts)]``."""
     tokens = []
-    lefts = (0.1, 0.2, 0.1, 0.3, 0.14)
     for r in range(rows):
-        x0 = lefts[r % len(lefts)] if stagger else 0.1
+        x0 = lefts[r % len(lefts)]
         for c, word in enumerate(("lorem", "words", "plain", "text")):
             tokens.append(tok(word, x0 + c * 0.12, 0.1 + r * 0.03))
     return doc(tokens)
@@ -86,7 +89,7 @@ FIXTURES = [
     flanked_words(),
     code_column(),
     paragraph_block(),
-    paragraph_block(stagger=True),
+    paragraph_block(lefts=STAGGERED),
     doc([tok("12/05/2021", 0.2, 0.2)]),
     doc([tok("alpha", 0.2, 0.2), tok("beta", 0.4, 0.2)]),
     doc([]),
@@ -148,6 +151,16 @@ def test_amount_area_product_gate_passes():
     d = qp_amount_rows()
     assert value("amount_area", d, 1) == 1.0
     assert value("amount_area", d, 3) == 1.0
+    # the product holds in one of the two rows: half is a majority
+    assert value("amount_area", qp_amount_rows(amounts=("7.0", "99")), 3) == 1.0
+
+
+def test_amount_area_grid_of_two_rows_of_two_is_aligned():
+    # the fewest numeric tokens level 2 accepts: two columns of two, two rows of two
+    d = doc([tok(t, x, y) for x, y, t in ((0.6, 0.3, "2"), (0.8, 0.3, "7"),
+                                          (0.6, 0.35, "1"), (0.8, 0.35, "10"))])
+    assert value("amount_area", d, 2) == value("amount_area", d, 1) == 1.0
+    assert value("amount_area", doc(d.tokens[:3]), 2) == 0.0
 
 
 def test_amount_area_product_gate_fails():
@@ -189,6 +202,9 @@ def test_designation_unflanked_level3_zero():
 
 def test_code_area_leftmost_column():
     assert value("code_area", code_column()) > 0.0
+    # three short codes are the fewest that make a candidate column at level 2
+    assert value("code_area", code_column(), 2) == value("code_area", code_column()) > 0.0
+    assert value("code_area", doc(code_column().tokens[:2]), 2) == 0.0
 
 
 def test_code_area_empty_doc():
@@ -197,6 +213,13 @@ def test_code_area_empty_doc():
 
 def test_code_area_rightmost_column_is_zero_at_level3():
     assert value("code_area", code_column(x=0.8), 3) == 0.0
+    # a column of three numbers left of the candidate cancels it; one of two does not
+    codes = code_column(x=0.12).tokens
+    for count in (3, 2):
+        numbers = [tok(t, 0.02, 0.2 + i * 0.04) for i, t in enumerate(("12", "34", "56")[:count])]
+        d = doc([*numbers, *codes])
+        assert value("code_area", d, 2) > 0.0
+        assert value("code_area", d, 3) == (0.0 if count == 3 else value("code_area", d, 2))
 
 
 # --- alignment -----------------------------------------------------------------------
@@ -212,6 +235,8 @@ def test_vertical_alignment_needs_three_tokens():
     # three tokens on the page, but no column holds three of them
     pair_and_one = doc([tok("a", 0.1, 0.1), tok("b", 0.1, 0.2), tok("c", 0.5, 0.3)])
     assert value("vertical_alignment", pair_and_one) == 0.0
+    three = doc([tok("a", 0.1, 0.1), tok("b", 0.1, 0.2), tok("c", 0.1, 0.3)])
+    assert value("vertical_alignment", three) == 1.0
 
 
 def test_vertical_alignment_right_justify_refinement():
@@ -313,8 +338,11 @@ def test_text_block_numbers_only():
 
 
 def test_text_block_staggered_left_edges():
-    d = paragraph_block(stagger=True)
+    d = paragraph_block(lefts=STAGGERED)
     assert value("text_block", d, 2) < value("text_block", d, 1)
+    # four of five rows at one left edge is exactly the 80% level 2 asks for
+    d = paragraph_block(lefts=(0.1, 0.1, 0.1, 0.1, 0.3))
+    assert value("text_block", d, 2) == value("text_block", d, 1) == 1.0
 
 
 # --- date indicator ------------------------------------------------------------------------
@@ -325,6 +353,13 @@ def test_text_block_staggered_left_edges():
         ("12/05/2021", 1.0, 1.0),
         ("12-05-21", 1.0, 1.0),
         ("45/13/2021", 1.0, 0.0),
+        # each bound of day and month, on both of its sides
+        ("01/01/2021", 1.0, 1.0),
+        ("31/12/2021", 1.0, 1.0),
+        ("00/05/2021", 1.0, 0.0),
+        ("32/05/2021", 1.0, 0.0),
+        ("12/00/2021", 1.0, 0.0),
+        ("12/13/2021", 1.0, 0.0),
         ("1/5/2021", 0.0, 0.0),
     ],
 )
@@ -344,6 +379,9 @@ def test_date_indicator_prose_is_not_a_date():
 def test_isolated_block_lone_cluster():
     d = doc([tok("Signed", 0.6, 0.9), tok("J.M.", 0.72, 0.9), tok("body", 0.1, 0.4)])
     assert value("isolated_block", d) == 1.0
+    # max_tokens is 4: a cluster of four is still isolated
+    d = doc([tok("w", 0.1 + i * 0.2, 0.9) for i in range(4)] + [tok("body", 0.1, 0.4)])
+    assert value("isolated_block", d) == 1.0
 
 
 def test_isolated_block_empty_bottom():
@@ -353,6 +391,8 @@ def test_isolated_block_empty_bottom():
 
 def test_isolated_block_dense_bottom():
     d = doc([tok("w", 0.1 + i * 0.08, 0.82 + (i % 3) * 0.05) for i in range(6)])
+    assert value("isolated_block", d) == 0.0
+    d = doc([tok("w", 0.1 + i * 0.15, 0.9) for i in range(5)] + [tok("body", 0.1, 0.4)])
     assert value("isolated_block", d) == 0.0
 
 

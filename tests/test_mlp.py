@@ -315,8 +315,9 @@ def test_untrained_model_near_chance_on_balanced_corpus():
     rates = []
     for seed in range(5):
         model = MlpModel.create(default_config(), seed=seed)
-        rows, _ = evaluate_mlp(model, corpus)
-        rates.append(sum(r.recognized for r in rows) / 300)
+        ranked = evaluate_mlp(model, corpus)
+        rates.append(sum(name == doc.labels.document_class
+                         for name, doc in zip(ranked, corpus, strict=True)) / 300)
     mean_rate = sum(rates) / len(rates)
     assert abs(mean_rate - 1 / 3) <= 0.10
 

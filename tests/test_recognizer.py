@@ -281,6 +281,29 @@ def test_recognize_takes_the_accept_rule_from_the_module(desk_tnn, desk_corpora,
         assert len(result.passes) == 1
 
 
+@pytest.mark.parametrize("votes, accepted", [
+    ({"d0": 0.75, "d1": 0.5}, True),     # both thresholds met exactly
+    ({"d0": 0.75, "d1": 0.625}, False),  # confident, but the runner-up is too close
+    ({"d0": 0.625, "d1": 0.25}, False),  # a clear margin, but not confident
+])
+def test_accepts_needs_confidence_and_margin(votes, accepted):
+    trace = ActivationTrace(elements={}, substructures={}, structures={}, documents=votes)
+    params = RecognizerParams(tau_accept=0.75, tau_margin=0.25)
+    assert recognizer.accepts(trace, "d0", "d1", params, True) == (
+        votes["d0"], votes["d0"] - votes["d1"], accepted)
+    assert recognizer.accepts(trace, "d0", "d1", params, False)[2] is False
+    # a lone class has no runner-up: its margin is its confidence
+    assert recognizer.accepts(trace, "d0", "d0", params, True)[1] == votes["d0"]
+
+
+def test_margin_is_the_top_two_difference(desk_tnn, desk_corpora):
+    _, test = desk_corpora
+    result = recognize(desk_tnn, test[0])
+    first, second = sorted(result.passes[-1].trace.documents.values(), reverse=True)[:2]
+    assert result.confidence == first
+    assert result.margin == first - second > 0.0
+
+
 def test_first_pass_acceptance_equals_plain_forward(desk_tnn, desk_corpora):
     _, test = desk_corpora
     params = RecognizerParams()
