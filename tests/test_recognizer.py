@@ -1,3 +1,5 @@
+import hashlib
+import json
 import sys
 from dataclasses import fields
 
@@ -363,6 +365,20 @@ def test_result_serialization_shape(desk_tnn, desk_corpora):
     assert set(payload["passes"][0]["activations"]) == {
         "elements", "substructures", "structures", "documents",
     }
+
+
+# recognize's whole output on the desk test set and the ambiguous fixtures:
+# every pass's levels, blamed elements and activations, each float written as
+# its exact repr; a change to forward, blame or structure reporting that moves
+# a single bit of any result shows here
+RECOGNIZE_OUTPUT_SHA256 = "94ac7ecdcf108df72ac872fdead0c33d2fedc6161b68d8894c439c81555bd88f"
+
+
+def test_recognize_output_bytes_are_pinned(desk_tnn, desk_corpora):
+    _, test = desk_corpora
+    results = [recognize(desk_tnn, d).to_dict() for d in test + generate_ambiguous(7, 24)]
+    text = json.dumps(results, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RECOGNIZE_OUTPUT_SHA256
 
 
 # --- extractors owned by the config ---------------------------------------------------
