@@ -117,7 +117,12 @@ def sigmoid(x):
 
 @dataclass
 class LayerNetwork:
-    """One input layer / output layer pair with a link mask."""
+    """One input layer / output layer pair with a link mask.
+
+    An unlinked pair's weight is exactly 0: ``create`` masks it, training never
+    moves it and the loader refuses any other value. Forward, blame's path
+    weights and the structure flag rely on this and read the weights unmasked.
+    """
 
     input_names: tuple[str, ...]
     output_names: tuple[str, ...]
@@ -152,10 +157,13 @@ class LayerNetwork:
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         inputs = np.asarray(inputs, dtype=float)
-        if inputs.shape != (len(self.input_names),):
-            raise ValueError(
-                f"dimension mismatch: got {inputs.shape}, expected ({len(self.input_names)},)"
-            )
+        n_in = len(self.input_names)
+        if inputs.shape != (n_in,):
+            raise ValueError(f"dimension mismatch: got {inputs.shape}, expected ({n_in},)")
+        return self._propagate(inputs)
+
+    def _propagate(self, inputs: np.ndarray) -> np.ndarray:
+        """``forward`` on a float vector of the input width, which the caller has checked."""
         # ndarray.dot: the same product as @, with less dispatch per call;
         # its result is fresh, so the threshold is subtracted in place
         z = inputs.dot(self.weights)
@@ -255,7 +263,7 @@ def train_nn1(net: LayerNetwork, xs: np.ndarray, ts: np.ndarray,
 
     def step(sample: tuple[np.ndarray, np.ndarray], t: np.ndarray) -> float:
         row, x = sample
-        s = net.forward(x)
+        s = net._propagate(x)
         err = t - s
         # s * (1 - s) * err, built in place; a product of two is commutative
         delta = ONE0 - s
@@ -335,24 +343,26 @@ class TnnModel:
 
 
 def _element_array(topology: Topology, values: Mapping[str, float]) -> np.ndarray:
+    """``values`` in element order as floats; a missing or unknown element is refused."""
     names = topology.elements
-    # element names are unique, so equal sizes and no name missing mean the same keys
-    if len(values) != len(names) or not all(name in values for name in names):
-        missing = set(names) - set(values)
-        if missing:
-            raise ValueError(f"element vector incomplete, missing: {sorted(missing)}")
-        extra = set(values) - set(names)
-        if extra:
-            raise ValueError(f"element vector has unknown entries: {sorted(extra)}")
-    return np.asarray([values[name] for name in names], dtype=float)
+    # element names are unique, so equal sizes and every name found mean the same keys
+    if len(values) == len(names):
+        try:
+            return np.fromiter(map(values.__getitem__, names), float, len(names))
+        except KeyError:
+            pass
+    missing = set(names) - set(values)
+    if missing:
+        raise ValueError(f"element vector incomplete, missing: {sorted(missing)}")
+    raise ValueError(f"element vector has unknown entries: {sorted(set(values) - set(names))}")
 
 
 def forward_tnn(model: TnnModel, elements: Mapping[str, float]) -> ActivationTrace:
-    """Propagate element activations up through the three networks."""
+    """Propagate element activations up through the three networks, checked once at entry."""
     x = _element_array(model.topology, elements)
-    sub = model.nets[0].forward(x)
-    struct = model.nets[1].forward(sub)
-    doc = model.nets[2].forward(struct)
+    sub = model.nets[0]._propagate(x)
+    struct = model.nets[1]._propagate(sub)
+    doc = model.nets[2]._propagate(struct)
     topo = model.topology
     return ActivationTrace(
         elements=dict(zip(topo.elements, x.tolist())),

@@ -1,6 +1,8 @@
 import json
 import math
 import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from doctnn import (
     train_nn1,
     train_tnn,
 )
+from doctnn.network import model_from_dict, model_to_dict
 from conftest import dense_config, two_branch_sigmoid
 
 
@@ -244,9 +247,11 @@ def test_exact_targets_are_a_fixed_point():
     net = single_link_net(weight=0.0, threshold=0.0)
     before_w = net.weights.copy()
     before_t = net.thresholds.copy()
-    train_nn1(net, [[1.0]], [[0.5]], Hyperparams(mu=0.5, epsilon=0.0, max_epochs=3))
+    stats = train_nn1(net, [[1.0]], [[0.5]], Hyperparams(mu=0.5, epsilon=0.0, max_epochs=3))
     assert np.array_equal(net.weights, before_w)
     assert np.array_equal(net.thresholds, before_t)
+    # an error of exactly epsilon is not below it, so training runs to the cap
+    assert (stats.epochs, stats.final_mse) == (3, 0.0)
 
 
 def reference_delta_rule(samples, mu, epochs):
@@ -300,6 +305,17 @@ def test_masked_weights_stay_zero_after_training():
               Hyperparams(max_epochs=50))
     assert net.weights[0, 1] == 0.0
     assert net.weights[1, 0] == 0.0
+
+
+DESK_MODEL_FILE = Path(__file__).parent / "data" / "desk_tnn_v1.json"
+
+
+def test_unlinked_weights_are_exactly_zero_after_training_and_loading(desk_tnn):
+    # forward, blame's path weights and the structure flag read the weights
+    # unmasked, relying on this
+    for model in (desk_tnn, model_from_dict(model_to_dict(desk_tnn)), load_model(DESK_MODEL_FILE)):
+        for net in model.nets:
+            assert (net.weights[~net.mask] == 0.0).all()
 
 
 def seed_train_nn1(net, xs, ts, mu, epsilon, max_epochs):
@@ -544,6 +560,28 @@ def test_train_tnn_requires_labels():
 
 
 # --- serialization -----------------------------------------------------------------------------
+
+def test_model_trained_to_its_epoch_cap_loads(clean_corpus):
+    # a run that max_epochs cut off before its error fell below epsilon is a
+    # valid record; only a run that stopped early must show a converged error
+    config = replace(default_config(), hyperparams=Hyperparams(mu=0.5, epsilon=0.0, max_epochs=2))
+    model = TnnModel.create(config, seed=3)
+    summary = train_tnn(model, clean_corpus)
+    assert [s.epochs for s in summary.stats] == [2, 2, 2]
+    assert model_from_dict(model_to_dict(model)) == model
+
+
+def test_early_stopped_record_needs_an_error_below_epsilon(clean_tnn):
+    payload = model_to_dict(clean_tnn)
+    record = payload["training"]["stats"][2]
+    epsilon = clean_tnn.config.hyperparams.epsilon
+    assert record["epochs"] < clean_tnn.config.hyperparams.max_epochs
+    record["final_mse"] = float(np.nextafter(epsilon, 0.0))
+    model_from_dict(payload)
+    record["final_mse"] = epsilon
+    with pytest.raises(ModelFormatError, match="is not below 'epsilon'"):
+        model_from_dict(payload)
+
 
 def test_model_round_trip(tmp_path, clean_tnn):
     path = tmp_path / "model.json"

@@ -152,6 +152,31 @@ def test_overflowing_path_sum_is_infinite_and_blamed_first():
     assert first_pass_blame(model, trace_for(model, {"e0": 0.5, "e1": 0.5}))[0] == "e0"
 
 
+def test_equal_blame_scores_come_out_in_element_order():
+    # b and a score exactly alike (uncertainty 0.5, the same paths), below x;
+    # the topology lists b before a, against their alphabetical order
+    layers = (("b", "x", "a"), ("s0",), ("t0",), ("d0", "d1"))
+    links = [("b", "s0"), ("x", "s0"), ("a", "s0"), ("s0", "t0"), ("t0", "d0"), ("t0", "d1")]
+    model = toy_model(links, layers, [[[0.5], [0.5], [0.5]], [[0.5]], [[0.5, 0.5]]])
+    trace = trace_for(model, {"b": 0.25, "x": 0.5, "a": 0.75})
+    scores = scores_for(model, trace)
+    assert scores["b"] == scores["a"] < scores["x"]
+    assert first_pass_blame(model, trace) == ["x", "b", "a"]
+
+
+def masked_path_weights(model):
+    """The path weights with every |W| masked by the links, which the unmasked sum must equal."""
+    product = np.abs(model.nets[0].weights * model.nets[0].mask)
+    product = product @ np.abs(model.nets[1].weights * model.nets[1].mask)
+    product = np.minimum(product, np.finfo(np.float64).max)
+    return product @ np.abs(model.nets[2].weights * model.nets[2].mask)
+
+
+def test_path_weights_equal_the_masked_product_bit_for_bit(desk_tnn):
+    paths = recognizer._abs_path_weights(desk_tnn)
+    assert paths.tobytes() == masked_path_weights(desk_tnn).tobytes()
+
+
 def test_model_file_with_huge_weight_recognizes_without_warning(desk_tnn):
     # the suite makes a RuntimeWarning an error, so an overflow in blame fails here
     payload = model_to_dict(desk_tnn)
@@ -187,6 +212,23 @@ def test_extract_structures_flags_positive_link_to_winner():
     hits = extract_structures(trace, model, "d0", tau_struct=0.5)
     assert [(h.name, h.linked_to_winner) for h in hits] == [("t0", True)]
     hits = extract_structures(trace, model, "d1", tau_struct=0.5)
+    assert [(h.name, h.linked_to_winner) for h in hits] == [("t0", False)]
+
+
+def test_extract_structures_reports_a_structure_at_exactly_tau_struct():
+    model = two_element_model()
+    tau = 0.5
+    hits = extract_structures(fixed_trace({"t0": tau}), model, "d0", tau_struct=tau)
+    assert [(h.name, h.activation) for h in hits] == [("t0", tau)]
+    below = float(np.nextafter(tau, 0.0))
+    assert extract_structures(fixed_trace({"t0": below}), model, "d0", tau_struct=tau) == ()
+
+
+def test_extract_structures_does_not_flag_a_linked_zero_weight():
+    model = two_element_model()
+    assert model.nets[2].mask.all()
+    model.nets[2].weights[:] = [[0.0, 0.4]]
+    hits = extract_structures(fixed_trace({"t0": 0.9}), model, "d0", tau_struct=0.5)
     assert [(h.name, h.linked_to_winner) for h in hits] == [("t0", False)]
 
 
@@ -356,6 +398,8 @@ def test_max_passes_one_disables_refinement(desk_tnn):
     for document in generate_ambiguous(5, 4):
         result = recognize(desk_tnn, document, params)
         assert len(result.passes) == 1
+        # the last pass blames nothing: no pass is left to raise a level for
+        assert result.status == "rejected" and result.passes[0].blamed == ()
 
 
 def test_result_serialization_shape(desk_tnn, desk_corpora):
