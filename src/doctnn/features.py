@@ -9,7 +9,7 @@ only confirm or cancel what level 1 saw, never invent new evidence.
 ``_gate`` is the one place that rule is enforced.
 
 Extractors read a document through a ``DocumentView``: one reading that
-folds keyword text and groups rows and columns once per alignment
+folds keyword text and groups rows and left-edge columns once per alignment
 tolerance, shared by every extractor and every refinement pass of one
 ``recognize`` call. Folding is ``str.casefold`` for ASCII text, where NFKD
 normalization changes nothing; only other text takes the Unicode path. No
@@ -18,10 +18,14 @@ what a repeated one does. The view also computes each level function's
 value once (``DocumentView.value``): a later pass that asks for the same
 (element, level), and a higher level that re-runs a lower one, get the
 stored value.
-The intermediates that two levels of one extractor share (amount's numeric
-columns and rows, code's candidate column, the address keywords found, the
-text block's best run) go through the same memo, so a raised level starts
-from what its lower level already built. A keyword level 1 reads only which
+The intermediates that two levels of one extractor share (amount's region
+and its numeric columns and rows, the designation and code bands, code's
+candidate column, the address keywords found, the text block's best run) go
+through the same memo, so a raised level starts from what its lower level
+already built. Vertical alignment needs only its largest group's size, so
+it counts that from the sorted left or right edges (``_largest_group``) and
+builds no grouping; the left-edge columns are built only for the designation
+and code levels 3 that read them. A keyword level 1 reads only which
 keywords occur (``_keywords_found``): a single word is looked up in the
 document's joined folded text, and a bigram is sought only in the rows that
 hold its first word. The tokens a match points to (``_anchors``) are
@@ -153,21 +157,32 @@ def _columns(tokens: Sequence[Token], tol: float) -> list[list[Token]]:
     return _cluster(tokens, _X, tol)
 
 
-def _right_groups(tokens: Sequence[Token], tol: float) -> list[list[Token]]:
-    return _cluster(tokens, _RIGHT, tol)
+def _largest_group(edges: Sequence[float], tol: float) -> int:
+    """The size of the largest group ``_cluster`` makes of the sorted ``edges``
+    (0 for none), counted by ``_cluster``'s own rule with no group built."""
+    best = size = 0
+    last = 0.0
+    for edge in edges:
+        if size and edge - last <= tol:
+            size += 1
+        else:
+            best = max(best, size)
+            size = 1
+        last = edge
+    return max(best, size)
 
 
 class DocumentView:
     """One reading of a document, shared by the extractors of one recognize call.
 
-    Folded keyword text and the full-document rows, columns (by left edge)
-    and right-edge groups are computed on first use, the groupings once per
-    alignment tolerance, and each level function's value or shared
-    intermediate once (``value``). The folded text is kept in token order
-    only: a keyword match that needs a row's folded texts folds that row's
-    tokens again, since it reads about one row of a document. The view holds
-    no state beyond one call: the document and its tokens are never written
-    to.
+    Folded keyword text and the full-document rows and columns (by left
+    edge) are computed on first use, the groupings once per alignment
+    tolerance, and each level function's value or shared intermediate, such
+    as an extractor's band or region of the page, once (``value``). The
+    folded text is kept in token order only: a keyword match that needs a
+    row's folded texts folds that row's tokens again, since it reads about
+    one row of a document. The view holds no state beyond one call: the
+    document and its tokens are never written to.
     """
 
     __slots__ = ("id", "tokens", "_norms", "_folded", "_groups", "_values")
@@ -235,10 +250,6 @@ class DocumentView:
         """Groups of tokens sharing a left edge, left to right."""
         return self._grouped(_columns, tol)
 
-    def right_groups(self, tol: float) -> Groups:
-        """Groups of tokens sharing a right edge, left to right."""
-        return self._grouped(_right_groups, tol)
-
 
 def _column_x(column: Sequence[Token]) -> float:
     return sum(t.x for t in column) / len(column)
@@ -263,24 +274,22 @@ def _gate(lower: LevelFn, holds: Callable[[DocumentView, Tally], bool]) -> Level
 
 # --- amount area ------------------------------------------------------------
 
-def _amount_region(view: DocumentView, tally: Tally, right_x: float) -> list[Token]:
-    return [t for t in tally.charge(view.tokens) if t.x >= right_x]
-
-
 def _amount_levels(params: dict) -> tuple[LevelFn, ...]:
     right_x = _param(params, "right_region_x", RIGHT_REGION_X)
     tol = _param(params, "align_tol", ALIGN_TOL, least=0.0)
     rel_tol = _param(params, "product_rel_tol", QTY_PRICE_REL_TOL)
 
+    def amount_region(view: DocumentView, tally: Tally) -> list[Token]:
+        return [t for t in tally.charge(view.tokens) if t.x >= right_x]
+
     def numeric_grid(view: DocumentView,
                      tally: Tally) -> tuple[list[list[Token]], list[list[Token]]]:
         """Columns and rows of the amount region's numeric tokens."""
-        numeric = [t for t in _amount_region(view, tally, right_x)
-                   if t.kind is _NUMERIC]
+        numeric = [t for t in view.value(amount_region, tally) if t.kind is _NUMERIC]
         return _columns(tally.charge(numeric), tol), _rows(tally.charge(numeric), tol)
 
     def level1(view: DocumentView, tally: Tally) -> float:
-        region = _amount_region(view, tally, right_x)
+        region = view.value(amount_region, tally)
         if not region:
             return 0.0
         numeric = [t for t in tally.charge(region) if t.kind is _NUMERIC]
@@ -340,7 +349,7 @@ def _designation_levels(params: dict) -> tuple[LevelFn, ...]:
         return [t for t in tally.charge(view.tokens) if lo <= t.x < hi]
 
     def level1(view: DocumentView, tally: Tally) -> float:
-        tokens = band(view, tally)
+        tokens = view.value(band, tally)
         if not tokens:
             return 0.0
         kinds = [t.kind for t in tokens]
@@ -349,11 +358,11 @@ def _designation_levels(params: dict) -> tuple[LevelFn, ...]:
         return (alpha + 0.5 * alnum) / len(tokens)
 
     def band_aligned(view: DocumentView, tally: Tally) -> bool:
-        return any(len(g) >= 3 for g in _columns(band(view, tally), tol))
+        return any(len(g) >= 3 for g in _columns(view.value(band, tally), tol))
 
     def flanked(view: DocumentView, tally: Tally) -> bool:
         """A short-code column left of the band and a numeric column right of it."""
-        tokens = band(view, tally)
+        tokens = view.value(band, tally)
         band_lo = min(t.x for t in tokens)
         band_hi = max(t.x for t in tokens)
         code_left = False
@@ -383,12 +392,12 @@ def _code_levels(params: dict) -> tuple[LevelFn, ...]:
         return [t for t in tally.charge(view.tokens) if t.x <= left_x]
 
     def candidate_column(view: DocumentView, tally: Tally) -> list[Token]:
-        short = [t for t in band(view, tally) if _is_short_wordlike(t)]
+        short = [t for t in view.value(band, tally) if _is_short_wordlike(t)]
         groups = [g for g in _columns(tally.charge(short), tol) if len(g) >= 3]
         return max(groups, key=len) if groups else []
 
     def level1(view: DocumentView, tally: Tally) -> float:
-        tokens = band(view, tally)
+        tokens = view.value(band, tally)
         if not tokens:
             return 0.0
         return len([t for t in tokens if _is_short_wordlike(t)]) / len(tokens)
@@ -411,20 +420,20 @@ def _code_levels(params: dict) -> tuple[LevelFn, ...]:
 def _vertical_levels(params: dict) -> tuple[LevelFn, ...]:
     tol = _param(params, "align_tol", ALIGN_TOL, least=0.0)
 
-    def justify_score(view: DocumentView, edge_groups: Callable[[float], Groups],
+    def justify_score(view: DocumentView, edge: Callable[[Token], float],
                       tally: Tally) -> float:
         tally.charge(view.tokens)
         if len(view.tokens) < 3:
             return 0.0
-        best = max(map(len, edge_groups(tol)))
+        best = _largest_group(sorted(map(edge, view.tokens)), tol)
         return best / len(view.tokens) if best >= 3 else 0.0
 
     def level1(view: DocumentView, tally: Tally) -> float:
-        return justify_score(view, view.columns, tally)
+        return justify_score(view, _X, tally)
 
     def level2(view: DocumentView, tally: Tally) -> float:
         left = view.value(level1, tally)
-        right = justify_score(view, view.right_groups, tally)
+        right = justify_score(view, _RIGHT, tally)
         return max(left, right)
 
     return (level1, level2)

@@ -198,7 +198,9 @@ def recognize(
     """Run the propagate / blame / refine loop and report class and structures.
 
     ``extractors`` defaults to the ones the model's config built; a mapping
-    that misses an element is refused by the first forward, naming it.
+    that misses an element is refused by the first forward, naming it. A
+    pass whose raise confirmed every value keeps the previous pass's
+    propagation: its ``PassRecord`` holds that same trace.
     """
     ex = extractors if extractors is not None else model.config.element_extractors
     levels = {name: 1 for name in model.topology.elements}
@@ -212,7 +214,9 @@ def recognize(
     for pass_no in range(1, params.max_passes + 1):
         overrides = {name: lvl for name, lvl in levels.items() if lvl > 1}
         vector = extract_all(ex, view, overrides)
-        trace = forward_tnn(model, vector)
+        # a raise that confirmed every value leaves the propagation as it was
+        if pass_no == 1 or vector != trace.elements:
+            trace = forward_tnn(model, vector)
         top1, top2 = _top_two(trace.documents, model.topology.documents)
         confidence, margin, accepted = accepts(trace, top1, top2, params, has_evidence)
         blamed: tuple[str, ...] = ()

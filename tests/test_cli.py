@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -402,6 +403,26 @@ def test_inspect_shows_passes(workspace, capsys):
     assert code == 0
     assert "pass 1:" in out
     assert "class votes:" in out
+
+
+# the committed desk model (tests/data) on the desk test corpus: the README's
+# recognize and inspect lines, and letter-0225, whose pass 2 confirms every
+# value it raised, each byte for byte as its golden file
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("command, doc_id, golden", [
+    ("recognize", "invoice-0000", "desk_recognize_v1.json"),
+    ("recognize", "letter-0225", "desk_recognize_letter-0225_v1.json"),
+    ("inspect", "letter-0216", "desk_inspect_v1.txt"),
+])
+def test_desk_output_matches_golden_files(desk_corpora, tmp_path, capsys, command, doc_id,
+                                          golden):
+    save_corpus(desk_corpora[1], tmp_path / "test.json")
+    code, out, err = run(capsys, command, "--model", str(GOLDEN / "desk_tnn_v1.json"),
+                         "--doc", str(tmp_path / "test.json"), "--id", doc_id)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 RECOGNIZE = ("--model", "{ws}/tnn.model", "--doc", "{ws}/test.json", "--id", "invoice-0000")

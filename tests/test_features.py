@@ -8,6 +8,7 @@ from doctnn import (
     DocumentInstance,
     DocumentView,
     GenSpec,
+    Token,
     build_extractors,
     default_config,
     extract_all,
@@ -18,9 +19,14 @@ from doctnn import features
 from doctnn.features import (
     ADDRESS_KEYWORDS,
     ALIGN_TOL,
+    BOTTOM_BAND_Y,
+    LEFT_BAND_X,
+    MIDDLE_BAND,
+    RIGHT_REGION_X,
     TOTAL_KEYWORDS,
     TOTAL_KEYWORDS_EXTENDED,
     ElementExtractor,
+    ExtractorSpec,
     Tally,
     _fold,
     _norm,
@@ -169,6 +175,11 @@ def test_amount_area_product_gate_fails():
     assert value("amount_area", d, 3) == 0.0
 
 
+def test_amount_region_starts_at_right_region_x():
+    d = doc([tok("12", RIGHT_REGION_X, 0.3), tok("total", 0.7, 0.3)])
+    assert value("amount_area", d) == 0.5
+
+
 def test_amount_area_all_alphabetic_zero():
     d = doc([tok(t, 0.6, 0.2 + i * 0.05) for i, t in enumerate(("alpha", "beta", "gamma"))])
     for level in (1, 2, 3):
@@ -184,6 +195,12 @@ def test_designation_words_column():
 def test_designation_numeric_only_zero():
     d = doc([tok("12", 0.35, 0.3), tok("99", 0.35, 0.4)])
     assert value("designation_zone", d) == 0.0
+
+
+def test_designation_band_holds_its_left_edge_but_not_its_right():
+    lo, hi = MIDDLE_BAND
+    assert value("designation_zone", doc([tok("Widget", lo, 0.3)])) == 1.0
+    assert value("designation_zone", doc([tok("Widget", hi, 0.3)])) == 0.0
 
 
 def test_designation_flanked_retains_level2_value():
@@ -205,6 +222,10 @@ def test_code_area_leftmost_column():
     # three short codes are the fewest that make a candidate column at level 2
     assert value("code_area", code_column(), 2) == value("code_area", code_column()) > 0.0
     assert value("code_area", doc(code_column().tokens[:2]), 2) == 0.0
+
+
+def test_code_band_holds_its_right_edge():
+    assert value("code_area", doc([tok("AB1", LEFT_BAND_X, 0.3)])) == 1.0
 
 
 def test_code_area_empty_doc():
@@ -251,6 +272,30 @@ def test_vertical_alignment_right_justify_refinement():
     level2 = value("vertical_alignment", d, 2)
     assert level2 > level1
     assert level2 == 1.0
+
+
+# coordinates and widths drawn as k / 200, so that left and right edges meet
+# and gaps fall within rounding of align_tol (2 / 200) on both sides
+edge_cells = st.lists(st.tuples(st.integers(0, 199), st.integers(1, 200)), min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_cells, st.sampled_from([0.0, ALIGN_TOL, 0.015, 0.05]))
+@example([(0, 10), (0, 10)], 0.0)  # a gap of 0 at a tolerance of 0
+@example([(0, 10), (2, 10)], ALIGN_TOL)  # 0.01 - 0.0 is exactly 0.01
+def test_largest_group_counts_what_cluster_groups(cells, tol):
+    tokens = [Token("a", k / 200, 0.5, min(w, 200 - k) / 200, 0.02) for k, w in cells]
+    for key in (features._X, features._RIGHT):
+        expected = max(map(len, features._cluster(tokens, key, tol)))
+        assert features._largest_group(sorted(map(key, tokens)), tol) == expected
+
+
+def test_largest_group_joins_a_gap_of_exactly_tol():
+    # 0.75 - 0.5 and 1.0 - 0.75 are exactly 0.25
+    assert features._largest_group([0.5, 0.75, 1.0], 0.25) == 3
+    assert features._largest_group([0.5, 0.75, 1.0], math.nextafter(0.25, 0.0)) == 1
+    assert features._largest_group([0.5, 0.5, 0.75, 1.0], 0.0) == 2
+    assert features._largest_group([], ALIGN_TOL) == 0
 
 
 def test_horizontal_alignment_regular_row():
@@ -343,6 +388,9 @@ def test_text_block_staggered_left_edges():
     # four of five rows at one left edge is exactly the 80% level 2 asks for
     d = paragraph_block(lefts=(0.1, 0.1, 0.1, 0.1, 0.3))
     assert value("text_block", d, 2) == value("text_block", d, 1) == 1.0
+    # left edges 0.0 and 0.01 are exactly align_tol apart: one left edge
+    d = paragraph_block(lefts=(0.0, ALIGN_TOL))
+    assert value("text_block", d, 2) == value("text_block", d, 1) == 1.0
 
 
 # --- date indicator ------------------------------------------------------------------------
@@ -401,6 +449,22 @@ def test_isolated_block_gap_too_small():
     assert value("isolated_block", d) == 0.0
 
 
+def test_isolated_block_band_edge_lies_above_the_band():
+    # a token at exactly bottom_band_y is not in the cluster, and it is above it
+    d = doc([tok("body", 0.1, 0.1), tok("edge", 0.1, BOTTOM_BAND_Y), tok("Signed", 0.6, 0.9)])
+    assert value("isolated_block", d) == 1.0
+    d = doc([tok("edge", 0.1, BOTTOM_BAND_Y), tok("Signed", 0.6, 0.85)])
+    assert value("isolated_block", d) == 0.0
+
+
+def test_isolated_block_gap_of_exactly_min_gap_is_isolated():
+    spec = ExtractorSpec(kind="isolated_block", params={"min_gap": 0.0625})
+    isolated = features.build_extractor("isolated_block", spec)
+    # 0.9375 - (0.5 + 0.375) is exactly 0.0625
+    d = doc([tok("above", 0.1, 0.5, h=0.375), tok("Signed", 0.6, 0.9375)])
+    assert isolated.evaluate(d, 1) == 1.0
+
+
 # --- extract_all ----------------------------------------------------------------------------
 
 def test_extract_all_empty_document():
@@ -422,6 +486,11 @@ def test_extract_all_override_level():
     assert amount.evaluate(d, 3) != amount.evaluate(d, 1)
     assert extract_all(EXTRACTORS, d, {"amount_area": 3})["amount_area"] == amount.evaluate(d, 3)
     assert extract_all(EXTRACTORS, d)["amount_area"] == amount.evaluate(d, 1)
+
+
+def test_extract_all_takes_an_override_for_every_element():
+    d = numbers_column()
+    assert extract_all(EXTRACTORS, d, dict.fromkeys(EXTRACTORS, 1)) == extract_all(EXTRACTORS, d)
 
 
 def test_extract_all_rejects_invalid_level():

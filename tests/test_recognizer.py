@@ -302,6 +302,47 @@ def test_refinement_touches_only_blamed_elements(desk_tnn):
             assert changed <= set(before.blamed)
 
 
+def counted_forwards(monkeypatch):
+    """The element vector of each ``recognizer.forward_tnn`` call from now on."""
+    calls = []
+    real = recognizer.forward_tnn
+
+    def forward(model, elements):
+        calls.append(dict(elements))
+        return real(model, elements)
+
+    monkeypatch.setattr(recognizer, "forward_tnn", forward)
+    return calls
+
+
+def test_a_pass_that_confirmed_every_value_keeps_the_propagation(desk_tnn, desk_corpora,
+                                                                 monkeypatch):
+    calls = counted_forwards(monkeypatch)
+    # letter-0225's pass 2 raises three elements that confirm their level-1
+    # values; its pass 3 raises two that change
+    letter = next(d for d in desk_corpora[1] if d.id == "letter-0225")
+    first, second, third = recognize(desk_tnn, letter).passes
+    assert second.levels != first.levels and second.trace == first.trace
+    assert third.trace.elements != second.trace.elements
+    assert third.trace == forward_tnn(desk_tnn, third.trace.elements)
+    assert calls == [first.trace.elements, third.trace.elements]
+    # on the fixtures, a pass propagates exactly when a value changed
+    calls.clear()
+    repeats = 0
+    for document in generate_ambiguous(7, 24):
+        passes = recognize(desk_tnn, document).passes
+        propagated = [passes[0].trace.elements]
+        for before, after in zip(passes, passes[1:]):
+            if after.trace.elements == before.trace.elements:
+                assert after.trace == before.trace
+                repeats += 1
+            else:
+                assert after.trace == forward_tnn(desk_tnn, after.trace.elements)
+                propagated.append(after.trace.elements)
+        assert calls[-len(propagated):] == propagated
+    assert repeats > 0 and len(calls) == 72 - repeats
+
+
 def test_recognize_takes_the_accept_rule_from_the_module(desk_tnn, desk_corpora, monkeypatch):
     # an experiment swaps the accept rule as criterion 10 swaps blame_elements
     rule = recognizer.accepts
@@ -484,13 +525,16 @@ def evaluation_log(model, documents):
     return results, log
 
 
-# the intermediate that two levels of an element share, by its function's name
-SHARED_INTERMEDIATES = {
-    "amount_area": "numeric_grid",
-    "code_area": "candidate_column",
-    "keywords_address": "keywords_found",
-    "text_block": "best_run",
-}
+# the intermediates that two levels of an element share: (element, function name)
+SHARED_INTERMEDIATES = (
+    ("amount_area", "amount_region"),
+    ("amount_area", "numeric_grid"),
+    ("code_area", "band"),
+    ("code_area", "candidate_column"),
+    ("designation_zone", "band"),
+    ("keywords_address", "keywords_found"),
+    ("text_block", "best_run"),
+)
 
 
 # every gated level is the same inner function of features._gate
@@ -509,13 +553,13 @@ def shared_intermediates(extractors):
     """The code object of each shared intermediate, found in the closures of
     its levels' own work."""
     found = {}
-    for name, fn_name in SHARED_INTERMEDIATES.items():
+    for name, fn_name in SHARED_INTERMEDIATES:
         for level in extractors[name].levels:
             for cell in level_work(level).__closure__ or ():
                 fn = cell.cell_contents
                 if getattr(fn, "__name__", None) == fn_name:
                     found[fn.__code__] = (name, fn_name)
-    assert sorted(found.values()) == sorted(SHARED_INTERMEDIATES.items())
+    assert sorted(found.values()) == list(SHARED_INTERMEDIATES)
     return found
 
 
@@ -572,6 +616,44 @@ def test_recognize_runs_each_level_once_per_call(desk_tnn, desk_corpora):
     _, log = evaluation_log(desk_tnn, fixture)
     assert len(log) == 720
     assert sum(visits for *_, visits in log) == 50_148
+
+
+# the token visits each (element, level) charged over recognize on the desk
+# test set and on the ambiguous fixtures, as the memo charged them before any
+# level or intermediate was served from it; a reading that moves into or out
+# of the memo must leave every total here
+VISIT_TOTALS = {
+    "desk": {
+        ("amount_area", 1): 17640, ("amount_area", 2): 1799, ("amount_area", 3): 346,
+        ("code_area", 1): 13405, ("code_area", 2): 1283, ("code_area", 3): 314,
+        ("date_indicator", 1): 14083, ("designation_zone", 1): 14083,
+        ("horizontal_alignment", 1): 14083, ("isolated_block", 1): 14083,
+        ("keywords_address", 1): 28166,
+        ("keywords_total", 1): 13618, ("keywords_total", 2): 1395,
+        ("text_block", 1): 13943, ("text_block", 2): 280,
+        ("vertical_alignment", 1): 13937, ("vertical_alignment", 2): 292,
+    },
+    "fixtures": {
+        ("amount_area", 1): 1409, ("amount_area", 2): 2962, ("amount_area", 3): 4515,
+        ("code_area", 1): 1353, ("code_area", 2): 2681, ("code_area", 3): 2612,
+        ("date_indicator", 1): 3219, ("designation_zone", 1): 3219,
+        ("horizontal_alignment", 1): 3219, ("isolated_block", 1): 3219,
+        ("keywords_address", 1): 6438,
+        ("keywords_total", 1): 1073, ("keywords_total", 2): 6438,
+        ("text_block", 1): 3219,
+        ("vertical_alignment", 1): 1866, ("vertical_alignment", 2): 2706,
+    },
+}
+
+
+@pytest.mark.parametrize("documents", sorted(VISIT_TOTALS))
+def test_visit_totals_per_level_are_pinned(desk_tnn, desk_corpora, documents):
+    docs = desk_corpora[1] if documents == "desk" else generate_ambiguous(7, 24)
+    _, log = evaluation_log(desk_tnn, docs)
+    totals = {}
+    for _, name, level, _, visits in log:
+        totals[name, level] = totals.get((name, level), 0) + visits
+    assert totals == VISIT_TOTALS[documents]
 
 
 def test_blame_with_precomputed_paths_matches(desk_tnn, desk_corpora):
