@@ -443,6 +443,14 @@ def _horizontal_levels(params: dict) -> tuple[LevelFn, ...]:
     tol = _param(params, "align_tol", ALIGN_TOL, least=0.0)
 
     def level1(view: DocumentView, tally: Tally) -> float:
+        """The mean regularity of the rows of three or more tokens, 0.0 with none.
+
+        Rows group the tokens by top edge, a gap above ``align_tol`` starting
+        a new row, and order each row left to right. A row's regularity is
+        ``max(0, 1 - var / (mean * mean))`` over the gaps between its
+        consecutive left edges (mean and population variance of the gaps),
+        and 0.0 where ``mean * mean`` is 0. Every token is read once.
+        """
         scores = []
         tally.charge(view.tokens)
         for row in view.rows(tol):

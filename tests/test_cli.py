@@ -406,8 +406,9 @@ def test_inspect_shows_passes(workspace, capsys):
 
 
 # the committed desk model (tests/data) on the desk test corpus: the README's
-# recognize and inspect lines, and letter-0225, whose pass 2 confirms every
-# value it raised, each byte for byte as its golden file
+# recognize and inspect lines, letter-0225, whose pass 2 confirms every value
+# it raised, and invoice-0004, refined once and then accepted, each byte for
+# byte as its golden file
 GOLDEN = Path(__file__).parent / "data"
 
 
@@ -415,6 +416,7 @@ GOLDEN = Path(__file__).parent / "data"
     ("recognize", "invoice-0000", "desk_recognize_v1.json"),
     ("recognize", "letter-0225", "desk_recognize_letter-0225_v1.json"),
     ("inspect", "letter-0216", "desk_inspect_v1.txt"),
+    ("inspect", "invoice-0004", "desk_inspect_invoice-0004_v1.txt"),
 ])
 def test_desk_output_matches_golden_files(desk_corpora, tmp_path, capsys, command, doc_id,
                                           golden):

@@ -33,6 +33,7 @@ from doctnn.features import (
 )
 from doctnn.generator import DESK_NOISE
 from conftest import doc, measure, reference_best_run, reference_keyword_hits, tok
+from reference_levels import horizontal_alignment_l1
 
 EXTRACTORS = build_extractors(default_config().extractors)
 GATED = ("amount_area", "designation_zone", "code_area", "text_block", "date_indicator")
@@ -321,6 +322,49 @@ def test_horizontal_alignment_irregular_gaps():
     assert got == pytest.approx(0.5, abs=1e-9)
 
 
+HORIZONTAL = default_config().extractors["horizontal_alignment"]
+
+
+def check_horizontal_reference(tokens):
+    expected = horizontal_alignment_l1(tokens, HORIZONTAL.params)
+    assert measure(EXTRACTORS["horizontal_alignment"], doc(tokens), 1) == expected
+
+
+def test_horizontal_alignment_matches_its_reference_on_desk_and_fixtures(desk_corpora):
+    for document in desk_corpora[1] + generate_ambiguous(7, 24):
+        check_horizontal_reference(list(document.tokens))
+
+
+@st.composite
+def grid_rows(draw):
+    """Rows of 3 to 8 tokens on a k / 200 grid: left edges evenly spaced, some
+    nudged, some equal (a step of 0 or a nudge onto a neighbour); tops within
+    a row and from row to row 0 to 3 steps apart, so that two tops 2 steps
+    (``align_tol``) apart fall within rounding of it on both sides."""
+    tokens = []
+    top = draw(st.integers(0, 60))
+    for _ in range(draw(st.integers(1, 4))):
+        step = draw(st.integers(0, 24))
+        start = draw(st.integers(0, 199 - 7 * step))
+        for i in range(draw(st.integers(3, 8))):
+            x = start + i * step + draw(st.sampled_from((0, 0, 0, 1, -1, 5)))
+            y = top + draw(st.sampled_from((0, 0, 0, 1, 2, 3)))
+            tokens.append(tok("w", min(199, max(0, x)) / 200, min(196, y) / 200))
+        top += draw(st.sampled_from((2, 3, 4, 10, 40)))
+    return tokens
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_rows())
+@example([tok("w", 0.1, 0.2)] * 3)  # every gap 0
+@example([tok("w", x / 200, 4 / 200) for x in (10, 20, 30)]
+         + [tok("w", 40 / 200, 6 / 200)])  # 6/200 - 4/200 rounds to align_tol: one row
+@example([tok("w", x / 200, 3 / 200) for x in (10, 20, 30)]
+         + [tok("w", x / 200, 5 / 200) for x in (40, 50, 60)])  # rounds above it: two rows
+def test_horizontal_alignment_matches_its_reference(tokens):
+    check_horizontal_reference(tokens)
+
+
 # --- keyword groups ---------------------------------------------------------------------
 
 def test_keywords_total_both_present():
@@ -463,6 +507,16 @@ def test_isolated_block_gap_of_exactly_min_gap_is_isolated():
     # 0.9375 - (0.5 + 0.375) is exactly 0.0625
     d = doc([tok("above", 0.1, 0.5, h=0.375), tok("Signed", 0.6, 0.9375)])
     assert isolated.evaluate(d, 1) == 1.0
+
+
+def test_isolated_block_gap_is_taken_from_the_lowest_bottom_above():
+    # "tall" starts higher but reaches lower than "short": the gap is from
+    # tall's bottom (0.79) to the cluster (0.83), 0.04, below min_gap
+    tall, short = tok("tall", 0.1, 0.5, h=0.29), tok("short", 0.4, 0.7)
+    for above in ((tall, short), (short, tall)):
+        assert value("isolated_block", doc([*above, tok("Signed", 0.6, 0.83)])) == 0.0
+        # at 0.85 the gap from tall's bottom is 0.06
+        assert value("isolated_block", doc([*above, tok("Signed", 0.6, 0.85)])) == 1.0
 
 
 # --- extract_all ----------------------------------------------------------------------------

@@ -366,6 +366,23 @@ def test_recognize_takes_the_accept_rule_from_the_module(desk_tnn, desk_corpora,
         assert len(result.passes) == 1
 
 
+@pytest.mark.parametrize("votes, expected", [
+    ({"d0": 0.5, "d1": 0.5, "d2": 0.25}, ("d0", "d1")),  # a tie of two, ahead of a third
+    ({"d0": 0.25, "d1": 0.5, "d2": 0.5}, ("d2", "d1")),  # the same, tied in another order
+    ({"d0": 0.5, "d1": 0.75, "d2": 0.5}, ("d1", "d2")),  # a clear winner, a tied runner-up
+    ({"d0": 0.5, "d1": 0.5, "d2": 0.5}, ("d2", "d0")),   # all three tied
+    ({"d0": 0.75, "d1": 0.5, "d2": 0.5}, ("d0", "d2")),
+])
+def test_top_two_breaks_ties_in_topology_order(votes, expected):
+    # the topology lists d2 first, against the order of the votes' keys, and
+    # d1 last; each tied pair's first in topology order ranks higher
+    assert recognizer._top_two(votes, ("d2", "d0", "d1")) == expected
+
+
+def test_top_two_of_a_lone_class_is_that_class_twice():
+    assert recognizer._top_two({"d0": 0.25}, ("d0",)) == ("d0", "d0")
+
+
 @pytest.mark.parametrize("votes, accepted", [
     ({"d0": 0.75, "d1": 0.5}, True),     # both thresholds met exactly
     ({"d0": 0.75, "d1": 0.625}, False),  # confident, but the runner-up is too close
