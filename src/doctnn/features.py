@@ -43,7 +43,7 @@ import math
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from operator import attrgetter, sub
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence, Sized, TypeVar
 
@@ -443,28 +443,25 @@ def _horizontal_levels(params: dict) -> tuple[LevelFn, ...]:
     tol = _param(params, "align_tol", ALIGN_TOL, least=0.0)
 
     def level1(view: DocumentView, tally: Tally) -> float:
-        """The mean regularity of the rows of three or more tokens, 0.0 with none.
-
-        Rows group the tokens by top edge, a gap above ``align_tol`` starting
-        a new row, and order each row left to right. A row's regularity is
-        ``max(0, 1 - var / (mean * mean))`` over the gaps between its
-        consecutive left edges (mean and population variance of the gaps),
-        and 0.0 where ``mean * mean`` is 0. Every token is read once.
-        """
+        """The mean, over rows of three or more tokens, of ``max(0, 1 - var /
+        (mean * mean))`` of a row's gaps between consecutive left edges (0.0
+        where ``mean * mean`` is 0); 0.0 with no such row. Rows group tokens
+        by top edge, a gap above ``align_tol`` starting a new one, each left to
+        right. Every token is read once."""
         scores = []
         tally.charge(view.tokens)
         for row in view.rows(tol):
             if len(row) < 3:
                 continue
-            xs = list(map(_X, row))
-            gaps = list(map(sub, xs[1:], xs))  # each x minus the one before it
+            gaps = [b.x - a.x for a, b in zip(row, row[1:])]
             mean = sum(gaps) / len(gaps)
             # the square, not only the mean, can be 0: it underflows for gaps near 1e-170
             if mean * mean <= 0.0:
                 scores.append(0.0)
                 continue
-            var = sum([(g - mean) ** 2 for g in gaps]) / len(gaps)
-            scores.append(max(0.0, 1.0 - var / (mean * mean)))
+            # sum() and ** 2 keep the bits: Python 3.12+ compensates sum()
+            score = 1.0 - sum([(g - mean) ** 2 for g in gaps]) / len(gaps) / (mean * mean)
+            scores.append(score if score > 0.0 else 0.0)
         return sum(scores) / len(scores) if scores else 0.0
 
     return (level1,)
@@ -651,14 +648,11 @@ def _isolated_levels(params: dict) -> tuple[LevelFn, ...]:
 
     def level1(view: DocumentView, tally: Tally) -> float:
         tokens = tally.charge(view.tokens)
-        cluster = [t for t in tokens if t.y > band_y]
-        if not cluster or len(cluster) > max_tokens:
+        tops = [t.y for t in tokens if t.y > band_y]
+        if not tops or len(tops) > max_tokens:
             return 0.0
-        above = [t for t in tokens if t.y <= band_y]
-        if not above:
-            return 1.0
-        gap = min([t.y for t in cluster]) - max([t.bottom for t in above])
-        return 1.0 if gap >= min_gap else 0.0
+        bottoms = [t.bottom for t in tokens if t.y <= band_y]
+        return 1.0 if not bottoms or min(tops) - max(bottoms) >= min_gap else 0.0
 
     return (level1,)
 
@@ -756,7 +750,5 @@ def extract_all(
         raise ValueError(f"unknown element name(s) in overrides: {sorted(unknown)}")
     view = doc if type(doc) is DocumentView else DocumentView(doc)
     tally = Tally()  # nothing reads the total, so one meter serves every element
-    return {
-        name: extractor.evaluate(view, overrides.get(name, 1), tally)
-        for name, extractor in extractors.items()
-    }
+    return {name: extractor.evaluate(view, overrides.get(name, 1), tally)
+            for name, extractor in extractors.items()}

@@ -91,13 +91,14 @@ def _abs_path_weights(model: TnnModel) -> np.ndarray:
     weight, so a sum can pass the largest float and become ``+inf``;
     ``blame_scores`` then ranks that element first. Element-to-structure sums
     are held at the largest float before the last product, where an infinity
-    times an unlinked pair's zero would give NaN.
+    times an unlinked pair's zero would give NaN. ``ndarray.dot`` gives ``@``'s
+    sums at half its call cost here; both warn on overflow, hence ``np.errstate``.
     """
     product = np.abs(model.nets[0].weights)
     with np.errstate(over="ignore"):
-        product = product @ np.abs(model.nets[1].weights)
+        product = product.dot(np.abs(model.nets[1].weights))
         np.minimum(product, _LARGEST_FLOAT, out=product)
-        return product @ np.abs(model.nets[2].weights)
+        return product.dot(np.abs(model.nets[2].weights))
 
 
 def blame_scores(
@@ -106,17 +107,15 @@ def blame_scores(
     top2_classes: Sequence[str],
     paths: np.ndarray,
 ) -> dict[str, float]:
-    """Responsibility per element: uncertainty times path weight to the contenders.
+    """Responsibility per element: uncertainty times path weight to the two contenders.
 
     ``paths`` is the model's ``_abs_path_weights``, computed once per call of
     ``recognize``; it is 0 without a linked path, as unlinked weights are 0.
     """
     topo = model.topology
-    cols = [topo.documents.index(name) for name in top2_classes]
-    # take and add.reduce: the same sums as [:, cols].sum(axis=1), with less dispatch
-    reach = np.add.reduce(paths.take(cols, 1), 1).tolist()
+    first, second = (paths[:, topo.documents.index(name)] for name in top2_classes)
     return {name: (1.0 - abs(2.0 * trace.elements[name] - 1.0)) * to_contenders
-            for name, to_contenders in zip(topo.elements, reach)}
+            for name, to_contenders in zip(topo.elements, (first + second).tolist())}
 
 
 def blame_elements(
@@ -155,14 +154,15 @@ def extract_structures(
     linked: list[bool | None] = [None] * len(structures)
     if winning_class is not None:
         net = model.nets[2]
-        linked = (net.weights[:, net.output_names.index(winning_class)] > 0.0).tolist()
+        linked = [w > 0.0 for w in net.weights[:, net.output_names.index(winning_class)].tolist()]
     activations = trace.structures
-    return tuple(StructureHit(name, activations[name], link)
-                 for name, link in zip(structures, linked) if activations[name] >= tau_struct)
+    return tuple([StructureHit(name, activations[name], link)
+                  for name, link in zip(structures, linked) if activations[name] >= tau_struct])
 
 
 def _top_two(documents: Mapping[str, float], order: Sequence[str]) -> tuple[str, str]:
-    ranked = sorted(order, key=lambda n: -documents[n])
+    # a reversed sort is stable: tied classes keep the topology's order
+    ranked = sorted(order, key=documents.__getitem__, reverse=True)
     return ranked[0], ranked[min(1, len(ranked) - 1)]
 
 
@@ -204,6 +204,7 @@ def recognize(
     """
     ex = extractors if extractors is not None else model.config.element_extractors
     levels = {name: 1 for name in model.topology.elements}
+    raised: dict[str, int] = {}  # the levels above 1, as extract_all's overrides
     # a document without tokens carries no evidence and can only be unknown,
     # whatever resting activations the trained thresholds produce
     has_evidence = bool(doc.tokens)
@@ -212,8 +213,7 @@ def recognize(
     paths = None  # the model's path weights and max_levels, computed at the first blame
     passes: list[PassRecord] = []
     for pass_no in range(1, params.max_passes + 1):
-        overrides = {name: lvl for name, lvl in levels.items() if lvl > 1}
-        vector = extract_all(ex, view, overrides)
+        vector = extract_all(ex, view, raised)
         # a raise that confirmed every value leaves the propagation as it was
         if pass_no == 1 or vector != trace.elements:
             trace = forward_tnn(model, vector)
@@ -223,13 +223,13 @@ def recognize(
         if not accepted and pass_no < params.max_passes:
             if paths is None:
                 paths = _abs_path_weights(model)
-                max_levels = {name: ex[name].max_level for name in ex}
+                max_levels = {name: len(e.levels) for name, e in ex.items()}
             blamed = tuple(blame_elements(trace, model, (top1, top2), levels, max_levels, paths))
         passes.append(PassRecord(levels=dict(levels), trace=trace, blamed=blamed))
         if accepted or not blamed:
             break
         for name in blamed:
-            levels[name] += 1
+            levels[name] = raised[name] = levels[name] + 1
     winner = top1 if accepted else None
     structures = extract_structures(trace, model, winner, params.tau_struct)
     return RecognitionResult(
