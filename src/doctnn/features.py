@@ -22,20 +22,25 @@ The intermediates that two levels of one extractor share (amount's region
 and its numeric columns and rows, the designation and code bands, code's
 candidate column, the address keywords found, the text block's best run) go
 through the same memo, so a raised level starts from what its lower level
-already built. Vertical alignment needs only its largest group's size, so
-it counts that from the sorted left or right edges (``_largest_group``) and
-builds no grouping; the left-edge columns are built only for the designation
-and code levels 3 that read them. A keyword level 1 reads only which
-keywords occur (``_keywords_found``): a single word is looked up in the
-document's joined folded text, and a bigram is sought only in the rows that
-hold its first word. The tokens a match points to (``_anchors``) are
-collected only by the one level that reads them, ``keywords_address`` L2.
-Work is metered in token visits so
-the cost ordering between levels stays measurable. A visit is the modelled
-cost of a level, one per token its algorithm reads; a read or a value the
-view serves from memory is charged as if the tokens were scanned again, so
-visits do not count the work the view saves. Wall time is measured apart
-from visits.
+already built. Tokens are grouped by one rule: sorted by an edge, a gap
+above ``align_tol`` starts a new group. ``_cluster`` builds the groups and
+``_largest_group`` gives the largest one's size from sorted edges, building
+none; a level builds only what it reads. The view's rows and left-edge
+columns, amount's numeric columns and code's candidate columns are read as
+groups. Vertical alignment, the designation band's left edges and the text
+block run's row starts are read only for their largest group's size.
+Amount's numeric rows are top-edge groups, not ordered left to right: level
+2 reads their sizes and level 3 which row holds a token. The left-edge
+columns are built only for the designation and code levels 3 that read them.
+A keyword level 1 reads only which keywords occur (``_keywords_found``): a
+single word is looked up in the document's joined folded text, and a bigram
+is sought only in the rows that hold its first word. The tokens a match
+points to (``_anchors``) are collected only by the one level that reads
+them, ``keywords_address`` L2. Work is metered in token visits so the cost
+ordering between levels stays measurable. A visit is the modelled cost of a
+level, one per token its algorithm reads; a read or a value the view serves
+from memory is charged as if the tokens were scanned again, so visits do not
+count the work the view saves. Wall time is measured apart from visits.
 """
 from __future__ import annotations
 
@@ -43,6 +48,7 @@ import math
 import re
 import unicodedata
 from dataclasses import dataclass, field
+from itertools import combinations
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Sequence, Sized, TypeVar
@@ -158,8 +164,9 @@ def _columns(tokens: Sequence[Token], tol: float) -> list[list[Token]]:
 
 
 def _largest_group(edges: Sequence[float], tol: float) -> int:
-    """The size of the largest group ``_cluster`` makes of the sorted ``edges``
-    (0 for none), counted by ``_cluster``'s own rule with no group built."""
+    """The size of the largest group that ``_cluster``'s rule makes of the sorted
+    ``edges`` (0 for none), with no group built, for the levels that read only
+    that size: vertical alignment and the designation and text block levels 2."""
     best = size = 0
     last = 0.0
     for edge in edges:
@@ -284,11 +291,14 @@ def _amount_levels(params: dict) -> tuple[LevelFn, ...]:
 
     def numeric_grid(view: DocumentView,
                      tally: Tally) -> tuple[list[list[Token]], list[list[Token]]]:
-        """Columns and rows of the amount region's numeric tokens."""
+        """The region's numeric tokens, read twice, as left-edge columns and
+        top-edge rows; a row is not ordered left to right, since its readers
+        take only its size and which tokens it holds."""
         numeric = [t for t in view.value(amount_region, tally) if t.kind is _NUMERIC]
-        return _columns(tally.charge(numeric), tol), _rows(tally.charge(numeric), tol)
+        return _columns(tally.charge(numeric), tol), _cluster(tally.charge(numeric), _Y, tol)
 
     def level1(view: DocumentView, tally: Tally) -> float:
+        """The region's share of numeric tokens (0.0 for none); reads the region twice."""
         region = view.value(amount_region, tally)
         if not region:
             return 0.0
@@ -296,40 +306,32 @@ def _amount_levels(params: dict) -> tuple[LevelFn, ...]:
         return len(numeric) / len(region)
 
     def grid_aligned(view: DocumentView, tally: Tally) -> bool:
+        """Level 2 holds with a numeric column and two numeric rows of 2+ tokens."""
         columns, rows = view.value(numeric_grid, tally)
         return (any(len(g) >= 2 for g in columns)
                 and sum(1 for r in rows if len(r) >= 2) >= 2)
 
     def products_hold(view: DocumentView, tally: Tally) -> bool:
+        """Level 3 holds where quantity * price = amount (``math.isclose``) on at
+        least half of the rows that a triple of numeric columns of two or more
+        tokens, ordered by mean left edge, all give a value for. A column's
+        value on a row is its leftmost token there that parses as a number."""
         columns, rows = view.value(numeric_grid, tally)
-        cols = [g for g in columns if len(g) >= 2]
-        cols.sort(key=_column_x)
-        row_of: dict[int, int] = {}
-        for ri, row in enumerate(rows):
-            for tok in row:
-                row_of[id(tok)] = ri
+        row_of = {id(tok): ri for ri, row in enumerate(rows) for tok in row}
         per_col: list[dict[int, float]] = []
-        for col in cols:
+        for col in sorted((g for g in columns if len(g) >= 2), key=_column_x):
             values: dict[int, float] = {}
             for tok in col:
                 v = _numeric_value(tok.text)
                 if v is not None:
                     values.setdefault(row_of[id(tok)], v)
             per_col.append(values)
-        # quantity * price = amount across any x-ordered column triple
-        for i in range(len(cols)):
-            for j in range(i + 1, len(cols)):
-                for k in range(j + 1, len(cols)):
-                    shared = per_col[i].keys() & per_col[j].keys() & per_col[k].keys()
-                    if not shared:
-                        continue
-                    ok = sum(
-                        1 for r in shared
-                        if math.isclose(per_col[i][r] * per_col[j][r], per_col[k][r],
-                                        rel_tol=rel_tol, abs_tol=1e-9)
-                    )
-                    if ok * 2 >= len(shared):
-                        return True
+        for qty, price, amount in combinations(per_col, 3):
+            shared = qty.keys() & price.keys() & amount.keys()
+            ok = sum(1 for r in shared if math.isclose(qty[r] * price[r], amount[r],
+                                                       rel_tol=rel_tol, abs_tol=1e-9))
+            if shared and ok * 2 >= len(shared):
+                return True
         return False
 
     level2 = _gate(level1, grid_aligned)
@@ -349,6 +351,7 @@ def _designation_levels(params: dict) -> tuple[LevelFn, ...]:
         return [t for t in tally.charge(view.tokens) if lo <= t.x < hi]
 
     def level1(view: DocumentView, tally: Tally) -> float:
+        """(alphabetic + half the alphanumeric band tokens) per band token, 0.0 for none."""
         tokens = view.value(band, tally)
         if not tokens:
             return 0.0
@@ -358,7 +361,8 @@ def _designation_levels(params: dict) -> tuple[LevelFn, ...]:
         return (alpha + 0.5 * alnum) / len(tokens)
 
     def band_aligned(view: DocumentView, tally: Tally) -> bool:
-        return any(len(g) >= 3 for g in _columns(view.value(band, tally), tol))
+        """Level 2 holds where 3+ band tokens share a left edge; reads the band again."""
+        return _largest_group(sorted(map(_X, view.value(band, tally))), tol) >= 3
 
     def flanked(view: DocumentView, tally: Tally) -> bool:
         """A short-code column left of the band and a numeric column right of it."""
@@ -599,6 +603,7 @@ def _text_block_levels(params: dict) -> tuple[LevelFn, ...]:
         return _best_run(view, tally, tol, min_rows)
 
     def level1(view: DocumentView, tally: Tally) -> float:
+        """The best run's share of alphabetic tokens, 0.0 with no run."""
         run = view.value(best_run, tally)
         if not run:
             return 0.0
@@ -606,16 +611,10 @@ def _text_block_levels(params: dict) -> tuple[LevelFn, ...]:
         return kinds.count(_ALPHABETIC) / len(kinds)
 
     def rows_left_aligned(view: DocumentView, tally: Tally) -> bool:
-        """At least 80% of the run's rows start at one left edge."""
+        """Level 2 holds where at least 80% of the run's rows start at one left
+        edge. Reads the run again."""
         run = view.value(best_run, tally)
-        lefts = sorted(row[0].x for row in run)
-        biggest = 0
-        count = 1
-        for prev, cur in zip(lefts, lefts[1:]):
-            count = count + 1 if cur - prev <= tol else 1
-            biggest = max(biggest, count)
-        biggest = max(biggest, 1)
-        return biggest / len(run) >= 0.8
+        return _largest_group(sorted(row[0].x for row in run), tol) / len(run) >= 0.8
 
     return (level1, _gate(level1, rows_left_aligned))
 

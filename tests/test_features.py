@@ -33,7 +33,13 @@ from doctnn.features import (
 )
 from doctnn.generator import DESK_NOISE
 from conftest import doc, measure, reference_best_run, reference_keyword_hits, tok
-from reference_levels import horizontal_alignment_l1
+from reference_levels import (
+    amount_area_l2,
+    amount_area_l3,
+    designation_zone_l2,
+    horizontal_alignment_l1,
+    text_block_l2,
+)
 
 EXTRACTORS = build_extractors(default_config().extractors)
 GATED = ("amount_area", "designation_zone", "code_area", "text_block", "date_indicator")
@@ -277,17 +283,22 @@ def test_vertical_alignment_right_justify_refinement():
 
 # coordinates and widths drawn as k / 200, so that left and right edges meet
 # and gaps fall within rounding of align_tol (2 / 200) on both sides
-edge_cells = st.lists(st.tuples(st.integers(0, 199), st.integers(1, 200)), min_size=1, max_size=12)
+edge_cells = st.lists(st.tuples(st.integers(0, 199), st.integers(1, 200)), max_size=12)
 
 
+# one grouping rule, two readers: _cluster builds the groups, _largest_group
+# gives the largest one's size
 @settings(max_examples=200, deadline=None)
 @given(edge_cells, st.sampled_from([0.0, ALIGN_TOL, 0.015, 0.05]))
+@example([], ALIGN_TOL)
 @example([(0, 10), (0, 10)], 0.0)  # a gap of 0 at a tolerance of 0
+@example([(7, 10)] * 3, ALIGN_TOL)  # duplicate edges
 @example([(0, 10), (2, 10)], ALIGN_TOL)  # 0.01 - 0.0 is exactly 0.01
+@example([(10, 10), (11, 10), (14, 10)], ALIGN_TOL)  # one step under align_tol, then one over
 def test_largest_group_counts_what_cluster_groups(cells, tol):
     tokens = [Token("a", k / 200, 0.5, min(w, 200 - k) / 200, 0.02) for k, w in cells]
     for key in (features._X, features._RIGHT):
-        expected = max(map(len, features._cluster(tokens, key, tol)))
+        expected = max(map(len, features._cluster(tokens, key, tol)), default=0)
         assert features._largest_group(sorted(map(key, tokens)), tol) == expected
 
 
@@ -437,6 +448,40 @@ def test_text_block_staggered_left_edges():
     assert value("text_block", d, 2) == value("text_block", d, 1) == 1.0
 
 
+TEXT_BLOCK = default_config().extractors["text_block"]
+
+
+@st.composite
+def text_rows(draw):
+    """Rows of 1 to 4 tokens, tops 10 steps apart on a k / 200 grid. Each row
+    starts 0 to 3 steps from the row before (or 10), so that two left edges 2
+    steps (``align_tol``) apart fall within rounding of it on both sides; a
+    numeric row ends a run."""
+    tokens = []
+    left = draw(st.integers(0, 40))
+    for r in range(draw(st.integers(1, 9))):
+        left = max(0, left + draw(st.sampled_from((0, 0, 1, -1, 2, -2, 3, -3, 10))))
+        word = draw(st.sampled_from(("lorem", "lorem", "lorem", "12")))
+        tokens += [tok(word, (left + 20 * c) / 200, (10 + 10 * r) / 200)
+                   for c in range(draw(st.integers(1, 4)))]
+    return tokens
+
+
+def left_edged_rows(*lefts):
+    return [tok("lorem", k / 200, (10 + 10 * r) / 200) for r, k in enumerate(lefts)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(text_rows())
+@example(left_edged_rows(10, 12, 10, 12, 10))  # left edges align_tol apart
+@example(left_edged_rows(10, 11, 12, 13, 14))  # one step under it, row to row
+@example(left_edged_rows(10, 13, 10, 13, 10))  # one step over it: 3 of 5 rows
+@example(left_edged_rows(10, 10, 10, 10, 13))  # 4 of 5 rows is exactly 80%
+def test_text_block_rows_left_aligned_matches_its_reference(tokens):
+    expected = text_block_l2(tokens, TEXT_BLOCK.params)
+    assert measure(EXTRACTORS["text_block"], doc(tokens), 2) == expected
+
+
 # --- date indicator ------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -517,6 +562,24 @@ def test_isolated_block_gap_is_taken_from_the_lowest_bottom_above():
         assert value("isolated_block", doc([*above, tok("Signed", 0.6, 0.83)])) == 0.0
         # at 0.85 the gap from tall's bottom is 0.06
         assert value("isolated_block", doc([*above, tok("Signed", 0.6, 0.85)])) == 1.0
+
+
+# --- plain references -------------------------------------------------------------------
+
+REFERENCES = {
+    ("designation_zone", 2): designation_zone_l2,
+    ("text_block", 2): text_block_l2,
+    ("amount_area", 2): amount_area_l2,
+    ("amount_area", 3): amount_area_l3,
+}
+
+
+@pytest.mark.parametrize("name,level", REFERENCES)
+def test_level_matches_its_reference_on_desk_and_fixtures(desk_corpora, name, level):
+    params = default_config().extractors[name].params
+    for document in desk_corpora[1] + generate_ambiguous(7, 24):
+        expected = REFERENCES[name, level](list(document.tokens), params)
+        assert measure(EXTRACTORS[name], document, level) == expected, document.id
 
 
 # --- extract_all ----------------------------------------------------------------------------
