@@ -9,11 +9,11 @@ from pathlib import Path
 
 from .documents import CorpusError, DocumentInstance, load_corpus, save_corpus, write_json
 from .evaluation import build_report, evaluate_tnn, render_report, report_to_dict, verdict
-from .generator import CLASSES, GenSpec, Noise, generate
+from .generator import CLASSES, DESK_TEST_COUNTS, DESK_TRAIN_COUNTS, GenSpec, Noise, generate
 from .mlp import MlpModel, load_mlp, save_mlp, train_mlp
-from .network import ModelFormatError, TnnModel, load_model, save_model, train_tnn
+from .network import TnnModel, load_model, save_model, train_tnn
 from .recognizer import RecognitionResult, RecognizerParams, recognize
-from .topology import Hyperparams, NetworkConfig, TopologyError, default_config, load_config
+from .topology import Hyperparams, NetworkConfig, default_config, load_config
 
 ERROR_PREFIX = "error:"
 
@@ -187,9 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-corpus", help="write synthetic train/test corpus files",
                        allow_abbrev=False)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--train", type=_counts, default="40,36,26",
+    p.add_argument("--train", type=_counts, default=dict(DESK_TRAIN_COUNTS),
                    help=f"{','.join(CLASSES)} counts")
-    p.add_argument("--test", type=_counts, default="120,90,40")
+    p.add_argument("--test", type=_counts, default=dict(DESK_TEST_COUNTS))
     p.add_argument("--jitter", type=float, default=0.0)
     p.add_argument("--drop", type=float, default=0.0)
     p.add_argument("--distort", type=float, default=0.0)
@@ -239,10 +239,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CorpusError, TopologyError, ModelFormatError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # every doctnn error is a ValueError
         return _fail(str(exc))
-    except OSError as exc:
-        return _fail(f"{exc}")
 
 
 if __name__ == "__main__":

@@ -27,13 +27,12 @@ from enum import Enum
 from functools import lru_cache
 from numbers import Real
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, TextIO, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, TextIO
 
 if TYPE_CHECKING:
     from .topology import Topology
 
 _COORD_SLACK = 1e-9
-T = TypeVar("T")
 
 
 class CorpusError(ValueError):
@@ -391,26 +390,14 @@ def _as_written(value: object) -> object:
     return value
 
 
-def _expect_as_written(check: Callable[..., T], value: object, *args: object) -> T:
-    """``check(value, *args)`` on a value of a corpus file; a refused value's
-    message shows a token-shaped object as the file wrote it, not as the
-    Token the decoder hook made of it."""
-    try:
-        return check(value, *args)
-    except CorpusError:
-        check(_as_written(value), *args)
-        raise
-
-
 def _parse_document(raw: object) -> DocumentInstance:
     if not isinstance(raw, dict) or "id" not in raw:
         raise CorpusError("document entry missing 'id'")
-    doc_id = _expect_as_written(expect_type, raw["id"], str, CorpusError, "document entry 'id'")
+    doc_id = expect_type(raw["id"], str, CorpusError, "document entry 'id'")
     if not doc_id:
         raise CorpusError("document entry has empty 'id'")
     where = f"document '{doc_id}'"
-    raw_tokens = _expect_as_written(expect_type, raw.get("tokens", []), list, CorpusError,
-                                    f"{where} 'tokens'")
+    raw_tokens = expect_type(raw.get("tokens", []), list, CorpusError, f"{where} 'tokens'")
     tokens = tuple(raw_tokens)
     # the hook built every token that builds, so only a document with a token
     # left as it was decoded pays for _parse_token's message
@@ -422,15 +409,27 @@ def _parse_document(raw: object) -> DocumentInstance:
         if not isinstance(lab, dict) or "class" not in lab:
             raise CorpusError(f"document '{doc_id}' field 'labels': missing 'class'")
         labels = GroundTruth(
-            document_class=_expect_as_written(expect_type, lab["class"], str, CorpusError,
-                                              f"{where} field 'class'"),
-            structures=frozenset(_expect_as_written(
-                expect_names, lab.get("structures", []), CorpusError, f"{where} 'structures'")),
-            substructures=frozenset(_expect_as_written(
-                expect_names, lab.get("substructures", []), CorpusError,
-                f"{where} 'substructures'")),
+            document_class=expect_type(lab["class"], str, CorpusError, f"{where} field 'class'"),
+            structures=frozenset(expect_names(lab.get("structures", []), CorpusError,
+                                              f"{where} 'structures'")),
+            substructures=frozenset(expect_names(lab.get("substructures", []), CorpusError,
+                                                 f"{where} 'substructures'")),
         )
     return DocumentInstance(id=doc_id, tokens=tokens, labels=labels)
+
+
+def _parse_corpus(raw_docs: object, path: str | Path, topology: "Topology"
+                  ) -> list[DocumentInstance]:
+    """The documents of a corpus file's ``documents`` value, checked against ``topology``."""
+    raw_docs = expect_type(raw_docs, list, CorpusError, f"{path} 'documents'")
+    docs = [_parse_document(raw) for raw in raw_docs]
+    require_labels((doc for doc in docs if doc.labels is not None), topology, CorpusError)
+    seen: set[str] = set()
+    for doc in docs:
+        if doc.id in seen:
+            raise CorpusError(f"document '{doc.id}': duplicate id")
+        seen.add(doc.id)
+    return docs
 
 
 def load_corpus(path: str | Path, topology: "Topology") -> list[DocumentInstance]:
@@ -442,16 +441,13 @@ def load_corpus(path: str | Path, topology: "Topology") -> list[DocumentInstance
     payload = read_json(path, CorpusError, _token_hook())
     if not isinstance(payload, dict) or "documents" not in payload:
         raise CorpusError(f"parse error in {path}: top-level 'documents' key missing")
-    raw_docs = _expect_as_written(expect_type, payload["documents"], list, CorpusError,
-                                  f"{path} 'documents'")
-    docs = [_parse_document(raw) for raw in raw_docs]
-    require_labels((doc for doc in docs if doc.labels is not None), topology, CorpusError)
-    seen: set[str] = set()
-    for doc in docs:
-        if doc.id in seen:
-            raise CorpusError(f"document '{doc.id}': duplicate id")
-        seen.add(doc.id)
-    return docs
+    try:
+        return _parse_corpus(payload["documents"], path, topology)
+    except CorpusError:
+        # every Token the hook built is valid, so parsing the values as the
+        # file wrote them fails at the same check, and its message shows them so
+        _parse_corpus(_as_written(payload["documents"]), path, topology)
+        raise
 
 
 def corpus_to_dict(docs: Iterable[DocumentInstance]) -> dict:

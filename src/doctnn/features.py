@@ -433,9 +433,15 @@ def _vertical_levels(params: dict) -> tuple[LevelFn, ...]:
         return best / len(view.tokens) if best >= 3 else 0.0
 
     def level1(view: DocumentView, tally: Tally) -> float:
+        """The largest left-edge group's share of the tokens when it holds three
+        or more, else 0.0. Tokens group by left edge, a gap above ``align_tol``
+        starting a new group. Every token is read once."""
         return justify_score(view, _X, tally)
 
     def level2(view: DocumentView, tally: Tally) -> float:
+        """The larger of level 1 and the same share for right edges (``x +
+        width``); level 1 is charged again in full, and every token is read
+        once more."""
         left = view.value(level1, tally)
         right = justify_score(view, _RIGHT, tally)
         return max(left, right)
@@ -623,12 +629,18 @@ def _text_block_levels(params: dict) -> tuple[LevelFn, ...]:
 
 def _date_levels(params: dict) -> tuple[LevelFn, ...]:
     def level1(view: DocumentView, tally: Tally) -> float:
+        """1.0 when some token's text matches ``DATE_PATTERN`` (dd/mm/yy or
+        dd/mm/yyyy, with '/' or '-' as both separators), else 0.0. Every token
+        is charged once, also when the scan stops at the first match."""
         for tok in tally.charge(view.tokens):
             if DATE_PATTERN.match(tok.text):
                 return 1.0
         return 0.0
 
     def valid_date(view: DocumentView, tally: Tally) -> bool:
+        """Level 2 holds when some token matching ``DATE_PATTERN`` has a day (its
+        first two digits) from 1 to 31 and a month (its next two) from 1 to 12.
+        Every token is charged once."""
         for tok in tally.charge(view.tokens):
             m = DATE_PATTERN.match(tok.text)
             if m and 1 <= int(m.group(1)) <= 31 and 1 <= int(m.group(3)) <= 12:
@@ -646,6 +658,10 @@ def _isolated_levels(params: dict) -> tuple[LevelFn, ...]:
     min_gap = _param(params, "min_gap", ISOLATED_MIN_GAP, least=0.0)
 
     def level1(view: DocumentView, tally: Tally) -> float:
+        """1.0 when one to ``max_tokens`` tokens have their top edge below
+        ``bottom_band_y`` and the highest of those tops lies at least
+        ``min_gap`` below every other token's bottom edge (``y + height``);
+        else 0.0. Every token is read once."""
         tokens = tally.charge(view.tokens)
         tops = [t.y for t in tokens if t.y > band_y]
         if not tops or len(tops) > max_tokens:

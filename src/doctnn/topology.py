@@ -3,9 +3,10 @@
 Neurons are named concepts arranged elements -> substructures -> structures
 -> documents; links only join adjacent layers. The default inventory wires
 ten layout extractors through mid-level groupings up to the three
-administrative document classes. The last layer sees every structure so a
-class can also learn counter-evidence (a totals line argues against
-"letter" as much as a paragraph argues for it).
+administrative document classes; its link tables name the default element
+and substructure neurons. The last layer sees every structure so a class
+can also learn counter-evidence (a totals line argues against "letter" as
+much as a paragraph argues for it).
 """
 from __future__ import annotations
 
@@ -135,29 +136,6 @@ class NetworkConfig:
         object.__setattr__(self, "element_extractors", MappingProxyType(built))
 
 
-DEFAULT_ELEMENTS = (
-    "amount_area",
-    "designation_zone",
-    "code_area",
-    "vertical_alignment",
-    "horizontal_alignment",
-    "keywords_total",
-    "keywords_address",
-    "text_block",
-    "date_indicator",
-    "isolated_block",
-)
-
-DEFAULT_SUBSTRUCTURES = (
-    "numeric_column_group",
-    "totals_line",
-    "address_block",
-    "date_line",
-    "paragraph",
-    "tabular_grid",
-    "signature_block",
-)
-
 DEFAULT_STRUCTURES = (
     "invoice_body",
     "table",
@@ -170,6 +148,9 @@ DEFAULT_STRUCTURES = (
 
 DEFAULT_DOCUMENTS = ("invoice", "form", "letter")
 
+# The two link tables name the default elements and substructures: their key
+# order is the layer order, so it fixes the element vector and the layout of
+# every model file.
 _ELEMENT_LINKS = {
     "amount_area": ("numeric_column_group", "totals_line"),
     "designation_zone": ("tabular_grid",),
@@ -205,8 +186,8 @@ def default_topology() -> Topology:
     for structure in DEFAULT_STRUCTURES:
         links.update((structure, doc) for doc in DEFAULT_DOCUMENTS)
     return Topology(
-        elements=DEFAULT_ELEMENTS,
-        substructures=DEFAULT_SUBSTRUCTURES,
+        elements=tuple(_ELEMENT_LINKS),
+        substructures=tuple(_SUBSTRUCTURE_LINKS),
         structures=DEFAULT_STRUCTURES,
         documents=DEFAULT_DOCUMENTS,
         links=frozenset(links),
@@ -215,7 +196,7 @@ def default_topology() -> Topology:
 
 def default_config() -> NetworkConfig:
     # Each default element name doubles as its extractor kind.
-    extractors = {name: ExtractorSpec(kind=name) for name in DEFAULT_ELEMENTS}
+    extractors = {name: ExtractorSpec(kind=name) for name in _ELEMENT_LINKS}
     return NetworkConfig(topology=default_topology(), extractors=extractors)
 
 

@@ -75,7 +75,8 @@ def two_branch_sigmoid(x):
 def reference_keyword_hits(view, keywords, tally, tol):
     """Keyword matching that joins every adjacent pair of every row, folding each token itself.
 
-    The reference ``features._keyword_hits`` must match anchor for anchor and visit for visit.
+    Its keys are the keywords ``features._keywords_found`` must find, visit for
+    visit, and each keyword's list the anchors ``features._anchors`` must give.
     """
     singles = [k for k in keywords if " " not in k]
     bigrams = [k for k in keywords if " " in k]

@@ -10,7 +10,16 @@ and visits.
 import math
 
 from doctnn import TokenKind
-from doctnn.features import ALIGN_TOL, MIDDLE_BAND, QTY_PRICE_REL_TOL, RIGHT_REGION_X
+from doctnn.features import (
+    ALIGN_TOL,
+    BOTTOM_BAND_Y,
+    DATE_PATTERN,
+    ISOLATED_MAX_TOKENS,
+    ISOLATED_MIN_GAP,
+    MIDDLE_BAND,
+    QTY_PRICE_REL_TOL,
+    RIGHT_REGION_X,
+)
 
 
 def groups_by(tokens, edge, tol):
@@ -187,3 +196,57 @@ def amount_area_l3(tokens, params):
     numeric = amount_numeric(tokens, params)
     holds = products_hold(numeric, params)
     return (value if holds else 0.0), visits + len(tokens) + 2 * len(numeric)
+
+
+# --- vertical alignment -------------------------------------------------------------
+
+def justified_share(tokens, edge, tol):
+    """The largest ``edge`` group's share of the tokens, when it holds three or more."""
+    largest = max((len(g) for g in groups_by(tokens, edge, tol)), default=0)
+    return largest / len(tokens) if largest >= 3 else 0.0
+
+
+def vertical_alignment_l1(tokens, params):
+    return justified_share(tokens, lambda t: t.x, params.get("align_tol", ALIGN_TOL)), len(tokens)
+
+
+def vertical_alignment_l2(tokens, params):
+    left, visits = vertical_alignment_l1(tokens, params)
+    right = justified_share(tokens, lambda t: t.x + t.width, params.get("align_tol", ALIGN_TOL))
+    return max(left, right), visits + len(tokens)
+
+
+# --- date indicator -----------------------------------------------------------------
+
+def date_indicator_l1(tokens, params):
+    dated = any(DATE_PATTERN.match(t.text) for t in tokens)
+    return (1.0 if dated else 0.0), len(tokens)
+
+
+def valid_day_and_month(text):
+    """Whether ``text`` matches ``DATE_PATTERN`` with its first two digits a day
+    from 1 to 31 and its next two a month from 1 to 12."""
+    return (DATE_PATTERN.match(text) is not None
+            and 1 <= int(text[:2]) <= 31 and 1 <= int(text[3:5]) <= 12)
+
+
+def date_indicator_l2(tokens, params):
+    value, visits = date_indicator_l1(tokens, params)
+    if value == 0.0:
+        return 0.0, visits
+    valid = any(valid_day_and_month(t.text) for t in tokens)
+    return (value if valid else 0.0), visits + len(tokens)
+
+
+# --- isolated block -----------------------------------------------------------------
+
+def isolated_block_l1(tokens, params):
+    band_y = params.get("bottom_band_y", BOTTOM_BAND_Y)
+    cluster = [t for t in tokens if t.y > band_y]
+    others = [t for t in tokens if t.y <= band_y]
+    if not 1 <= len(cluster) <= params.get("max_tokens", ISOLATED_MAX_TOKENS):
+        return 0.0, len(tokens)
+    highest_top = min(t.y for t in cluster)
+    isolated = all(highest_top - (t.y + t.height) >= params.get("min_gap", ISOLATED_MIN_GAP)
+                   for t in others)
+    return (1.0 if isolated else 0.0), len(tokens)

@@ -1,12 +1,22 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from doctnn import GenSpec, Noise, generate, save_corpus
+from doctnn import (
+    GenSpec,
+    Noise,
+    RecognizerParams,
+    generate,
+    load_corpus,
+    load_model,
+    recognize,
+    save_corpus,
+)
 from doctnn.cli import main
-from doctnn.generator import DESK_MODEL_SEED
-from doctnn.topology import config_to_dict, default_config, save_config
+from doctnn.generator import DESK_MODEL_SEED, DESK_TEST_COUNTS, DESK_TRAIN_COUNTS
+from doctnn.topology import config_to_dict, default_config, default_topology, save_config
 
 
 def run(capsys, *argv):
@@ -168,10 +178,34 @@ def test_gen_corpus_zero_counts(tmp_path, capsys):
     assert payload == {"documents": []}
 
 
-def test_gen_corpus_negative_count_is_usage_error(tmp_path):
+def test_gen_corpus_sizes_default_to_the_desk_experiment(tmp_path, capsys):
+    code, out, _ = run(capsys, "gen-corpus", "--seed", "3", "--out", str(tmp_path))
+    assert code == 0
+    for split, counts in (("train", DESK_TRAIN_COUNTS), ("test", DESK_TEST_COUNTS)):
+        docs = load_corpus(tmp_path / f"{split}.json", default_topology())
+        assert Counter(doc.labels.document_class for doc in docs) == dict(counts)
+        assert f"{split}: wrote {sum(counts.values())} documents" in out
+
+
+def test_gen_corpus_negative_count_is_usage_error(tmp_path, capsys):
+    # with "=" argparse takes "-1,0,0" as the value, not as a flag
     with pytest.raises(SystemExit) as excinfo:
-        main(["gen-corpus", "--train", "-1,0,0", "--test", "0,0,0", "--out", str(tmp_path)])
+        main(["gen-corpus", "--train=-1,0,0", "--test", "0,0,0", "--out", str(tmp_path)])
     assert excinfo.value.code == 2
+    assert "argument --train: counts must be non-negative" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("counts, message", [
+    ("1,0", "expected 3 comma-separated counts"),
+    ("a,0,0", "counts must be integers: "),
+])
+def test_gen_corpus_malformed_counts_are_usage_errors(tmp_path, capsys, counts, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["gen-corpus", f"--train={counts}", "--test", "0,0,0", "--out", str(tmp_path)])
+    assert excinfo.value.code == 2
+    assert f"argument --train: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_flag_prefix_is_usage_error(workspace, tmp_path):
@@ -405,6 +439,33 @@ def test_inspect_shows_passes(workspace, capsys):
     assert "class votes:" in out
 
 
+@pytest.mark.parametrize("command", ["recognize", "inspect"])
+def test_a_one_document_corpus_needs_no_id(workspace, tmp_path, capsys, command):
+    first = load_corpus(workspace / "test.json", default_topology())[0]
+    save_corpus([first], tmp_path / "one.json")
+    model = ("--model", str(workspace / "tnn.model"))
+    picked = run(capsys, command, *model, "--doc", str(tmp_path / "one.json"))
+    named = run(capsys, command, *model, "--doc", str(workspace / "test.json"), "--id", first.id)
+    assert picked == named and picked[0] == 0
+
+
+def test_inspect_shows_a_rejection_without_structures(workspace, capsys):
+    # no class reaches a confidence of 2, and no structure an activation of 2
+    code, out, _ = run(capsys, "inspect", "--model", str(workspace / "tnn.model"),
+                       "--doc", str(workspace / "test.json"), "--id", "invoice-0000",
+                       "--tau-accept", "2", "--tau-struct", "2")
+    model = load_model(workspace / "tnn.model")
+    doc = next(d for d in load_corpus(workspace / "test.json", model.topology)
+               if d.id == "invoice-0000")
+    result = recognize(model, doc, RecognizerParams(tau_accept=2.0, tau_struct=2.0))
+    assert code == 0
+    assert out.splitlines()[-3:] == [
+        "status: rejected",
+        f"confidence {result.confidence:.3f}, margin {result.margin:.3f}",
+        "structures: none above threshold",
+    ]
+
+
 # the committed desk model (tests/data) on the desk test corpus: the README's
 # recognize and inspect lines, letter-0225, whose pass 2 confirms every value
 # it raised, and invoice-0004, refined once and then accepted, each byte for
@@ -504,6 +565,14 @@ EVAL = ("--tnn", "{ws}/tnn.model", "--test", "{ws}/test.json")
          "corpus holds no documents"),
         (("inspect", "--model", "{ws}/tnn.model", "--doc", "{ws}/empty.json"),
          "corpus holds no documents"),
+        (("recognize", "--model", "{ws}/tnn.model", "--doc", "{ws}/test.json", "--id", "absent"),
+         "document id 'absent' not found"),
+        (("inspect", "--model", "{ws}/tnn.model", "--doc", "{ws}/test.json", "--id", "absent"),
+         "document id 'absent' not found"),
+        (("recognize", "--model", "{ws}/tnn.model", "--doc", "{ws}/test.json"),
+         "corpus holds 24 documents; pass --id to pick one"),
+        (("inspect", "--model", "{ws}/tnn.model", "--doc", "{ws}/test.json"),
+         "corpus holds 24 documents; pass --id to pick one"),
         (("eval", "--tnn", "{ws}/no_stats.json", "--test", "{ws}/test.json"),
          "expected 3 training stats, found 0"),
         (("eval", "--tnn", "{ws}/counts_other_class.json", "--test", "{ws}/test.json"),

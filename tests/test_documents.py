@@ -24,6 +24,7 @@ from doctnn import (
     TnnTrainingSummary,
     Token,
     TokenKind,
+    Topology,
     TopologyError,
     TrainingStats,
     default_config,
@@ -310,6 +311,17 @@ def test_load_names_the_bad_token_and_its_fault(tmp_path, token, fault):
     assert str(refused.value) == "document 'd' token 1" + fault
 
 
+def test_load_refuses_an_empty_document_id(tmp_path):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"documents": [{"id": "", "tokens": []}]}))
+    with pytest.raises(CorpusError) as refused:
+        load_corpus(path, TOPOLOGY)
+    assert str(refused.value) == "document entry has empty 'id'"
+    with pytest.raises(ValueError) as refused:
+        DocumentInstance(id="")
+    assert str(refused.value) == "document id must be non-empty"
+
+
 def test_load_rejects_unknown_class(tmp_path):
     path = tmp_path / "corpus.json"
     payload = {
@@ -519,7 +531,10 @@ WRITTEN = repr(TOKEN_SHAPED)
      f"document 'd' 'structures' must be a list of names, got ['table', {WRITTEN}]"),
     (labelled({"class": "invoice", "substructures": TOKEN_SHAPED}),
      "document 'd' 'substructures' must be a list of names, got " + WRITTEN),
-], ids=["documents", "id", "tokens", "class", "structures", "structures-entry", "substructures"])
+    ({"documents": [{"id": "d", "tokens": [dict(TOKEN_SHAPED, text=TOKEN_SHAPED)]}]},
+     "document 'd' token 0 field 'text' must be a string, got " + WRITTEN),
+], ids=["documents", "id", "tokens", "class", "structures", "structures-entry", "substructures",
+        "token-text"])
 def test_load_shows_a_token_shaped_value_as_written(tmp_path, payload, message):
     # the decoder hook turns the object into a Token, which the message must not show
     path = tmp_path / "corpus.json"
@@ -622,6 +637,22 @@ def test_load_config_names_element_and_bad_param(tmp_path, element, param, value
     path.write_text(json.dumps(payload))  # writes NaN and Infinity as bare literals
     with pytest.raises(TopologyError, match=f"element '{element}': param '{param}'"):
         load_config(path)
+
+
+LAYERS = (("e",), ("s",), ("t",), ("d",))
+CHAIN = frozenset({("e", "s"), ("s", "t"), ("t", "d")})
+
+
+@pytest.mark.parametrize("layers, links, message", [
+    ((("e", "e"), *LAYERS[1:]), CHAIN, "duplicate neuron name in layer 'elements'"),
+    ((*LAYERS[:2], ("s",), LAYERS[3]), CHAIN, "neuron names must be unique across layers"),
+    (LAYERS, CHAIN | {("e", "t")}, "link (e -> t) does not join adjacent layers"),
+    ((("e", "f"), *LAYERS[1:]), CHAIN, "neuron 'f' has no outgoing link"),
+], ids=["duplicate-in-layer", "name-in-two-layers", "skipped-layer", "no-outgoing-link"])
+def test_topology_refuses_a_broken_layer_or_link(layers, links, message):
+    with pytest.raises(TopologyError) as refused:
+        Topology(*layers, links=links)
+    assert str(refused.value) == message
 
 
 def test_round_trip_identity(tmp_path):

@@ -9,6 +9,7 @@ from doctnn import (
     DocumentView,
     GenSpec,
     Token,
+    TokenKind,
     build_extractors,
     default_config,
     extract_all,
@@ -36,9 +37,14 @@ from conftest import doc, measure, reference_best_run, reference_keyword_hits, t
 from reference_levels import (
     amount_area_l2,
     amount_area_l3,
+    date_indicator_l1,
+    date_indicator_l2,
     designation_zone_l2,
     horizontal_alignment_l1,
+    isolated_block_l1,
     text_block_l2,
+    vertical_alignment_l1,
+    vertical_alignment_l2,
 )
 
 EXTRACTORS = build_extractors(default_config().extractors)
@@ -180,6 +186,23 @@ def test_amount_area_product_gate_fails():
     d = qp_amount_rows(amounts=("8.0",))
     assert value("amount_area", d, 1) == 1.0
     assert value("amount_area", d, 3) == 0.0
+
+
+def test_amount_area_products_skip_a_numeric_token_that_is_no_number():
+    # "1.2.3" is a numeric token that float() refuses: the quantity column has
+    # no value on its row, so the products are checked on the other two rows,
+    # and one of two holding is half
+    def grid(quantity):
+        rows = (("2", "3", "6"), (quantity, "5", "7"), ("2", "2", "5"))
+        return doc([tok(t, x, 0.3 + i * 0.05)
+                    for i, row in enumerate(rows) for x, t in zip((0.55, 0.68, 0.82), row)])
+
+    d = grid("1.2.3")
+    assert d.tokens[3].kind is TokenKind.NUMERIC
+    assert measure(EXTRACTORS["amount_area"], d, 3) == amount_area_l3(list(d.tokens), {})
+    assert value("amount_area", d, 3) == 1.0
+    # a quantity that parses makes that row count, and one of three is not half
+    assert value("amount_area", grid("1"), 3) == 0.0
 
 
 def test_amount_region_starts_at_right_region_x():
@@ -571,6 +594,11 @@ REFERENCES = {
     ("text_block", 2): text_block_l2,
     ("amount_area", 2): amount_area_l2,
     ("amount_area", 3): amount_area_l3,
+    ("date_indicator", 1): date_indicator_l1,
+    ("date_indicator", 2): date_indicator_l2,
+    ("isolated_block", 1): isolated_block_l1,
+    ("vertical_alignment", 1): vertical_alignment_l1,
+    ("vertical_alignment", 2): vertical_alignment_l2,
 }
 
 
