@@ -119,6 +119,22 @@ _JSON_TYPES = {
 }
 
 
+def _as_written(value: object) -> object:
+    """``value`` with each Token that ``_token_hook`` built shown as its JSON object again.
+
+    A value that holds no Token comes back with the same ``repr``, so the two
+    refusals below that print a value show every value as its file wrote it.
+    """
+    if type(value) is Token:
+        return {"h": value.height, "text": value.text, "w": value.width,
+                "x": value.x, "y": value.y}
+    if isinstance(value, list):
+        return list(map(_as_written, value))
+    if isinstance(value, dict):
+        return {key: _as_written(item) for key, item in value.items()}
+    return value
+
+
 def expect_type(value: object, kind: type, error: type[Exception], what: str):
     """``value``, raising ``error`` unless it has the JSON type ``kind``.
 
@@ -128,7 +144,7 @@ def expect_type(value: object, kind: type, error: type[Exception], what: str):
     """
     name, accepted = _JSON_TYPES[kind]
     if not isinstance(value, accepted) or isinstance(value, bool):
-        raise error(f"{what} must be {name}, got {value!r}")
+        raise error(f"{what} must be {name}, got {_as_written(value)!r}")
     return value
 
 
@@ -162,7 +178,7 @@ def finite_number(value: object) -> bool:
 def expect_names(value: object, error: type[Exception], what: str) -> tuple[str, ...]:
     """A JSON list of names as a tuple, raising ``error`` for any other JSON type."""
     if not isinstance(value, (list, tuple)) or not all(isinstance(n, str) for n in value):
-        raise error(f"{what} must be a list of names, got {value!r}")
+        raise error(f"{what} must be a list of names, got {_as_written(value)!r}")
     return tuple(value)
 
 
@@ -378,18 +394,6 @@ def _parse_token(raw: object, doc_id: str, index: int) -> Token:
         raise CorpusError(f"{where}: {exc}") from exc
 
 
-def _as_written(value: object) -> object:
-    """``value`` with each Token that ``_token_hook`` built shown as its JSON object again."""
-    if type(value) is Token:
-        return {"h": value.height, "text": value.text, "w": value.width,
-                "x": value.x, "y": value.y}
-    if isinstance(value, list):
-        return list(map(_as_written, value))
-    if isinstance(value, dict):
-        return {key: _as_written(item) for key, item in value.items()}
-    return value
-
-
 def _parse_document(raw: object) -> DocumentInstance:
     if not isinstance(raw, dict) or "id" not in raw:
         raise CorpusError("document entry missing 'id'")
@@ -418,20 +422,6 @@ def _parse_document(raw: object) -> DocumentInstance:
     return DocumentInstance(id=doc_id, tokens=tokens, labels=labels)
 
 
-def _parse_corpus(raw_docs: object, path: str | Path, topology: "Topology"
-                  ) -> list[DocumentInstance]:
-    """The documents of a corpus file's ``documents`` value, checked against ``topology``."""
-    raw_docs = expect_type(raw_docs, list, CorpusError, f"{path} 'documents'")
-    docs = [_parse_document(raw) for raw in raw_docs]
-    require_labels((doc for doc in docs if doc.labels is not None), topology, CorpusError)
-    seen: set[str] = set()
-    for doc in docs:
-        if doc.id in seen:
-            raise CorpusError(f"document '{doc.id}': duplicate id")
-        seen.add(doc.id)
-    return docs
-
-
 def load_corpus(path: str | Path, topology: "Topology") -> list[DocumentInstance]:
     """Load and validate a corpus file against the active topology.
 
@@ -441,13 +431,15 @@ def load_corpus(path: str | Path, topology: "Topology") -> list[DocumentInstance
     payload = read_json(path, CorpusError, _token_hook())
     if not isinstance(payload, dict) or "documents" not in payload:
         raise CorpusError(f"parse error in {path}: top-level 'documents' key missing")
-    try:
-        return _parse_corpus(payload["documents"], path, topology)
-    except CorpusError:
-        # every Token the hook built is valid, so parsing the values as the
-        # file wrote them fails at the same check, and its message shows them so
-        _parse_corpus(_as_written(payload["documents"]), path, topology)
-        raise
+    raw_docs = expect_type(payload["documents"], list, CorpusError, f"{path} 'documents'")
+    docs = [_parse_document(raw) for raw in raw_docs]
+    require_labels((doc for doc in docs if doc.labels is not None), topology, CorpusError)
+    seen: set[str] = set()
+    for doc in docs:
+        if doc.id in seen:
+            raise CorpusError(f"document '{doc.id}': duplicate id")
+        seen.add(doc.id)
+    return docs
 
 
 def corpus_to_dict(docs: Iterable[DocumentInstance]) -> dict:

@@ -100,11 +100,21 @@ def _param(params: dict, key: str, default: float, least: float | None = None,
 
 
 def _words(params: dict, key: str, default: tuple[str, ...]) -> tuple[str, ...]:
+    """The keywords of param ``key``, each word folded as token text is (``_norm``)
+    and the words joined with one space, so ``Mr.`` and ``mr`` are one keyword.
+    A keyword with a word that folds to nothing (``" "``, ``"a  b"``, ``"?"``)
+    would occur on every page, and is refused."""
     value = params.pop(key, default)
     if (isinstance(value, str) or not isinstance(value, Sequence)
             or not all(isinstance(w, str) and w for w in value)):
         raise ValueError(f"param '{key}' must be a list of non-empty strings, got {value!r}")
-    return tuple(value)
+    folded = []
+    for keyword in value:
+        words = [_norm(word) for word in keyword.split(" ")]
+        if not all(words):
+            raise ValueError(f"param '{key}': keyword {keyword!r} has a word that folds to nothing")
+        folded.append(" ".join(words))
+    return tuple(folded)
 
 
 def _fold(text: str) -> str:
@@ -284,7 +294,7 @@ def _gate(lower: LevelFn, holds: Callable[[DocumentView, Tally], bool]) -> Level
 def _amount_levels(params: dict) -> tuple[LevelFn, ...]:
     right_x = _param(params, "right_region_x", RIGHT_REGION_X)
     tol = _param(params, "align_tol", ALIGN_TOL, least=0.0)
-    rel_tol = _param(params, "product_rel_tol", QTY_PRICE_REL_TOL)
+    rel_tol = _param(params, "product_rel_tol", QTY_PRICE_REL_TOL, least=0.0)
 
     def amount_region(view: DocumentView, tally: Tally) -> list[Token]:
         return [t for t in tally.charge(view.tokens) if t.x >= right_x]
@@ -365,7 +375,12 @@ def _designation_levels(params: dict) -> tuple[LevelFn, ...]:
         return _largest_group(sorted(map(_X, view.value(band, tally))), tol) >= 3
 
     def flanked(view: DocumentView, tally: Tally) -> bool:
-        """A short-code column left of the band and a numeric column right of it."""
+        """Level 3 holds where, among the page's left-edge columns of two or more
+        tokens, one whose mean left edge lies more than ``align_tol`` left of the
+        band's leftmost left edge holds only short word-like tokens, and one
+        whose mean left edge lies more than ``align_tol`` right of the band's
+        rightmost left edge holds only numeric ones. Reads the band again and
+        every token once more."""
         tokens = view.value(band, tally)
         band_lo = min(t.x for t in tokens)
         band_hi = max(t.x for t in tokens)
@@ -396,20 +411,32 @@ def _code_levels(params: dict) -> tuple[LevelFn, ...]:
         return [t for t in tally.charge(view.tokens) if t.x <= left_x]
 
     def candidate_column(view: DocumentView, tally: Tally) -> list[Token]:
+        """The largest left-edge group of three or more of the band's short
+        word-like tokens, the leftmost of equal ones ([] for none). Reads the
+        band, then its short word-like tokens."""
         short = [t for t in view.value(band, tally) if _is_short_wordlike(t)]
         groups = [g for g in _columns(tally.charge(short), tol) if len(g) >= 3]
         return max(groups, key=len) if groups else []
 
     def level1(view: DocumentView, tally: Tally) -> float:
+        """The band's share of short word-like tokens (at most ``SHORT_TOKEN_LEN``
+        characters, alphabetic or alphanumeric), 0.0 for an empty band. The
+        band holds the tokens whose left edge is at most ``left_band_x``; every
+        token is read once."""
         tokens = view.value(band, tally)
         if not tokens:
             return 0.0
         return len([t for t in tokens if _is_short_wordlike(t)]) / len(tokens)
 
     def has_candidate(view: DocumentView, tally: Tally) -> bool:
+        """Level 2 holds where the candidate column exists."""
         return bool(view.value(candidate_column, tally))
 
     def candidate_leftmost(view: DocumentView, tally: Tally) -> bool:
+        """Level 3 holds where no left-edge column of the page with three or more
+        tokens has a mean left edge more than ``align_tol`` left of the
+        candidate column's. Reads the candidate column again and every token
+        once more."""
         cx = _column_x(view.value(candidate_column, tally))
         tally.charge(view.tokens)
         return not any(len(col) >= 3 and _column_x(col) < cx - tol

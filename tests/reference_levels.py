@@ -16,9 +16,11 @@ from doctnn.features import (
     DATE_PATTERN,
     ISOLATED_MAX_TOKENS,
     ISOLATED_MIN_GAP,
+    LEFT_BAND_X,
     MIDDLE_BAND,
     QTY_PRICE_REL_TOL,
     RIGHT_REGION_X,
+    SHORT_TOKEN_LEN,
 )
 
 
@@ -43,6 +45,16 @@ def rows_by_top_edge(tokens, tol):
 
 def count_kind(tokens, kind):
     return sum(1 for t in tokens if t.kind is kind)
+
+
+def mean_left_edge(tokens):
+    return sum(t.x for t in tokens) / len(tokens)
+
+
+def short_wordlike(token):
+    """At most ``SHORT_TOKEN_LEN`` characters, alphabetic or alphanumeric."""
+    return (len(token.text) <= SHORT_TOKEN_LEN
+            and token.kind in (TokenKind.ALPHABETIC, TokenKind.ALPHANUMERIC))
 
 
 def horizontal_alignment_l1(tokens, params):
@@ -86,6 +98,66 @@ def designation_zone_l2(tokens, params):
     band = designation_band(tokens, params)
     aligned = any(len(g) >= 3 for g in groups_by(band, lambda t: t.x, tol))
     return (value if aligned else 0.0), visits + len(tokens)
+
+
+def designation_zone_l3(tokens, params):
+    value, visits = designation_zone_l2(tokens, params)
+    if value == 0.0:
+        return 0.0, visits
+    tol = params.get("align_tol", ALIGN_TOL)
+    band = designation_band(tokens, params)
+    leftmost, rightmost = min(t.x for t in band), max(t.x for t in band)
+    columns = [c for c in groups_by(tokens, lambda t: t.x, tol) if len(c) >= 2]
+    code_left = any(mean_left_edge(c) < leftmost - tol and all(map(short_wordlike, c))
+                    for c in columns)
+    numeric_right = any(mean_left_edge(c) > rightmost + tol
+                        and all(t.kind is TokenKind.NUMERIC for t in c) for c in columns)
+    return (value if code_left and numeric_right else 0.0), visits + 2 * len(tokens)
+
+
+# --- code area ----------------------------------------------------------------------
+
+def code_band(tokens, params):
+    left_x = params.get("left_band_x", LEFT_BAND_X)
+    return [t for t in tokens if t.x <= left_x]
+
+
+def code_area_l1(tokens, params):
+    band = code_band(tokens, params)
+    if not band:
+        return 0.0, len(tokens)
+    return sum(map(short_wordlike, band)) / len(band), len(tokens)
+
+
+def candidate_column(tokens, params):
+    """The first of the largest left-edge groups of three or more of the band's
+    short word-like tokens ([] for none), and the visits that reading costs."""
+    short = [t for t in code_band(tokens, params) if short_wordlike(t)]
+    groups = [g for g in groups_by(short, lambda t: t.x, params.get("align_tol", ALIGN_TOL))
+              if len(g) >= 3]
+    largest = max(map(len, groups), default=0)
+    column = next((g for g in groups if len(g) == largest), [])
+    return column, len(tokens) + len(short)
+
+
+def code_area_l2(tokens, params):
+    value, visits = code_area_l1(tokens, params)
+    if value == 0.0:
+        return 0.0, visits
+    column, cost = candidate_column(tokens, params)
+    return (value if column else 0.0), visits + cost
+
+
+def code_area_l3(tokens, params):
+    value, visits = code_area_l2(tokens, params)
+    if value == 0.0:
+        return 0.0, visits
+    tol = params.get("align_tol", ALIGN_TOL)
+    column, cost = candidate_column(tokens, params)
+    edge = mean_left_edge(column)
+    left_of_it = any(len(c) >= 3 and mean_left_edge(c) < edge - tol
+                     for c in groups_by(tokens, lambda t: t.x, tol))
+    return (0.0 if left_of_it else value), visits + cost + len(tokens)
 
 
 # --- text block -------------------------------------------------------------------

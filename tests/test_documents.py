@@ -42,6 +42,7 @@ from doctnn import (
     save_model,
     token_kind,
 )
+from doctnn import documents
 from doctnn.documents import corpus_to_dict, write_json
 from doctnn.evaluation import ClassRow, CostComparison, StructureRow
 from doctnn.generator import DESK_TEST_COUNTS, DESK_TEST_SEED
@@ -543,6 +544,21 @@ def test_load_shows_a_token_shaped_value_as_written(tmp_path, payload, message):
         load_corpus(path, TOPOLOGY)
     assert str(refused.value) == message.replace("{path}", str(path))
     assert "\n" not in str(refused.value)
+
+
+def test_load_parses_each_document_once_also_when_it_refuses_one(tmp_path, monkeypatch):
+    # the refusal shows the token-shaped class as written without a second parse
+    parsed = []
+    parse = documents._parse_document
+    monkeypatch.setattr(documents, "_parse_document", lambda raw: parse(parsed.append(raw) or raw))
+    entries = [{"id": f"d{i}", "tokens": [TOKEN_SHAPED]} for i in range(3)]
+    entries[2]["labels"] = {"class": TOKEN_SHAPED}
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"documents": entries}))
+    with pytest.raises(CorpusError) as refused:
+        load_corpus(path, TOPOLOGY)
+    assert str(refused.value) == "document 'd2' field 'class' must be a string, got " + WRITTEN
+    assert len(parsed) == 3
 
 
 EVERY_LOADER = pytest.mark.parametrize("load, error", [

@@ -8,6 +8,7 @@ from doctnn import (
     DocumentInstance,
     DocumentView,
     GenSpec,
+    Noise,
     Token,
     TokenKind,
     build_extractors,
@@ -35,13 +36,20 @@ from doctnn.features import (
 from doctnn.generator import DESK_NOISE
 from conftest import doc, measure, reference_best_run, reference_keyword_hits, tok
 from reference_levels import (
+    amount_area_l1,
     amount_area_l2,
     amount_area_l3,
+    code_area_l1,
+    code_area_l2,
+    code_area_l3,
     date_indicator_l1,
     date_indicator_l2,
+    designation_zone_l1,
     designation_zone_l2,
+    designation_zone_l3,
     horizontal_alignment_l1,
     isolated_block_l1,
+    text_block_l1,
     text_block_l2,
     vertical_alignment_l1,
     vertical_alignment_l2,
@@ -245,6 +253,16 @@ def test_designation_unflanked_level3_zero():
     assert value("designation_zone", words_column(), 3) == 0.0
 
 
+@pytest.mark.parametrize("column, x", [(("AB1", "CD2"), 0.30), (("12", "99"), 0.45)],
+                         ids=["codes", "numbers"])
+def test_designation_flanking_columns_lie_outside_the_band(column, x):
+    # the code or numeric column moved into the band becomes its leftmost or
+    # rightmost left edge, which flanks nothing
+    d = doc([tok(t.text, x, t.y) if t.text in column else t for t in flanked_words().tokens])
+    assert value("designation_zone", d, 2) > 0.0
+    assert value("designation_zone", d, 3) == 0.0
+
+
 # --- code area --------------------------------------------------------------------
 
 def test_code_area_leftmost_column():
@@ -364,8 +382,8 @@ def check_horizontal_reference(tokens):
     assert measure(EXTRACTORS["horizontal_alignment"], doc(tokens), 1) == expected
 
 
-def test_horizontal_alignment_matches_its_reference_on_desk_and_fixtures(desk_corpora):
-    for document in desk_corpora[1] + generate_ambiguous(7, 24):
+def test_horizontal_alignment_matches_its_reference_on_desk_and_fixtures(checked_documents):
+    for document in checked_documents:
         check_horizontal_reference(list(document.tokens))
 
 
@@ -447,6 +465,34 @@ def test_keywords_address_value_on_same_row():
 
 def test_keywords_address_empty():
     assert value("keywords_address", doc([])) == 0.0
+
+
+def address_keywords(*keywords):
+    spec = ExtractorSpec(kind="keywords_address", params={"keywords": list(keywords)})
+    return features.build_extractor("keywords_address", spec)
+
+
+def test_keywords_are_folded_like_token_text(desk_corpora):
+    # the page prints "Mr.", which folds to the token text "mr"
+    as_printed, folded = address_keywords("Mr."), address_keywords("mr")
+    fired = [d.id for d in desk_corpora[1] if folded.evaluate(d, 1) > 0.0]
+    assert fired
+    assert [d.id for d in desk_corpora[1] if as_printed.evaluate(d, 1) > 0.0] == fired
+    po_box = doc([tok("P.O.", 0.1, 0.5), tok("Box", 0.2, 0.5)])
+    assert address_keywords("P.O. Box").evaluate(po_box, 1) == pytest.approx(1 / 3)
+
+
+def test_default_keywords_are_already_folded():
+    for default in (TOTAL_KEYWORDS, TOTAL_KEYWORDS_EXTENDED, ADDRESS_KEYWORDS):
+        assert features._words({}, "keywords", default) == default
+
+
+@pytest.mark.parametrize("keyword", [" ", "a  b", "?", "total "])
+def test_keyword_with_a_word_that_folds_to_nothing_is_refused(keyword):
+    with pytest.raises(ValueError) as refused:
+        address_keywords("mr", keyword)
+    assert str(refused.value) == (f"element 'keywords_address': param 'keywords': keyword "
+                                  f"{keyword!r} has a word that folds to nothing")
 
 
 # --- text block ------------------------------------------------------------------------------
@@ -590,10 +636,17 @@ def test_isolated_block_gap_is_taken_from_the_lowest_bottom_above():
 # --- plain references -------------------------------------------------------------------
 
 REFERENCES = {
-    ("designation_zone", 2): designation_zone_l2,
-    ("text_block", 2): text_block_l2,
+    ("amount_area", 1): amount_area_l1,
     ("amount_area", 2): amount_area_l2,
     ("amount_area", 3): amount_area_l3,
+    ("designation_zone", 1): designation_zone_l1,
+    ("designation_zone", 2): designation_zone_l2,
+    ("designation_zone", 3): designation_zone_l3,
+    ("code_area", 1): code_area_l1,
+    ("code_area", 2): code_area_l2,
+    ("code_area", 3): code_area_l3,
+    ("text_block", 1): text_block_l1,
+    ("text_block", 2): text_block_l2,
     ("date_indicator", 1): date_indicator_l1,
     ("date_indicator", 2): date_indicator_l2,
     ("isolated_block", 1): isolated_block_l1,
@@ -602,12 +655,37 @@ REFERENCES = {
 }
 
 
+# heavy noise moves tokens off the desk layouts' columns and rows, drops half
+# the structures and misspells half the keywords
+NOISY_SEED = 907
+NOISY = GenSpec(seed=NOISY_SEED, counts={"invoice": 14, "form": 13, "letter": 13},
+                noise=Noise(jitter=0.02, drop_rate=0.5, distort_rate=0.5))
+
+
+@pytest.fixture(scope="module")
+def checked_documents(desk_corpora):
+    """The desk test set, the 24 ambiguous fixtures and 40 noisy documents."""
+    return desk_corpora[1] + generate_ambiguous(7, 24) + generate(NOISY)
+
+
 @pytest.mark.parametrize("name,level", REFERENCES)
-def test_level_matches_its_reference_on_desk_and_fixtures(desk_corpora, name, level):
+def test_level_matches_its_reference_on_desk_and_fixtures(checked_documents, name, level):
     params = default_config().extractors[name].params
-    for document in desk_corpora[1] + generate_ambiguous(7, 24):
+    for document in checked_documents:
         expected = REFERENCES[name, level](list(document.tokens), params)
         assert measure(EXTRACTORS[name], document, level) == expected, document.id
+
+
+def test_levels_read_lowest_or_highest_first_agree(checked_documents):
+    pairs = [(name, level) for name, extractor in EXTRACTORS.items()
+             for level in range(1, extractor.max_level + 1)]
+    for document in checked_documents:
+        lowest_first, highest_first = DocumentView(document), DocumentView(document)
+        up = {(name, level): measure(EXTRACTORS[name], lowest_first, level)
+              for name, level in pairs}
+        down = {(name, level): measure(EXTRACTORS[name], highest_first, level)
+                for name, level in reversed(pairs)}
+        assert up == down, document.id
 
 
 # --- extract_all ----------------------------------------------------------------------------

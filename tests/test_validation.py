@@ -42,7 +42,7 @@ SITES = [
     ("amount_area.align_tol", param("amount_area", "align_tol"), ValueError,
      "'align_tol'", float, -0.1),
     ("amount_area.product_rel_tol", param("amount_area", "product_rel_tol"), ValueError,
-     "'product_rel_tol'", float, None),
+     "'product_rel_tol'", float, -1e-06),
     ("designation_zone.middle_band",
      lambda value: build_extractors(
          {"e": ExtractorSpec(kind="designation_zone", params={"middle_band": [0.3, value]})}),
